@@ -9,6 +9,7 @@ and price scale.  Experiments are driven by a small config format and the
 """
 
 from .errors import (
+    CheckpointError,
     ConfigError,
     DataError,
     DegenerateScaleError,
@@ -37,6 +38,7 @@ from .network import (
     backward,
     forward,
     grad_check,
+    grad_check_worst,
     init_params,
     load_checkpoint,
     save_checkpoint,
@@ -51,6 +53,7 @@ __all__ = [
     "ArchSpec",
     "CellParams",
     "CellState",
+    "CheckpointError",
     "ConfigError",
     "DataError",
     "DegenerateScaleError",
@@ -80,6 +83,7 @@ __all__ = [
     "fit_scaler",
     "forward",
     "grad_check",
+    "grad_check_worst",
     "gru_step",
     "impute_locf",
     "init_params",

@@ -156,11 +156,32 @@ class GruTape:
     h: np.ndarray  # (T, B, H) hidden sequence
 
 
+# Backward passes compute the factors that depend only on the tape
+# (``1 - s``, ``1 - tanh(c)**2``, ...) for a block of steps at once.  A
+# block holds as many steps as fit this many bytes of such temporaries, so
+# they stay cache resident: the whole window at quick.cfg shapes, a single
+# step at paper shapes.
+_HOIST_BYTES = 64 * 1024
+
+
+def _block_len(steps: int, floats_per_step: int) -> int:
+    return max(1, min(steps, _HOIST_BYTES // (8 * floats_per_step)))
+
+
+def _sigmoid_into(a: np.ndarray, out: np.ndarray) -> None:
+    """``out = 1.0 / (1.0 + exp(-a))``, the same operations as :func:`sigmoid`."""
+    np.negative(a, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    np.divide(1.0, out, out=out)
+
+
 def lstm_forward(params: CellParams, x: np.ndarray, store_tape: bool = True):
     """Run an LSTM over a time-major batch of sequences from zero state.
 
     Returns the hidden sequence (T, B, H) and, when requested, the tape
-    consumed by :func:`lstm_backward`.
+    consumed by :func:`lstm_backward`.  Activations are written straight
+    into the tape; without one, a single slot per quantity is reused.
     """
     steps, batch, _ = x.shape
     hsize = params.hidden_size
@@ -169,35 +190,35 @@ def lstm_forward(params: CellParams, x: np.ndarray, store_tape: bool = True):
     xp = xp.reshape(steps, batch, 4 * hsize)
     ut = np.ascontiguousarray(params.u.T)
 
-    h = np.zeros((batch, hsize))
-    c = np.zeros((batch, hsize))
+    # With a tape, step t writes row t of each tape array; without one,
+    # every step reuses row 0.  c starts at zero, so the row step 0 writes
+    # doubles as the zero initial cell state.
+    rows = steps if store_tape else 1
+    s = np.empty((rows, batch, 3 * hsize))
+    g = np.empty((rows, batch, hsize))
+    c = np.zeros((rows, batch, hsize))
+    tc = np.empty((rows, batch, hsize))
+    i, f, o = s[:, :, :hsize], s[:, :, hsize : 2 * hsize], s[:, :, 2 * hsize :]
     h_seq = np.empty((steps, batch, hsize))
-    if store_tape:
-        sig_gates = np.empty((steps, batch, 3 * hsize))
-        cand = np.empty((steps, batch, hsize))
-        cells_ = np.empty((steps, batch, hsize))
-        tcells = np.empty((steps, batch, hsize))
+    zero = np.zeros((batch, hsize))
+    a = np.empty((batch, 4 * hsize))
+    a_s, a_g = a[:, : 3 * hsize], a[:, 3 * hsize :]
+    ig = np.empty((batch, hsize))
 
     for t in range(steps):
-        a = xp[t] + h @ ut
-        s = sigmoid(a[:, : 3 * hsize])
-        g = np.tanh(a[:, 3 * hsize :])
-        i = s[:, :hsize]
-        f = s[:, hsize : 2 * hsize]
-        o = s[:, 2 * hsize :]
-        c = f * c + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        h_seq[t] = h
-        if store_tape:
-            sig_gates[t] = s
-            cand[t] = g
-            cells_[t] = c
-            tcells[t] = tc
+        k = t if store_tape else 0
+        np.matmul(h_seq[t - 1] if t else zero, ut, out=a)
+        a += xp[t]
+        _sigmoid_into(a_s, s[k])
+        g_t = np.tanh(a_g, out=g[k])
+        c_t = np.multiply(f[k], c[max(k - 1, 0)], out=c[k])
+        np.multiply(i[k], g_t, out=ig)
+        c_t += ig
+        np.multiply(o[k], np.tanh(c_t, out=tc[k]), out=h_seq[t])
 
     if not store_tape:
         return h_seq, None
-    return h_seq, LstmTape(x=x, s=sig_gates, g=cand, c=cells_, tc=tcells, h=h_seq)
+    return h_seq, LstmTape(x=x, s=s, g=g, c=c, tc=tc, h=h_seq)
 
 
 def lstm_backward(params: CellParams, tape: LstmTape, dh_seq: np.ndarray):
@@ -208,28 +229,47 @@ def lstm_backward(params: CellParams, tape: LstmTape, dh_seq: np.ndarray):
     :class:`CellParams`, gradient w.r.t. the layer input).
     """
     steps, batch, hsize = tape.h.shape
+    s, g, c, tc = tape.s, tape.g, tape.c, tape.tc
+    i, f, o = s[:, :, :hsize], s[:, :, hsize : 2 * hsize], s[:, :, 2 * hsize :]
+    u = params.u
     da = np.empty((steps, batch, 4 * hsize))
+    da_s, da_g = da[:, :, : 3 * hsize], da[:, :, 3 * hsize :]
+    da_i, da_f, da_o = da[:, :, :hsize], da[:, :, hsize : 2 * hsize], da[:, :, 2 * hsize : 3 * hsize]
+    dh = np.empty((batch, hsize))
+    dc = np.empty((batch, hsize))
     dh_carry = np.zeros((batch, hsize))
     dc_carry = np.zeros((batch, hsize))
+    zero = np.zeros((batch, hsize))
 
-    for t in reversed(range(steps)):
-        s = tape.s[t]
-        i = s[:, :hsize]
-        f = s[:, hsize : 2 * hsize]
-        o = s[:, 2 * hsize :]
-        g = tape.g[t]
-        tc = tape.tc[t]
-        c_prev = tape.c[t - 1] if t > 0 else 0.0
+    block = _block_len(steps, batch * 5 * hsize)
+    oms_buf = np.empty((block, batch, 3 * hsize))
+    otc_buf = np.empty((block, batch, hsize))
+    og_buf = np.empty((block, batch, hsize))
+    for end in range(steps, 0, -block):
+        start = max(0, end - block)
+        m = end - start
+        oms = np.subtract(1.0, s[start:end], out=oms_buf[:m])  # 1 - sigmoid gates
+        otc = np.multiply(tc[start:end], tc[start:end], out=otc_buf[:m])
+        np.subtract(1.0, otc, out=otc)  # 1 - tanh(c)**2
+        og = np.multiply(g[start:end], g[start:end], out=og_buf[:m])
+        np.subtract(1.0, og, out=og)  # 1 - g**2
 
-        dh = dh_seq[t] + dh_carry
-        dc = dh * o * (1.0 - tc * tc) + dc_carry
-        da_t = da[t]
-        da_t[:, :hsize] = (dc * g) * i * (1.0 - i)
-        da_t[:, hsize : 2 * hsize] = (dc * c_prev) * f * (1.0 - f)
-        da_t[:, 2 * hsize : 3 * hsize] = (dh * tc) * o * (1.0 - o)
-        da_t[:, 3 * hsize :] = (dc * i) * (1.0 - g * g)
-        dh_carry = da_t @ params.u
-        dc_carry = dc * f
+        for t in range(end - 1, start - 1, -1):
+            k = t - start
+            np.add(dh_seq[t], dh_carry, out=dh)
+            np.multiply(dh, o[t], out=dc)
+            dc *= otc[k]
+            dc += dc_carry
+            np.multiply(dc, g[t], out=da_i[t])
+            np.multiply(dc, c[t - 1] if t else zero, out=da_f[t])
+            np.multiply(dh, tc[t], out=da_o[t])
+            das = da_s[t]
+            das *= s[t]
+            das *= oms[k]
+            dag = np.multiply(dc, i[t], out=da_g[t])
+            dag *= og[k]
+            np.matmul(da[t], u, out=dh_carry)
+            np.multiply(dc, f[t], out=dc_carry)
 
     flat = da.reshape(steps * batch, 4 * hsize)
     dw = flat.T @ tape.x.reshape(steps * batch, -1)
@@ -241,7 +281,11 @@ def lstm_backward(params: CellParams, tape: LstmTape, dh_seq: np.ndarray):
 
 
 def gru_forward(params: CellParams, x: np.ndarray, store_tape: bool = True):
-    """Run a GRU over a time-major batch of sequences from zero state."""
+    """Run a GRU over a time-major batch of sequences from zero state.
+
+    Like :func:`lstm_forward`, writes activations straight into the tape,
+    or into one reused slot per quantity when no tape is kept.
+    """
     steps, batch, _ = x.shape
     hsize = params.hidden_size
     w_ur = params.w[: 2 * hsize]
@@ -253,55 +297,84 @@ def gru_forward(params: CellParams, x: np.ndarray, store_tape: bool = True):
     xp_ur = (flat_x @ w_ur.T + params.b[: 2 * hsize]).reshape(steps, batch, 2 * hsize)
     xp_c = (flat_x @ w_c.T + params.b[2 * hsize :]).reshape(steps, batch, hsize)
 
-    h = np.zeros((batch, hsize))
+    rows = steps if store_tape else 1
+    s = np.empty((rows, batch, 2 * hsize))
+    n = np.empty((rows, batch, hsize))
+    rh = np.empty((rows, batch, hsize))
+    u, r = s[:, :, :hsize], s[:, :, hsize:]
     h_seq = np.empty((steps, batch, hsize))
-    if store_tape:
-        sig_gates = np.empty((steps, batch, 2 * hsize))
-        cand = np.empty((steps, batch, hsize))
-        resets = np.empty((steps, batch, hsize))
+    zero = np.zeros((batch, hsize))
+    a_ur = np.empty((batch, 2 * hsize))
+    a_c = np.empty((batch, hsize))
+    keep = np.empty((batch, hsize))
 
     for t in range(steps):
-        s = sigmoid(xp_ur[t] + h @ u_ur_t)
-        u = s[:, :hsize]
-        r = s[:, hsize:]
-        rh = r * h
-        n = np.tanh(xp_c[t] + rh @ u_c_t)
-        h = (1.0 - u) * h + u * n
-        h_seq[t] = h
-        if store_tape:
-            sig_gates[t] = s
-            cand[t] = n
-            resets[t] = rh
+        k = t if store_tape else 0
+        h_prev = h_seq[t - 1] if t else zero
+        np.matmul(h_prev, u_ur_t, out=a_ur)
+        a_ur += xp_ur[t]
+        _sigmoid_into(a_ur, s[k])
+        np.matmul(np.multiply(r[k], h_prev, out=rh[k]), u_c_t, out=a_c)
+        a_c += xp_c[t]
+        n_t = np.tanh(a_c, out=n[k])
+        np.subtract(1.0, u[k], out=keep)
+        keep *= h_prev
+        h_t = np.multiply(u[k], n_t, out=h_seq[t])
+        h_t += keep
 
     if not store_tape:
         return h_seq, None
-    return h_seq, GruTape(x=x, s=sig_gates, n=cand, rh=resets, h=h_seq)
+    return h_seq, GruTape(x=x, s=s, n=n, rh=rh, h=h_seq)
 
 
 def gru_backward(params: CellParams, tape: GruTape, dh_seq: np.ndarray):
     """Exact gradient of a GRU sequence pass; mirrors :func:`lstm_backward`."""
     steps, batch, hsize = tape.h.shape
+    s, n, h = tape.s, tape.n, tape.h
+    u, r = s[:, :, :hsize], s[:, :, hsize:]
     u_ur = params.u[: 2 * hsize]
     u_c = params.u[2 * hsize :]
     da_ur = np.empty((steps, batch, 2 * hsize))
+    da_u, da_r = da_ur[:, :, :hsize], da_ur[:, :, hsize:]
     da_c = np.empty((steps, batch, hsize))
+    dh = np.empty((batch, hsize))
+    drh = np.empty((batch, hsize))
+    tmp = np.empty((batch, hsize))
     dh_carry = np.zeros((batch, hsize))
+    zero = np.zeros((batch, hsize))
 
-    for t in reversed(range(steps)):
-        s = tape.s[t]
-        u = s[:, :hsize]
-        r = s[:, hsize:]
-        n = tape.n[t]
-        h_prev = tape.h[t - 1] if t > 0 else 0.0
+    block = _block_len(steps, batch * 4 * hsize)
+    oms_buf = np.empty((block, batch, 2 * hsize))
+    onn_buf = np.empty((block, batch, hsize))
+    nmh_buf = np.empty((block, batch, hsize))
+    for end in range(steps, 0, -block):
+        start = max(0, end - block)
+        m = end - start
+        oms = np.subtract(1.0, s[start:end], out=oms_buf[:m])  # 1 - sigmoid gates
+        omu = oms[:, :, :hsize]
+        onn = np.multiply(n[start:end], n[start:end], out=onn_buf[:m])
+        np.subtract(1.0, onn, out=onn)  # 1 - n**2
+        nmh = nmh_buf[:m]  # n - h_prev, with a zero h_prev at step 0
+        if start:
+            np.subtract(n[start:end], h[start - 1 : end - 1], out=nmh)
+        else:
+            np.subtract(n[0], zero, out=nmh[0])
+            np.subtract(n[1:end], h[: end - 1], out=nmh[1:])
 
-        dh = dh_seq[t] + dh_carry
-        dan = (dh * u) * (1.0 - n * n)
-        drh = dan @ u_c
-        da_t = da_ur[t]
-        da_t[:, :hsize] = (dh * (n - h_prev)) * u * (1.0 - u)
-        da_t[:, hsize:] = (drh * h_prev) * r * (1.0 - r)
-        da_c[t] = dan
-        dh_carry = dh * (1.0 - u) + drh * r + da_t @ u_ur
+        for t in range(end - 1, start - 1, -1):
+            k = t - start
+            np.add(dh_seq[t], dh_carry, out=dh)
+            dan = np.multiply(dh, u[t], out=da_c[t])
+            dan *= onn[k]
+            np.matmul(dan, u_c, out=drh)
+            np.multiply(dh, nmh[k], out=da_u[t])
+            np.multiply(drh, h[t - 1] if t else zero, out=da_r[t])
+            da_t = da_ur[t]
+            da_t *= s[t]
+            da_t *= oms[k]
+            np.multiply(dh, omu[k], out=dh_carry)
+            dh_carry += np.multiply(drh, r[t], out=tmp)
+            dh_carry += np.matmul(da_t, u_ur, out=tmp)
 
     flat_ur = da_ur.reshape(steps * batch, 2 * hsize)
     flat_c = da_c.reshape(steps * batch, hsize)

@@ -21,7 +21,7 @@ import numpy as np
 from . import experiment
 from .errors import ForecastError
 from .metrics import evaluate
-from .network import ArchSpec, CELL_KINDS, grad_check, init_params, load_checkpoint
+from .network import ArchSpec, CELL_KINDS, grad_check_worst, init_params, load_checkpoint
 
 log = logging.getLogger(__name__)
 
@@ -137,6 +137,7 @@ def cmd_gradcheck(args) -> int:
     failed = False
     for kind in kinds:
         worst = 0.0
+        failures = []
         for trial in range(args.trials):
             hidden = int(rng.integers(2, args.max_hidden + 1))
             window_len = int(rng.integers(3, args.max_window + 1))
@@ -144,11 +145,18 @@ def cmd_gradcheck(args) -> int:
             model = init_params(arch, seed=int(rng.integers(0, 2**31)))
             window = rng.uniform(0.0, 1.0, size=window_len)
             target = float(rng.uniform(0.0, 1.0))
-            err = grad_check(model, window, target, epsilon=args.epsilon)
-            worst = max(worst, err)
-        status = "ok" if worst <= args.threshold else "FAIL"
+            result = grad_check_worst(model, window, target, epsilon=args.epsilon)
+            worst = max(worst, result.rel_error)
+            if result.rel_error > args.threshold:
+                failures.append((trial, result))
+        status = "FAIL" if failures else "ok"
         print(f"{kind}: worst relative error {worst:.3e} over {args.trials} trials [{status}]")
-        failed = failed or worst > args.threshold
+        for trial, result in failures:
+            print(
+                f"  FAIL {kind} trial {trial}: {result.location()} analytic {result.analytic:.3e}"
+                f" numeric {result.numeric:.3e} relative error {result.rel_error:.3e}"
+            )
+        failed = failed or bool(failures)
     return 1 if failed else 0
 
 

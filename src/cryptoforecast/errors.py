@@ -37,6 +37,14 @@ class DivergenceError(ForecastError):
         super().__init__(message or f"non-finite loss at epoch {epoch}")
 
 
+class CheckpointError(ForecastError, ValueError):
+    """A checkpoint document is unreadable or does not describe a complete model.
+
+    Also a ``ValueError``, so callers that catch the loader's ``ValueError``
+    keep working.
+    """
+
+
 class UndefinedMetricError(ForecastError):
     """A metric denominator is exactly zero."""
 

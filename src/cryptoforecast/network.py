@@ -16,6 +16,7 @@ independent samples, never stateful continuations.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from .cells import (
     lstm_backward,
     lstm_forward,
 )
+from .errors import CheckpointError
 
 CELL_KINDS = ("lstm", "gru", "bilstm")
 
@@ -108,6 +110,18 @@ class ModelParams:
         out.append(self.dense_w)
         out.append(self.dense_b)
         return out
+
+    def array_names(self) -> list[str]:
+        """Names of the :meth:`flat` arrays, in the same order, e.g. ``layers[1].bwd.u``."""
+        out: list[str] = []
+        for li, layer in enumerate(self.layers):
+            prefixes = (
+                (f"layers[{li}].fwd.", f"layers[{li}].bwd.")
+                if isinstance(layer, BiCellParams)
+                else (f"layers[{li}].",)
+            )
+            out.extend(prefix + name for prefix in prefixes for name in ("w", "u", "b"))
+        return out + ["dense_w", "dense_b"]
 
     def rebuild(self, arrays: list[np.ndarray]) -> "ModelParams":
         """New ModelParams with the same structure but replaced arrays."""
@@ -313,8 +327,22 @@ def backward(model: ModelParams, tape: ModelTape, d_prediction: float) -> ParamG
     return backward_batch(model, tape, np.array([float(d_prediction)]))
 
 
-def grad_check(model: ModelParams, window, target: float, epsilon: float = 1e-5) -> float:
-    """Worst relative disagreement between analytic and numeric gradients.
+@dataclass(frozen=True)
+class GradCheckResult:
+    """Worst analytic/numeric gradient disagreement and where it occurred."""
+
+    rel_error: float
+    array: str  # parameter array name, as in ModelParams.array_names()
+    index: tuple[int, ...]  # element index within that array
+    analytic: float
+    numeric: float
+
+    def location(self) -> str:
+        return f"{self.array}[{', '.join(map(str, self.index))}]"
+
+
+def grad_check_worst(model: ModelParams, window, target: float, epsilon: float = 1e-5) -> GradCheckResult:
+    """Compare analytic and numeric gradients; report the worst element.
 
     Checks the gradient of the squared-error loss
     ``(forward(window) - target)**2`` parameter-by-parameter against
@@ -329,15 +357,13 @@ def grad_check(model: ModelParams, window, target: float, epsilon: float = 1e-5)
     analytic = backward(model, tape, 2.0 * (pred - target))
 
     work = model.copy()
-    work_arrays = work.flat()
-    analytic_arrays = analytic.flat()
 
     def loss() -> float:
         preds, _ = forward_batch(work, window, store_tape=False)
         return float((preds[0] - target) ** 2)
 
-    worst = 0.0
-    for arr, garr in zip(work_arrays, analytic_arrays):
+    worst = None
+    for name, arr, garr in zip(work.array_names(), work.flat(), analytic.flat()):
         flat = arr.reshape(-1)
         gflat = garr.reshape(-1)
         for k in range(flat.shape[0]):
@@ -350,9 +376,18 @@ def grad_check(model: ModelParams, window, target: float, epsilon: float = 1e-5)
             numeric = (loss_plus - loss_minus) / (2.0 * epsilon)
             a = gflat[k]
             rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-            if rel > worst:
-                worst = rel
+            if worst is None or rel > worst.rel_error:
+                index = tuple(int(i) for i in np.unravel_index(k, arr.shape))
+                worst = GradCheckResult(float(rel), name, index, float(a), float(numeric))
     return worst
+
+
+def grad_check(model: ModelParams, window, target: float, epsilon: float = 1e-5) -> float:
+    """Worst relative disagreement between analytic and numeric gradients.
+
+    The number :func:`grad_check_worst` reports as ``rel_error``.
+    """
+    return grad_check_worst(model, window, target, epsilon).rel_error
 
 
 def _cell_to_dict(cell: CellParams, gate_order: tuple[str, ...]) -> dict:
@@ -365,16 +400,34 @@ def _cell_to_dict(cell: CellParams, gate_order: tuple[str, ...]) -> dict:
     return out
 
 
-def _cell_from_dict(data: dict, gate_order: tuple[str, ...], input_size: int, hidden: int) -> CellParams:
+def _checked_array(value, shape: tuple[int, ...], where: str) -> np.ndarray:
+    """``value``, a flat row-major list of finite numbers, as a float64 array of ``shape``."""
+    size = math.prod(shape)
+    try:
+        arr = np.asarray(value)
+    except (ValueError, OverflowError):  # ragged nesting
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "fi" or arr.ndim != 1:
+        raise CheckpointError(f"checkpoint {where}: expected a list of {size} numbers")
+    if arr.size != size:
+        raise CheckpointError(f"checkpoint {where}: expected {size} values, got {arr.size}")
+    if not np.isfinite(arr).all():
+        raise CheckpointError(f"checkpoint {where}: non-finite value")
+    return arr.astype(np.float64, copy=False).reshape(shape)
+
+
+def _cell_from_dict(data, gate_order: tuple[str, ...], input_size: int, hidden: int, where: str) -> CellParams:
+    if not isinstance(data, dict):
+        raise CheckpointError(f"checkpoint {where}: expected an object of gate arrays")
     gates = len(gate_order)
     w = np.empty((gates * hidden, input_size))
     u = np.empty((gates * hidden, hidden))
     b = np.empty(gates * hidden)
     for idx, name in enumerate(gate_order):
         rows = slice(idx * hidden, (idx + 1) * hidden)
-        w[rows] = np.asarray(data[f"w_{name}"], dtype=np.float64).reshape(hidden, input_size)
-        u[rows] = np.asarray(data[f"u_{name}"], dtype=np.float64).reshape(hidden, hidden)
-        b[rows] = np.asarray(data[f"b_{name}"], dtype=np.float64)
+        w[rows] = _checked_array(data.get(f"w_{name}"), (hidden, input_size), f"{where}.w_{name}")
+        u[rows] = _checked_array(data.get(f"u_{name}"), (hidden, hidden), f"{where}.u_{name}")
+        b[rows] = _checked_array(data.get(f"b_{name}"), (hidden,), f"{where}.b_{name}")
     return CellParams(w=w, u=u, b=b)
 
 
@@ -410,25 +463,43 @@ def model_to_dict(model: ModelParams) -> dict:
 
 
 def model_from_dict(data: dict) -> ModelParams:
-    if data.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"not a {CHECKPOINT_FORMAT} document")
+    """Rebuild a model from its checkpoint document.
+
+    Raises :class:`CheckpointError` unless the document describes the
+    whole declared model: one entry per layer, every gate array with the
+    element count its shape needs, a full dense head, all values finite.
+    """
+    if not isinstance(data, dict) or data.get("format") != CHECKPOINT_FORMAT:
+        raise CheckpointError(f"not a {CHECKPOINT_FORMAT} document")
     if data.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {data.get('version')!r}")
-    arch = ArchSpec(**data["arch"])
+        raise CheckpointError(f"unsupported checkpoint version {data.get('version')!r}")
+    try:
+        arch = ArchSpec(**data["arch"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint arch: {exc}") from None
+    entries = data.get("layers")
+    if not isinstance(entries, list) or len(entries) != arch.layers:
+        found = len(entries) if isinstance(entries, list) else "no list of"
+        raise CheckpointError(f"checkpoint declares {arch.layers} layers but holds {found} layer entries")
     gate_order = GRU_GATE_ORDER if arch.cell_kind == "gru" else LSTM_GATE_ORDER
     layers = []
-    for input_size, entry in zip(arch.layer_input_sizes(), data["layers"]):
-        if arch.bidirectional:
-            layers.append(
-                BiCellParams(
-                    fwd=_cell_from_dict(entry["forward"], gate_order, input_size, arch.hidden_units),
-                    bwd=_cell_from_dict(entry["backward"], gate_order, input_size, arch.hidden_units),
-                )
-            )
-        else:
-            layers.append(_cell_from_dict(entry, gate_order, input_size, arch.hidden_units))
-    dense_w = np.asarray(data["dense"]["w"], dtype=np.float64)
-    dense_b = np.array([float(data["dense"]["b"])])
+    for li, (input_size, entry) in enumerate(zip(arch.layer_input_sizes(), entries)):
+        where = f"layers[{li}]"
+        if not arch.bidirectional:
+            layers.append(_cell_from_dict(entry, gate_order, input_size, arch.hidden_units, where))
+            continue
+        if not isinstance(entry, dict) or not {"forward", "backward"} <= entry.keys():
+            raise CheckpointError(f"checkpoint {where}: needs 'forward' and 'backward' cells")
+        fwd, bwd = (
+            _cell_from_dict(entry[d], gate_order, input_size, arch.hidden_units, f"{where}.{d}")
+            for d in ("forward", "backward")
+        )
+        layers.append(BiCellParams(fwd=fwd, bwd=bwd))
+    dense = data.get("dense")
+    if not isinstance(dense, dict):
+        raise CheckpointError("checkpoint dense: expected an object with 'w' and 'b'")
+    dense_w = _checked_array(dense.get("w"), (arch.dense_input_size,), "dense.w")
+    dense_b = _checked_array([dense.get("b")], (1,), "dense.b")
     return ModelParams(arch=arch, layers=layers, dense_w=dense_w, dense_b=dense_b, seed=data.get("seed"))
 
 
@@ -437,4 +508,8 @@ def save_checkpoint(model: ModelParams, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
-    return model_from_dict(json.loads(Path(path).read_text()))
+    try:
+        data = json.loads(Path(path).read_text())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from None
+    return model_from_dict(data)

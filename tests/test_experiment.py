@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cryptoforecast import ConfigError, validate_config
+from cryptoforecast import ConfigError, network, validate_config
 from cryptoforecast.cli import main
+from cryptoforecast.network import ArchSpec, init_params, model_to_dict
 from cryptoforecast.experiment import (
     AssetSpec,
     ExperimentConfig,
@@ -268,6 +269,25 @@ class TestCli:
             run_dir / "predictions.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize("damage", ["drop_layer", "short_array", "non_numeric"])
+    def test_evaluate_rejects_damaged_checkpoint(self, tmp_path, capsys, damage):
+        csv_path = tiny_csv(tmp_path)
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(f"lookback = 10\nhidden_units = 4\n[asset.TST]\ncsv = {csv_path}\n")
+        doc = model_to_dict(init_params(ArchSpec("lstm", hidden_units=4), seed=3))
+        if damage == "drop_layer":
+            doc["layers"] = doc["layers"][:1]
+        elif damage == "short_array":
+            doc["layers"][0]["w_i"] = doc["layers"][0]["w_i"][:-1]
+        else:
+            doc["layers"][0]["u_c"][0] = "oops"
+        ckpt = tmp_path / "checkpoint.json"
+        ckpt.write_text(json.dumps(doc))
+        argv = ["evaluate", "--config", str(config_path), "--asset", "TST", "--checkpoint", str(ckpt)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "checkpoint" in err
+
     def test_prepare_prints_report(self, tmp_path, capsys):
         csv_path = tiny_csv(tmp_path)
         config_path = tmp_path / "exp.cfg"
@@ -298,6 +318,23 @@ class TestCli:
         assert main(["gradcheck", "--trials", "2", "--cell", "gru", "--max-hidden", "4"]) == 0
         out = capsys.readouterr().out
         assert "gru" in out and "ok" in out
+
+    def test_gradcheck_failure_names_the_element(self, capsys, monkeypatch):
+        real_backward = network.backward
+
+        def corrupted(model_, tape_, d_pred):
+            grads = real_backward(model_, tape_, d_pred)
+            grads.dense_b[0] *= 2.0
+            return grads
+
+        monkeypatch.setattr(network, "backward", corrupted)
+        argv = ["gradcheck", "--trials", "2", "--cell", "gru", "--max-hidden", "2", "--max-window", "3"]
+        assert main(argv) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("gru: worst relative error") and lines[0].endswith("[FAIL]")
+        assert lines[1].startswith("  FAIL gru trial 0: dense_b[0] analytic ")
+        assert lines[2].startswith("  FAIL gru trial 1: dense_b[0] analytic ")
+        assert " numeric " in lines[1] and " relative error " in lines[1]
 
     def test_seed_override_changes_runs(self, tmp_path):
         csv_path = tiny_csv(tmp_path)

@@ -1,0 +1,159 @@
+"""Workspace sequence kernels against the frozen reference kernels, bit for bit.
+
+``cells.lstm_forward`` / ``gru_forward`` write activations straight into
+the tape and the backward kernels hoist tape-only factors out of the time
+loop in blocks; both must still produce exactly the bits of the plain
+kernels in ``reference_kernels``.  Shapes cover single steps, single
+rows, single units, input width different from hidden width, window
+lengths at and around a hoisting-block boundary, and paper shapes.
+"""
+
+import numpy as np
+import pytest
+
+from cryptoforecast import cells
+from cryptoforecast.cells import CellParams
+
+import reference_kernels as ref
+
+GATES = {"lstm": 4, "gru": 3}
+TAPE_FIELDS = {"lstm": ("x", "s", "g", "c", "tc", "h"), "gru": ("x", "s", "n", "rh", "h")}
+# floats of hoisted backward factors per (step, batch row), per hidden unit
+HOISTED = {"lstm": 5, "gru": 4}
+
+
+def kernels(module, kind):
+    return getattr(module, f"{kind}_forward"), getattr(module, f"{kind}_backward")
+
+
+def block_len(kind, batch, hidden):
+    return cells._block_len(10**9, batch * HOISTED[kind] * hidden)
+
+
+def make_params(rng, kind, inp, hidden):
+    rows = GATES[kind] * hidden
+    return CellParams(
+        w=rng.normal(scale=0.6, size=(rows, inp)),
+        u=rng.normal(scale=0.6, size=(rows, hidden)),
+        b=rng.normal(scale=0.3, size=rows),
+    )
+
+
+def assert_same_bits(actual, expected):
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    assert np.array_equal(actual, expected)
+    # array_equal treats -0.0 and 0.0 as equal; the raw bits must match too
+    assert np.array_equal(np.ascontiguousarray(actual).view(np.uint64), np.ascontiguousarray(expected).view(np.uint64))
+
+
+def dh_patterns(rng, steps, batch, hidden):
+    dense = rng.normal(size=(steps, batch, hidden))
+    last_only = np.zeros((steps, batch, hidden))  # as network.backward_batch feeds the top layer
+    last_only[-1] = rng.normal(size=(batch, hidden))
+    return {"dense": dense, "last_only": last_only}
+
+
+def check_kind(rng, kind, steps, batch, inp, hidden):
+    params = make_params(rng, kind, inp, hidden)
+    x = rng.normal(size=(steps, batch, inp))
+    forward, backward = kernels(cells, kind)
+    ref_forward, ref_backward = kernels(ref, kind)
+
+    h_ref, tape_ref = ref_forward(params, x)
+    h_seq, tape = forward(params, x)
+    h_notape, no_tape = forward(params, x, store_tape=False)
+    assert no_tape is None
+    assert_same_bits(h_seq, h_ref)
+    assert_same_bits(h_notape, h_ref)
+    for name in TAPE_FIELDS[kind]:
+        assert_same_bits(getattr(tape, name), getattr(tape_ref, name))
+
+    for dh_seq in dh_patterns(rng, steps, batch, hidden).values():
+        grads, dx = backward(params, tape, dh_seq)
+        grads_ref, dx_ref = ref_backward(params, tape_ref, dh_seq)
+        for got, want in zip(grads.arrays(), grads_ref.arrays()):
+            assert_same_bits(got, want)
+        assert_same_bits(dx, dx_ref)
+
+
+@pytest.mark.parametrize("kind", ["lstm", "gru"])
+@pytest.mark.parametrize(
+    "steps,batch,inp,hidden",
+    [
+        (1, 1, 1, 1),  # one step, one row, one unit
+        (1, 8, 1, 8),
+        (7, 1, 3, 1),  # B=1, H=1, D != H
+        (11, 3, 5, 2),
+        (20, 8, 1, 8),  # quick.cfg first layer
+        (20, 8, 8, 8),  # quick.cfg second layer
+        (7, 8, 2, 64),  # several blocks of 3-4 steps, remainder at the start
+    ],
+)
+def test_matches_reference(rng, kind, steps, batch, inp, hidden):
+    check_kind(rng, kind, steps, batch, inp, hidden)
+
+
+@pytest.mark.parametrize("kind", ["lstm", "gru"])
+def test_matches_reference_around_block_boundary(rng, kind):
+    block = block_len(kind, 8, 8)
+    assert 1 < block < 64
+    for steps in (block - 1, block, block + 1, 2 * block, 2 * block + 1):
+        check_kind(rng, kind, steps, 8, 1, 8)
+
+
+@pytest.mark.parametrize("kind", ["lstm", "gru"])
+def test_matches_reference_at_paper_shapes(rng, kind):
+    assert block_len(kind, 32, 100) == 1
+    check_kind(rng, kind, 60, 32, 1, 100)  # first layer
+    check_kind(rng, kind, 60, 32, 100, 100)  # second layer
+
+
+def snapshot(*arrays):
+    return [a.copy() for a in arrays]
+
+
+def assert_unchanged(arrays, saved):
+    for a, s in zip(arrays, saved):
+        assert_same_bits(a, s)
+
+
+@pytest.mark.parametrize("kind", ["lstm", "gru"])
+@pytest.mark.parametrize("store_tape", [True, False])
+def test_consecutive_forwards_are_independent(rng, kind, store_tape):
+    """A second call must not write into the first call's outputs or tape."""
+    forward, _ = kernels(cells, kind)
+    params = make_params(rng, kind, 2, 4)
+    x1 = rng.normal(size=(6, 3, 2))
+    x2 = rng.normal(size=(6, 3, 2))
+    h1, tape1 = forward(params, x1, store_tape)
+    first = [h1] + ([getattr(tape1, n) for n in TAPE_FIELDS[kind]] if store_tape else [])
+    saved = snapshot(*first)
+    saved_x2 = x2.copy()
+    h2, tape2 = forward(params, x2, store_tape)
+    assert_unchanged(first, saved)
+    assert_same_bits(x2, saved_x2)
+    assert not np.shares_memory(h1, h2)
+    if store_tape:
+        for name in TAPE_FIELDS[kind][1:]:
+            assert not np.shares_memory(getattr(tape1, name), getattr(tape2, name))
+
+
+@pytest.mark.parametrize("kind", ["lstm", "gru"])
+def test_consecutive_backwards_are_independent(rng, kind):
+    """Backward leaves its tape and dh_seq alone and never reuses a previous call's outputs."""
+    forward, backward = kernels(cells, kind)
+    params = make_params(rng, kind, 2, 4)
+    _, tape1 = forward(params, rng.normal(size=(6, 3, 2)))
+    _, tape2 = forward(params, rng.normal(size=(6, 3, 2)))
+    dh1, dh2 = rng.normal(size=(2, 6, 3, 4))
+    tape_arrays = [getattr(tape1, n) for n in TAPE_FIELDS[kind]]
+    saved_tape = snapshot(*tape_arrays, dh1)
+
+    grads1, dx1 = backward(params, tape1, dh1)
+    assert_unchanged(tape_arrays + [dh1], saved_tape)
+    first = list(grads1.arrays()) + [dx1]
+    saved = snapshot(*first)
+    grads2, dx2 = backward(params, tape2, dh2)
+    assert_unchanged(first, saved)
+    for a, b in zip(first, list(grads2.arrays()) + [dx2]):
+        assert not np.shares_memory(a, b)

@@ -5,13 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from cryptoforecast import network
+from cryptoforecast import CheckpointError, ForecastError, network
 from cryptoforecast.network import (
     ArchSpec,
     backward,
     forward,
     forward_batch,
     grad_check,
+    grad_check_worst,
     init_params,
     load_checkpoint,
     model_from_dict,
@@ -227,6 +228,30 @@ class TestGradCheck:
         err = grad_check(model, rng.uniform(size=6), target=0.1)
         assert err > 0.3
 
+    def test_worst_names_array_index_and_values(self, rng, monkeypatch):
+        model = init_params(ArchSpec("bilstm", hidden_units=2), seed=14)
+        real_backward = network.backward
+
+        def corrupted(model_, tape_, d_pred):
+            grads = real_backward(model_, tape_, d_pred)
+            grads.layers[1].bwd.u[3, 1] += 0.5
+            return grads
+
+        monkeypatch.setattr(network, "backward", corrupted)
+        window = rng.uniform(size=4)
+        worst = grad_check_worst(model, window, target=0.3)
+        assert worst.location() == "layers[1].bwd.u[3, 1]"
+        assert worst.rel_error == grad_check(model, window, target=0.3)
+        assert abs(worst.analytic - worst.numeric - 0.5) < 1e-6
+
+    def test_array_names_follow_flat_order(self):
+        for kind in ("lstm", "bilstm"):
+            model = init_params(ArchSpec(kind, hidden_units=2), seed=3)
+            names = model.array_names()
+            assert len(names) == len(model.flat())
+            assert names[-2:] == ["dense_w", "dense_b"]
+        assert names[:4] == ["layers[0].fwd.w", "layers[0].fwd.u", "layers[0].fwd.b", "layers[0].bwd.w"]
+
     def test_epsilon_bounds(self, rng):
         model = init_params(ArchSpec("lstm", hidden_units=2), seed=15)
         with pytest.raises(ValueError):
@@ -271,3 +296,98 @@ class TestCheckpoint:
         save_checkpoint(model, tmp_path / "a.json")
         save_checkpoint(model, tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+class TestCheckpointValidation:
+    """Malformed checkpoint documents raise CheckpointError, never a partial model."""
+
+    @staticmethod
+    def doc(kind="lstm", layers=2, hidden=3):
+        return model_to_dict(init_params(ArchSpec(kind, layers=layers, hidden_units=hidden), seed=4))
+
+    def test_is_a_forecast_error(self):
+        assert issubclass(CheckpointError, ForecastError)
+
+    def test_round_trip_still_loads(self):
+        for kind in ("lstm", "gru", "bilstm"):
+            doc = self.doc(kind)
+            assert model_to_dict(model_from_dict(doc)) == doc
+
+    @pytest.mark.parametrize("kind", ["lstm", "gru", "bilstm"])
+    def test_missing_layer_rejected(self, kind):
+        doc = self.doc(kind)
+        doc["layers"] = doc["layers"][:1]
+        with pytest.raises(CheckpointError, match="2 layers"):
+            model_from_dict(doc)
+
+    def test_extra_layer_rejected(self):
+        doc = self.doc()
+        doc["layers"].append(doc["layers"][-1])
+        with pytest.raises(CheckpointError, match="2 layers"):
+            model_from_dict(doc)
+
+    def test_short_array_rejected(self):
+        doc = self.doc()
+        doc["layers"][1]["u_f"] = doc["layers"][1]["u_f"][:-1]
+        with pytest.raises(CheckpointError, match=r"layers\[1\]\.u_f"):
+            model_from_dict(doc)
+
+    def test_nested_array_rejected(self):
+        doc = self.doc()
+        doc["layers"][0]["b_i"] = [doc["layers"][0]["b_i"]]
+        with pytest.raises(CheckpointError, match="b_i"):
+            model_from_dict(doc)
+
+    def test_non_numeric_array_rejected(self):
+        doc = self.doc("gru")
+        doc["layers"][0]["w_r"] = ["x"] * len(doc["layers"][0]["w_r"])
+        with pytest.raises(CheckpointError, match="w_r"):
+            model_from_dict(doc)
+
+    def test_missing_array_rejected(self):
+        doc = self.doc("bilstm")
+        del doc["layers"][0]["backward"]["w_c"]
+        with pytest.raises(CheckpointError, match="backward"):
+            model_from_dict(doc)
+
+    def test_missing_direction_rejected(self):
+        doc = self.doc("bilstm")
+        del doc["layers"][1]["backward"]
+        with pytest.raises(CheckpointError, match="backward"):
+            model_from_dict(doc)
+
+    def test_non_finite_weight_rejected(self):
+        doc = self.doc()
+        doc["layers"][0]["w_o"][0] = float("nan")
+        with pytest.raises(CheckpointError, match="non-finite"):
+            model_from_dict(doc)
+
+    def test_short_dense_head_rejected(self):
+        doc = self.doc()
+        doc["dense"]["w"] = doc["dense"]["w"][:-1]
+        with pytest.raises(CheckpointError, match="dense"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("bias", [float("inf"), "0.5", [0.5], None])
+    def test_bad_dense_bias_rejected(self, bias):
+        doc = self.doc()
+        doc["dense"]["b"] = bias
+        with pytest.raises(CheckpointError, match="dense"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("arch", [{"cell_kind": "rnn"}, {"cell_kind": "lstm", "depth": 2}, "lstm"])
+    def test_bad_arch_rejected(self, arch):
+        doc = self.doc()
+        doc["arch"] = arch
+        with pytest.raises(CheckpointError, match="arch"):
+            model_from_dict(doc)
+
+    def test_unreadable_files_rejected(self, tmp_path):
+        with pytest.raises(CheckpointError):
+            load_checkpoint(tmp_path / "missing.json")
+        (tmp_path / "bad.json").write_text("{not json")
+        with pytest.raises(CheckpointError):
+            load_checkpoint(tmp_path / "bad.json")
+        (tmp_path / "list.json").write_text("[]")
+        with pytest.raises(CheckpointError):
+            load_checkpoint(tmp_path / "list.json")
