@@ -60,10 +60,6 @@ class CellParams:
     def input_size(self) -> int:
         return self.w.shape[1]
 
-    @property
-    def n_gates(self) -> int:
-        return self.w.shape[0] // self.u.shape[1]
-
     def gate_block(self, index: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Views of (w, u, b) for one gate, by position in the stacked order."""
         h = self.hidden_size
@@ -156,16 +152,27 @@ class GruTape:
     h: np.ndarray  # (T, B, H) hidden sequence
 
 
-# Backward passes compute the factors that depend only on the tape
-# (``1 - s``, ``1 - tanh(c)**2``, ...) for a block of steps at once.  A
+# Kernels work on blocks of steps: forward passes compute the input
+# projection ``x @ W.T + b`` of a block at once, backward passes the factors
+# that depend only on the tape (``1 - s``, ``1 - tanh(c)**2``, ...).  A
 # block holds as many steps as fit this many bytes of such temporaries, so
 # they stay cache resident: the whole window at quick.cfg shapes, a single
-# step at paper shapes.
+# step at paper and scoring shapes.
 _HOIST_BYTES = 64 * 1024
 
 
 def _block_len(steps: int, floats_per_step: int) -> int:
     return max(1, min(steps, _HOIST_BYTES // (8 * floats_per_step)))
+
+
+def _projection_block_len(steps: int, batch: int, width: int) -> int:
+    """Steps per input-projection block of a forward kernel.
+
+    A one-row product takes numpy's matrix-vector path, which rounds
+    differently from the matrix product, so a single sequence is projected
+    whole rather than one step at a time.
+    """
+    return steps if batch == 1 else _block_len(steps, batch * width)
 
 
 def _sigmoid_into(a: np.ndarray, out: np.ndarray) -> None:
@@ -181,14 +188,17 @@ def lstm_forward(params: CellParams, x: np.ndarray, store_tape: bool = True):
 
     Returns the hidden sequence (T, B, H) and, when requested, the tape
     consumed by :func:`lstm_backward`.  Activations are written straight
-    into the tape; without one, a single slot per quantity is reused.
+    into the tape; without one, a single slot per quantity is reused.  The
+    input projection is computed a block of steps at a time into one
+    reused buffer (see :data:`_HOIST_BYTES`).
     """
-    steps, batch, _ = x.shape
+    steps, batch, inp = x.shape
     hsize = params.hidden_size
-    xp = x.reshape(steps * batch, -1) @ params.w.T
-    xp += params.b
-    xp = xp.reshape(steps, batch, 4 * hsize)
+    wt = params.w.T
     ut = np.ascontiguousarray(params.u.T)
+    block = _projection_block_len(steps, batch, 4 * hsize)
+    xp = np.empty((block, batch, 4 * hsize))
+    xp_flat = xp.reshape(block * batch, 4 * hsize)
 
     # With a tape, step t writes row t of each tape array; without one,
     # every step reuses row 0.  c starts at zero, so the row step 0 writes
@@ -206,9 +216,14 @@ def lstm_forward(params: CellParams, x: np.ndarray, store_tape: bool = True):
     ig = np.empty((batch, hsize))
 
     for t in range(steps):
+        j = t % block
+        if not j:
+            m = min(block, steps - t)
+            xp_m = np.matmul(x[t : t + m].reshape(m * batch, inp), wt, out=xp_flat[: m * batch])
+            xp_m += params.b
         k = t if store_tape else 0
         np.matmul(h_seq[t - 1] if t else zero, ut, out=a)
-        a += xp[t]
+        a += xp[j]
         _sigmoid_into(a_s, s[k])
         g_t = np.tanh(a_g, out=g[k])
         c_t = np.multiply(f[k], c[max(k - 1, 0)], out=c[k])
@@ -284,18 +299,22 @@ def gru_forward(params: CellParams, x: np.ndarray, store_tape: bool = True):
     """Run a GRU over a time-major batch of sequences from zero state.
 
     Like :func:`lstm_forward`, writes activations straight into the tape,
-    or into one reused slot per quantity when no tape is kept.
+    or into one reused slot per quantity when no tape is kept, and computes
+    the input projection a block of steps at a time.
     """
-    steps, batch, _ = x.shape
+    steps, batch, inp = x.shape
     hsize = params.hidden_size
-    w_ur = params.w[: 2 * hsize]
-    w_c = params.w[2 * hsize :]
+    # One input product per gate group, like the recurrent products: a
+    # single product over all 3H columns rounds differently.
+    w_ur_t, b_ur = params.w[: 2 * hsize].T, params.b[: 2 * hsize]
+    w_c_t, b_c = params.w[2 * hsize :].T, params.b[2 * hsize :]
     u_ur_t = np.ascontiguousarray(params.u[: 2 * hsize].T)
     u_c_t = np.ascontiguousarray(params.u[2 * hsize :].T)
-
-    flat_x = x.reshape(steps * batch, -1)
-    xp_ur = (flat_x @ w_ur.T + params.b[: 2 * hsize]).reshape(steps, batch, 2 * hsize)
-    xp_c = (flat_x @ w_c.T + params.b[2 * hsize :]).reshape(steps, batch, hsize)
+    block = _projection_block_len(steps, batch, 3 * hsize)
+    xp_ur = np.empty((block, batch, 2 * hsize))
+    xp_c = np.empty((block, batch, hsize))
+    xp_ur_flat = xp_ur.reshape(block * batch, 2 * hsize)
+    xp_c_flat = xp_c.reshape(block * batch, hsize)
 
     rows = steps if store_tape else 1
     s = np.empty((rows, batch, 2 * hsize))
@@ -309,13 +328,21 @@ def gru_forward(params: CellParams, x: np.ndarray, store_tape: bool = True):
     keep = np.empty((batch, hsize))
 
     for t in range(steps):
+        j = t % block
+        if not j:
+            m = min(block, steps - t)
+            x_m = x[t : t + m].reshape(m * batch, inp)
+            xp_ur_m = np.matmul(x_m, w_ur_t, out=xp_ur_flat[: m * batch])
+            xp_ur_m += b_ur
+            xp_c_m = np.matmul(x_m, w_c_t, out=xp_c_flat[: m * batch])
+            xp_c_m += b_c
         k = t if store_tape else 0
         h_prev = h_seq[t - 1] if t else zero
         np.matmul(h_prev, u_ur_t, out=a_ur)
-        a_ur += xp_ur[t]
+        a_ur += xp_ur[j]
         _sigmoid_into(a_ur, s[k])
         np.matmul(np.multiply(r[k], h_prev, out=rh[k]), u_c_t, out=a_c)
-        a_c += xp_c[t]
+        a_c += xp_c[j]
         n_t = np.tanh(a_c, out=n[k])
         np.subtract(1.0, u[k], out=keep)
         keep *= h_prev

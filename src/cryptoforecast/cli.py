@@ -92,9 +92,8 @@ def cmd_prepare(args) -> int:
 def cmd_train(args) -> int:
     config = experiment.load_config(args.config, seed=args.seed, out_dir=args.out)
     asset = _find_asset(config, args.asset)
-    result = experiment.run_single(config, asset, args.arch)
     run_dir = Path(config.out_dir) / f"{asset.symbol}_{args.arch}"
-    experiment.write_run_artifacts(config, result, run_dir)
+    experiment.run_single(config, asset, args.arch, run_dir=run_dir)
     print(run_dir)
     return 0
 
@@ -105,15 +104,10 @@ def cmd_evaluate(args) -> int:
     prepared = experiment.prepare_asset(config, asset)
     model = load_checkpoint(args.checkpoint)
     report = evaluate(model, prepared.test_windows, prepared.scaler, prepared.test_dates)
-    payload = report.to_dict()
-    payload["asset"] = asset.symbol
-    payload["cell_kind"] = model.arch.cell_kind
-    payload["scaler"] = {"min": prepared.scaler.min_value, "max": prepared.scaler.max_value}
+    payload = experiment.eval_report_dict(report, asset.symbol, model.arch.cell_kind, prepared.scaler)
     if args.out is not None:
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        experiment.write_json(out_dir / "eval_report.json", payload)
-        (out_dir / "predictions.csv").write_text(report.pairs_csv())
+        experiment.write_eval_artifacts(out_dir, payload, report)
         print(out_dir / "eval_report.json")
     else:
         print(json.dumps(payload, sort_keys=True, indent=2))

@@ -358,15 +358,25 @@ class RunResult:
     cell_kind: str
     model: ModelParams
     train_report: TrainReport
-    eval_report: EvalReport
+    eval_report: EvalReport | None  # None until the trained model is evaluated
     scaler: ScalerParams
     run_dir: Path | None = None
 
 
 def run_single(
-    config: ExperimentConfig, asset: AssetSpec, cell_kind: str, prepared: PreparedAsset | None = None
+    config: ExperimentConfig,
+    asset: AssetSpec,
+    cell_kind: str,
+    prepared: PreparedAsset | None = None,
+    run_dir: Path | None = None,
 ) -> RunResult:
-    """Train and evaluate one (asset, architecture) pair."""
+    """Train and evaluate one (asset, architecture) pair.
+
+    With ``run_dir``, the run's artifacts are written there: the checkpoint
+    and train report as soon as training ends, so an evaluation that fails
+    still leaves the trained model on disk, then the eval report and
+    predictions.
+    """
     if prepared is None:
         prepared = prepare_asset(config, asset)
     arch = config.arch_for(cell_kind)
@@ -382,7 +392,18 @@ def run_single(
         tconfig.batch_size,
     )
     model, train_report = train(model, prepared.train_windows, tconfig)
+    result = RunResult(
+        asset=asset.symbol,
+        cell_kind=cell_kind,
+        model=model,
+        train_report=train_report,
+        eval_report=None,
+        scaler=prepared.scaler,
+    )
+    if run_dir is not None:
+        write_run_artifacts(config, result, run_dir)
     eval_report = evaluate(model, prepared.test_windows, prepared.scaler, prepared.test_dates)
+    result.eval_report = eval_report
     log.info(
         "finished %s/%s: normalized rmse=%.6g price mape=%.4g%% (%.1fs)",
         asset.symbol,
@@ -391,14 +412,10 @@ def run_single(
         eval_report.price.mape,
         sum(train_report.epoch_seconds),
     )
-    return RunResult(
-        asset=asset.symbol,
-        cell_kind=cell_kind,
-        model=model,
-        train_report=train_report,
-        eval_report=eval_report,
-        scaler=prepared.scaler,
-    )
+    if run_dir is not None:
+        payload = eval_report_dict(eval_report, asset.symbol, cell_kind, prepared.scaler)
+        write_eval_artifacts(run_dir, payload, eval_report)
+    return result
 
 
 def _config_echo(config: ExperimentConfig, asset: str, cell_kind: str) -> dict:
@@ -425,7 +442,7 @@ def write_json(path: Path, payload: dict) -> None:
 
 
 def write_run_artifacts(config: ExperimentConfig, result: RunResult, run_dir: Path) -> None:
-    """Persist one run: train report, checkpoint, eval report, predictions."""
+    """Persist one trained run: checkpoint and train report."""
     run_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(result.model, run_dir / "checkpoint.json")
     write_json(
@@ -436,17 +453,23 @@ def write_run_artifacts(config: ExperimentConfig, result: RunResult, run_dir: Pa
             "epochs": result.train_report.epochs_log(),
         },
     )
-    write_json(run_dir / "eval_report.json", eval_report_dict(result))
-    (run_dir / "predictions.csv").write_text(result.eval_report.pairs_csv())
     result.run_dir = run_dir
 
 
-def eval_report_dict(result: RunResult) -> dict:
-    payload = result.eval_report.to_dict()
-    payload["asset"] = result.asset
-    payload["cell_kind"] = result.cell_kind
-    payload["scaler"] = {"min": result.scaler.min_value, "max": result.scaler.max_value}
+def eval_report_dict(report: EvalReport, asset: str, cell_kind: str, scaler: ScalerParams) -> dict:
+    """The ``eval_report.json`` document, for a run or a re-scored checkpoint."""
+    payload = report.to_dict()
+    payload["asset"] = asset
+    payload["cell_kind"] = cell_kind
+    payload["scaler"] = {"min": scaler.min_value, "max": scaler.max_value}
     return payload
+
+
+def write_eval_artifacts(out_dir: Path, payload: dict, report: EvalReport) -> None:
+    """Write ``eval_report.json`` (``payload``) and ``predictions.csv`` into ``out_dir``."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_json(out_dir / "eval_report.json", payload)
+    (out_dir / "predictions.csv").write_text(report.pairs_csv())
 
 
 @dataclass
@@ -460,8 +483,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run every (asset x architecture) pair and write all artifacts.
 
     Data and config problems surface before any training starts.  A
-    diverging run is recorded as a failure without aborting its siblings;
-    its partial artifacts (if any) are preserved.
+    failing run is recorded as a failure without aborting its siblings; one
+    whose evaluation fails keeps its checkpoint and train report.
     """
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -475,8 +498,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         for cell_kind in config.architectures:
             run_dir = out_dir / f"{asset.symbol}_{cell_kind}"
             try:
-                result = run_single(config, asset, cell_kind, prepared=prepared[asset.symbol])
-                write_run_artifacts(config, result, run_dir)
+                result = run_single(config, asset, cell_kind, prepared[asset.symbol], run_dir)
                 results.append(result)
             except ForecastError as exc:
                 log.error("run %s/%s failed: %s", asset.symbol, cell_kind, exc)

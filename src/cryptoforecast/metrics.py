@@ -21,7 +21,10 @@ from .preprocess import ScalerParams, SequenceBatch, inverse_transform
 from .training import mse_loss
 
 # Evaluation batches are chunked to bound memory; fixed size keeps reruns
-# byte-identical.
+# byte-identical.  Per chunk, a tape-free forward holds each layer's
+# (T, chunk, H) hidden sequence and small per-step buffers; the kernels
+# stream the input projection through a block buffer, so it is never held
+# for all T steps.
 _EVAL_CHUNK = 256
 
 

@@ -146,10 +146,6 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return self.rebuild([a.copy() for a in self.flat()])
 
-    @property
-    def n_parameters(self) -> int:
-        return sum(a.size for a in self.flat())
-
 
 # Gradients share the exact array structure of the parameters they mirror.
 ParamGrads = ModelParams

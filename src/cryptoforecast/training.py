@@ -69,7 +69,6 @@ class TrainReport:
     val_losses: list[float | None]
     epoch_seconds: list[float]
     config: TrainConfig
-    checkpoint_ref: str | None = None
 
     def epochs_log(self) -> list[dict]:
         return [

@@ -214,6 +214,27 @@ class TestRunExperiment:
         assert len(doc["failures"]) == 1
         assert len(doc["rows"]) == 1
 
+    def test_failed_evaluation_keeps_trained_model(self, tmp_path, monkeypatch):
+        from cryptoforecast import experiment as exp_mod
+        from cryptoforecast.errors import UndefinedMetricError
+
+        trained = run_experiment(tiny_config(tmp_path, out_dir=tmp_path / "ok")).out_dir / "TST_lstm"
+
+        def fail_evaluation(*args, **kwargs):
+            raise UndefinedMetricError("normalized MAPE is undefined")
+
+        monkeypatch.setattr(exp_mod, "evaluate", fail_evaluation)
+        outcome = run_experiment(tiny_config(tmp_path, out_dir=tmp_path / "failed"))
+        assert [(a, k) for a, k, _ in outcome.failures] == [("TST", "lstm")]
+        assert "MAPE" in outcome.failures[0][2]
+        assert outcome.results == []
+        run_dir = outcome.out_dir / "TST_lstm"
+        assert sorted(p.name for p in run_dir.iterdir()) == ["checkpoint.json", "train_report.json"]
+        for name in ("checkpoint.json", "train_report.json"):
+            assert (run_dir / name).read_bytes() == (trained / name).read_bytes(), name
+        doc = json.loads((outcome.out_dir / "comparison.json").read_text())
+        assert doc["rows"] == [] and len(doc["failures"]) == 1
+
     def test_eval_report_contents(self, tmp_path):
         config = tiny_config(tmp_path)
         outcome = run_experiment(config)
@@ -307,6 +328,27 @@ class TestCli:
         )
         assert main(["train", "--config", str(config_path), "--asset", "TST", "--arch", "gru"]) == 0
         assert (tmp_path / "out" / "TST_gru" / "checkpoint.json").exists()
+
+    def test_train_keeps_model_when_evaluation_fails(self, tmp_path, capsys, monkeypatch):
+        from cryptoforecast import experiment as exp_mod
+        from cryptoforecast.errors import UndefinedMetricError
+
+        def fail_evaluation(*args, **kwargs):
+            raise UndefinedMetricError("normalized MAPE is undefined")
+
+        monkeypatch.setattr(exp_mod, "evaluate", fail_evaluation)
+        csv_path = tiny_csv(tmp_path)
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(
+            "lookback = 10\nhidden_units = 4\nepochs = 1\n"
+            f"out_dir = {tmp_path / 'out'}\n[asset.TST]\ncsv = {csv_path}\n"
+        )
+        assert main(["train", "--config", str(config_path), "--asset", "TST", "--arch", "gru"]) == 2
+        assert "MAPE" in capsys.readouterr().err
+        run_dir = tmp_path / "out" / "TST_gru"
+        assert sorted(p.name for p in run_dir.iterdir()) == ["checkpoint.json", "train_report.json"]
+        network.load_checkpoint(run_dir / "checkpoint.json")
+        assert len(json.loads((run_dir / "train_report.json").read_text())["epochs"]) == 1
 
     def test_bad_config_exits_nonzero(self, tmp_path, capsys):
         config_path = tmp_path / "exp.cfg"

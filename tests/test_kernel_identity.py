@@ -5,7 +5,9 @@ the tape and the backward kernels hoist tape-only factors out of the time
 loop in blocks; both must still produce exactly the bits of the plain
 kernels in ``reference_kernels``.  Shapes cover single steps, single
 rows, single units, input width different from hidden width, window
-lengths at and around a hoisting-block boundary, and paper shapes.
+lengths at and around a hoisting-block boundary and an input-projection
+block boundary, paper shapes, and the scoring chunks of
+``metrics.predict_batch``.
 """
 
 import numpy as np
@@ -28,6 +30,10 @@ def kernels(module, kind):
 
 def block_len(kind, batch, hidden):
     return cells._block_len(10**9, batch * HOISTED[kind] * hidden)
+
+
+def projection_block_len(kind, batch, hidden):
+    return cells._projection_block_len(10**9, batch, GATES[kind] * hidden)
 
 
 def make_params(rng, kind, inp, hidden):
@@ -53,11 +59,12 @@ def dh_patterns(rng, steps, batch, hidden):
     return {"dense": dense, "last_only": last_only}
 
 
-def check_kind(rng, kind, steps, batch, inp, hidden):
+def check_forward(rng, kind, steps, batch, inp, hidden):
+    """Both ``store_tape`` values against the reference; returns what backward needs."""
     params = make_params(rng, kind, inp, hidden)
     x = rng.normal(size=(steps, batch, inp))
-    forward, backward = kernels(cells, kind)
-    ref_forward, ref_backward = kernels(ref, kind)
+    forward, _ = kernels(cells, kind)
+    ref_forward, _ = kernels(ref, kind)
 
     h_ref, tape_ref = ref_forward(params, x)
     h_seq, tape = forward(params, x)
@@ -67,6 +74,13 @@ def check_kind(rng, kind, steps, batch, inp, hidden):
     assert_same_bits(h_notape, h_ref)
     for name in TAPE_FIELDS[kind]:
         assert_same_bits(getattr(tape, name), getattr(tape_ref, name))
+    return params, tape, tape_ref
+
+
+def check_kind(rng, kind, steps, batch, inp, hidden):
+    params, tape, tape_ref = check_forward(rng, kind, steps, batch, inp, hidden)
+    _, backward = kernels(cells, kind)
+    _, ref_backward = kernels(ref, kind)
 
     for dh_seq in dh_patterns(rng, steps, batch, hidden).values():
         grads, dx = backward(params, tape, dh_seq)
@@ -106,6 +120,32 @@ def test_matches_reference_at_paper_shapes(rng, kind):
     assert block_len(kind, 32, 100) == 1
     check_kind(rng, kind, 60, 32, 1, 100)  # first layer
     check_kind(rng, kind, 60, 32, 100, 100)  # second layer
+
+
+@pytest.mark.parametrize("kind", ["lstm", "gru"])
+def test_matches_reference_around_projection_block_boundary(rng, kind):
+    block = projection_block_len(kind, 8, 32)
+    assert 1 < block < 60
+    for steps in (block - 1, block, block + 1, 2 * block + 1):
+        check_kind(rng, kind, steps, 8, 3, 32)
+
+
+@pytest.mark.parametrize("kind", ["lstm", "gru"])
+def test_single_sequence_matches_reference_past_a_block(rng, kind):
+    """With one sequence a one-step block would be a one-row product; the window stays whole."""
+    block = cells._block_len(10**9, GATES[kind] * 100)
+    assert 1 < block < 60
+    for steps in (block + 1, 2 * block + 1):
+        check_kind(rng, kind, steps, 1, 100, 100)
+
+
+@pytest.mark.parametrize("kind", ["lstm", "gru"])
+@pytest.mark.parametrize("inp", [1, 100, 200])  # layer 1, layer 2, Bi-LSTM layer 2
+def test_forward_matches_reference_at_scoring_shapes(rng, kind, inp):
+    """metrics.predict_batch chunks of 256 windows and a 110-window tail chunk."""
+    assert projection_block_len(kind, 110, 100) == 1
+    for batch in (256, 110):
+        check_forward(rng, kind, 60, batch, inp, 100)
 
 
 def snapshot(*arrays):

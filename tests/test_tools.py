@@ -1,6 +1,7 @@
 """Repository tools under tools/."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -44,3 +45,28 @@ def test_missing_directory_exit_two(tmp_path, capsys):
     (tmp_path / "a").mkdir()
     assert compare_artifacts.main([str(tmp_path / "a"), str(tmp_path / "nope")]) == 2
     assert "not a directory" in capsys.readouterr().err
+
+
+def test_json_difference_path_on_stderr(tmp_path, capsys):
+    ckpt_a = {"version": 1, "layers": [{"u_c": [0.0] * 40}, {"u_c": [0.0] * 40}]}
+    ckpt_b = {"version": 1, "layers": [{"u_c": [0.0] * 40}, {"u_c": [0.0] * 37 + [1e-17, 0.0, 5.0]}]}
+    write_tree(tmp_path / "a", {"run/checkpoint.json": json.dumps(ckpt_a).encode(), "notes.txt": b"a"})
+    write_tree(tmp_path / "b", {"run/checkpoint.json": json.dumps(ckpt_b).encode(), "notes.txt": b"b"})
+    assert compare_artifacts.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "differs notes.txt",
+        "differs run/checkpoint.json",
+        "2 difference(s): 2 file(s) compared",
+    ]
+    assert captured.err.splitlines() == ["run/checkpoint.json: first difference at layers[1].u_c[37]"]
+
+
+def test_first_json_difference_cases():
+    first = compare_artifacts.first_json_difference
+    assert first({"a": [1, 2.0], "n": float("nan")}, {"a": [1, 2.0], "n": float("nan")}) is None
+    assert first({"a": 1}, {"a": 1.0}) == "a"
+    assert first({"a": [1]}, {"a": [1, 2]}) == "a[1]"
+    assert first({"a": 1}, {"a": 1, "b": {"c": 2}}) == "b"
+    assert first({"x": {"y": True}}, {"x": {"y": 1}}) == "x.y"
+    assert first(3, 4) == "(root)"
