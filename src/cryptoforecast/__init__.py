@@ -43,8 +43,8 @@ from .network import (
     load_checkpoint,
     save_checkpoint,
 )
-from .training import OptimizerState, TrainConfig, TrainReport, adam_step, mse_loss, train
-from .metrics import EvalReport, MetricSet, evaluate, mae, mape, rmse
+from .training import OptimizerState, TrainConfig, TrainReport, adam_step, train
+from .metrics import EvalReport, MetricSet, evaluate, mae, mape, mse_loss, rmse
 from .experiment import ExperimentConfig, run_experiment, validate_config
 
 __version__ = "0.1.0"

@@ -26,7 +26,19 @@ class InsufficientDataError(ForecastError):
 
 
 class PoisonedUpdateError(ForecastError):
-    """A non-finite gradient reached the optimizer."""
+    """A non-finite gradient reached the optimizer.
+
+    Carries the name of the first parameter array with a non-finite
+    gradient (as in ``ModelParams.array_names()``) and, when raised by the
+    training loop, the 1-based epoch and batch.
+    """
+
+    def __init__(self, array: str, epoch: int | None = None, batch: int | None = None):
+        self.array = array
+        self.epoch = epoch
+        self.batch = batch
+        where = f" at epoch {epoch}, batch {batch}" if epoch is not None else ""
+        super().__init__(f"non-finite gradient in {array}{where}; aborting update")
 
 
 class DivergenceError(ForecastError):

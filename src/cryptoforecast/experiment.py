@@ -375,7 +375,8 @@ def run_single(
     With ``run_dir``, the run's artifacts are written there: the checkpoint
     and train report as soon as training ends, so an evaluation that fails
     still leaves the trained model on disk, then the eval report and
-    predictions.
+    predictions.  When training fails, the train report alone is written,
+    with the epochs completed and the error.
     """
     if prepared is None:
         prepared = prepare_asset(config, asset)
@@ -391,7 +392,21 @@ def run_single(
         tconfig.epochs,
         tconfig.batch_size,
     )
-    model, train_report = train(model, prepared.train_windows, tconfig)
+    try:
+        model, train_report = train(model, prepared.train_windows, tconfig)
+    except ForecastError as exc:
+        if run_dir is not None:
+            partial = getattr(exc, "report", None)
+            run_dir.mkdir(parents=True, exist_ok=True)
+            write_json(
+                run_dir / "train_report.json",
+                {
+                    "config": _config_echo(config, asset.symbol, cell_kind),
+                    "epochs": partial.epochs_log() if partial else [],
+                    "error": str(exc),
+                },
+            )
+        raise
     result = RunResult(
         asset=asset.symbol,
         cell_kind=cell_kind,

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import UndefinedMetricError
 from .network import ModelParams, forward_batch
 from .preprocess import ScalerParams, SequenceBatch, inverse_transform
-from .training import mse_loss
 
 # Evaluation batches are chunked to bound memory; fixed size keeps reruns
 # byte-identical.  Per chunk, a tape-free forward holds each layer's
@@ -36,6 +35,16 @@ def _validated(actual, predicted) -> tuple[np.ndarray, np.ndarray]:
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(p))):
         raise ValueError("metric inputs must be finite")
     return a, p
+
+
+def mse_loss(predictions, targets) -> float:
+    """Mean of squared residuals."""
+    p = np.asarray(predictions, dtype=np.float64)
+    t = np.asarray(targets, dtype=np.float64)
+    if p.shape != t.shape or p.size == 0:
+        raise ValueError(f"predictions and targets must be equal nonempty shapes, got {p.shape} vs {t.shape}")
+    d = p - t
+    return float(np.mean(d * d))
 
 
 def mae(actual, predicted) -> float:

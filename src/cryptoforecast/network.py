@@ -15,9 +15,11 @@ independent samples, never stateful continuations.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +77,22 @@ class ArchSpec:
         per_layer = 2 * self.hidden_units if self.bidirectional else self.hidden_units
         return [self.input_dim] + [per_layer] * (self.layers - 1)
 
+    @cached_property
+    def param_layout(self) -> tuple[tuple[str, tuple[int, ...], slice], ...]:
+        """``(name, shape, span)`` of each parameter array, stored in ``vector[span]`` of its model,
+        in :meth:`ModelParams.flat` order: per layer and direction ``w``, ``u``, ``b``; then the head."""
+        rows = (3 if self.cell_kind == "gru" else 4) * self.hidden_units
+        directions = (".fwd", ".bwd") if self.bidirectional else ("",)
+        shapes = [
+            (f"layers[{li}]{d}.{name}", shape)
+            for li, inp in enumerate(self.layer_input_sizes())
+            for d in directions
+            for name, shape in (("w", (rows, inp)), ("u", (rows, self.hidden_units)), ("b", (rows,)))
+        ]
+        shapes += [("dense_w", (self.dense_input_size,)), ("dense_b", (1,))]
+        starts = [0, *itertools.accumulate(math.prod(shape) for _, shape in shapes)]
+        return tuple((name, shape, slice(a, b)) for (name, shape), a, b in zip(shapes, starts, starts[1:]))
+
 
 @dataclass(eq=False)
 class BiCellParams:
@@ -86,65 +104,61 @@ class BiCellParams:
 
 @dataclass(eq=False)
 class ModelParams:
-    """All trainable state for one model.
+    """All trainable state for one model, stored in one float64 ``vector``.
 
     ``layers`` holds a :class:`CellParams` per layer (or a
     :class:`BiCellParams` pair for the bidirectional kind); ``dense_w``
-    and ``dense_b`` form the scalar output head.  The same container is
-    reused, shape-for-shape, for gradients and optimizer moments.
+    and ``dense_b`` form the scalar output head.  All are views of
+    ``vector`` (layout: :attr:`ArchSpec.param_layout`).  The same container
+    is reused for gradients.
     """
 
     arch: ArchSpec
-    layers: list
-    dense_w: np.ndarray
-    dense_b: np.ndarray
-    seed: int | None = field(default=None, compare=False)
+    vector: np.ndarray = field(repr=False)
+    seed: int | None = None
+    layers: list = field(init=False, repr=False)
+    dense_w: np.ndarray = field(init=False, repr=False)
+    dense_b: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        layout = self.arch.param_layout
+        if self.vector.shape != (layout[-1][2].stop,) or self.vector.dtype != np.float64:
+            raise ValueError(f"{self.arch} needs a float64 vector of {layout[-1][2].stop} values")
+        arrays = self._arrays = [self.vector[span].reshape(shape) for _, shape, span in layout]
+        cells = [CellParams(*arrays[i : i + 3]) for i in range(0, len(arrays) - 2, 3)]
+        if self.arch.bidirectional:
+            cells = [BiCellParams(*cells[i : i + 2]) for i in range(0, len(cells), 2)]
+        self.layers = cells
+        self.dense_w, self.dense_b = arrays[-2:]
+
+    @classmethod
+    def zeros(cls, arch: ArchSpec, seed: int | None = None) -> "ModelParams":
+        return cls(arch, np.zeros(arch.param_layout[-1][2].stop), seed)
 
     def flat(self) -> list[np.ndarray]:
-        """All parameter arrays in a fixed traversal order."""
-        out: list[np.ndarray] = []
-        for layer in self.layers:
-            cells = (layer.fwd, layer.bwd) if isinstance(layer, BiCellParams) else (layer,)
-            for cell in cells:
-                out.extend(cell.arrays())
-        out.append(self.dense_w)
-        out.append(self.dense_b)
-        return out
+        """All parameter arrays, views of :attr:`vector`, in a fixed traversal order."""
+        return list(self._arrays)
 
     def array_names(self) -> list[str]:
         """Names of the :meth:`flat` arrays, in the same order, e.g. ``layers[1].bwd.u``."""
-        out: list[str] = []
-        for li, layer in enumerate(self.layers):
-            prefixes = (
-                (f"layers[{li}].fwd.", f"layers[{li}].bwd.")
-                if isinstance(layer, BiCellParams)
-                else (f"layers[{li}].",)
-            )
-            out.extend(prefix + name for prefix in prefixes for name in ("w", "u", "b"))
-        return out + ["dense_w", "dense_b"]
+        return [name for name, *_ in self.arch.param_layout]
+
+    def locate(self, index: int) -> tuple[str, tuple[int, ...]]:
+        """Array name and element index of element ``index`` of :attr:`vector`."""
+        name, shape, span = next(entry for entry in self.arch.param_layout if index < entry[2].stop)
+        return name, tuple(int(i) for i in np.unravel_index(index - span.start, shape))
 
     def rebuild(self, arrays: list[np.ndarray]) -> "ModelParams":
-        """New ModelParams with the same structure but replaced arrays."""
-        it = iter(arrays)
-
-        def next_cell() -> CellParams:
-            return CellParams(w=next(it), u=next(it), b=next(it))
-
-        layers = []
-        for layer in self.layers:
-            if isinstance(layer, BiCellParams):
-                layers.append(BiCellParams(fwd=next_cell(), bwd=next_cell()))
-            else:
-                layers.append(next_cell())
-        dense_w = next(it)
-        dense_b = next(it)
-        return ModelParams(arch=self.arch, layers=layers, dense_w=dense_w, dense_b=dense_b, seed=self.seed)
+        """New ModelParams with the same structure, packing ``arrays`` (in :meth:`flat` order)."""
+        if [a.shape for a in arrays] != [shape for _, shape, _ in self.arch.param_layout]:
+            raise ValueError("arrays do not match the model's parameter shapes")
+        return ModelParams(self.arch, np.concatenate(arrays, axis=None), self.seed)
 
     def zeros_like(self) -> "ModelParams":
-        return self.rebuild([np.zeros_like(a) for a in self.flat()])
+        return ModelParams(self.arch, np.zeros_like(self.vector), self.seed)
 
     def copy(self) -> "ModelParams":
-        return self.rebuild([a.copy() for a in self.flat()])
+        return ModelParams(self.arch, self.vector.copy(), self.seed)
 
 
 # Gradients share the exact array structure of the parameters they mirror.
@@ -156,18 +170,15 @@ def _glorot(rng: np.random.Generator, rows: int, cols: int, fan_in: int, fan_out
     return rng.uniform(-bound, bound, size=(rows, cols))
 
 
-def _init_cell(rng: np.random.Generator, input_size: int, hidden: int, kind: str) -> CellParams:
-    gates = 4 if kind in ("lstm", "bilstm") else 3
-    w = np.empty((gates * hidden, input_size))
-    u = np.empty((gates * hidden, hidden))
+def _init_cell(rng: np.random.Generator, cell: CellParams) -> None:
+    hidden, input_size = cell.hidden_size, cell.input_size
+    gates = cell.u.shape[0] // hidden
     for g in range(gates):
-        w[g * hidden : (g + 1) * hidden] = _glorot(rng, hidden, input_size, input_size, hidden)
+        cell.w[g * hidden : (g + 1) * hidden] = _glorot(rng, hidden, input_size, input_size, hidden)
     for g in range(gates):
-        u[g * hidden : (g + 1) * hidden] = _glorot(rng, hidden, hidden, hidden, hidden)
-    b = np.zeros(gates * hidden)
+        cell.u[g * hidden : (g + 1) * hidden] = _glorot(rng, hidden, hidden, hidden, hidden)
     if gates == 4:
-        b[hidden : 2 * hidden] = 1.0  # forget gate opens fully at step one
-    return CellParams(w=w, u=u, b=b)
+        cell.b[hidden : 2 * hidden] = 1.0  # forget gate opens fully at step one
 
 
 def init_params(arch: ArchSpec, seed: int) -> ModelParams:
@@ -178,18 +189,13 @@ def init_params(arch: ArchSpec, seed: int) -> ModelParams:
     always yields bit-identical parameters.
     """
     rng = np.random.default_rng(seed)
-    layers = []
-    for input_size in arch.layer_input_sizes():
-        if arch.bidirectional:
-            fwd = _init_cell(rng, input_size, arch.hidden_units, arch.cell_kind)
-            bwd = _init_cell(rng, input_size, arch.hidden_units, arch.cell_kind)
-            layers.append(BiCellParams(fwd=fwd, bwd=bwd))
-        else:
-            layers.append(_init_cell(rng, input_size, arch.hidden_units, arch.cell_kind))
+    model = ModelParams.zeros(arch, seed)
+    for layer in model.layers:
+        for cell in (layer.fwd, layer.bwd) if arch.bidirectional else (layer,):
+            _init_cell(rng, cell)
     k = arch.dense_input_size
-    dense_w = _glorot(rng, 1, k, k, 1)[0]
-    dense_b = np.zeros(1)
-    return ModelParams(arch=arch, layers=layers, dense_w=dense_w, dense_b=dense_b, seed=seed)
+    model.dense_w[:] = _glorot(rng, 1, k, k, 1)[0]
+    return model
 
 
 @dataclass(eq=False)
@@ -301,7 +307,7 @@ def backward_batch(model: ModelParams, tape: ModelTape, d_predictions) -> ParamG
                 dh_b = np.ascontiguousarray(d_seq[::-1, :, hsize:])
             g_f, dx_f = lstm_backward(layer.fwd, tape_f, dh_f)
             g_b, dx_b = lstm_backward(layer.bwd, tape_b, dh_b)
-            grad_layers[li] = BiCellParams(fwd=g_f, bwd=g_b)
+            grad_layers[li] = g_f.arrays() + g_b.arrays()
             d_seq = dx_f + dx_b[::-1]
         else:
             cell_tape = tape.layer_tapes[li]
@@ -311,11 +317,10 @@ def backward_batch(model: ModelParams, tape: ModelTape, d_predictions) -> ParamG
                 dh[-1] = d_final
             else:
                 dh = d_seq
-            grad_layers[li], d_seq = back(layer, cell_tape, dh)
+            grad, d_seq = back(layer, cell_tape, dh)
+            grad_layers[li] = grad.arrays()
 
-    return ModelParams(
-        arch=arch, layers=grad_layers, dense_w=d_dense_w, dense_b=d_dense_b, seed=model.seed
-    )
+    return model.rebuild([a for arrays in grad_layers for a in arrays] + [d_dense_w, d_dense_b])
 
 
 def backward(model: ModelParams, tape: ModelTape, d_prediction: float) -> ParamGrads:
@@ -359,22 +364,19 @@ def grad_check_worst(model: ModelParams, window, target: float, epsilon: float =
         return float((preds[0] - target) ** 2)
 
     worst = None
-    for name, arr, garr in zip(work.array_names(), work.flat(), analytic.flat()):
-        flat = arr.reshape(-1)
-        gflat = garr.reshape(-1)
-        for k in range(flat.shape[0]):
-            saved = flat[k]
-            flat[k] = saved + epsilon
-            loss_plus = loss()
-            flat[k] = saved - epsilon
-            loss_minus = loss()
-            flat[k] = saved
-            numeric = (loss_plus - loss_minus) / (2.0 * epsilon)
-            a = gflat[k]
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-            if worst is None or rel > worst.rel_error:
-                index = tuple(int(i) for i in np.unravel_index(k, arr.shape))
-                worst = GradCheckResult(float(rel), name, index, float(a), float(numeric))
+    flat = work.vector
+    for k in range(flat.shape[0]):
+        saved = flat[k]
+        flat[k] = saved + epsilon
+        loss_plus = loss()
+        flat[k] = saved - epsilon
+        loss_minus = loss()
+        flat[k] = saved
+        numeric = (loss_plus - loss_minus) / (2.0 * epsilon)
+        a = analytic.vector[k]
+        rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
+        if worst is None or rel > worst.rel_error:
+            worst = GradCheckResult(float(rel), *work.locate(k), float(a), float(numeric))
     return worst
 
 
@@ -412,19 +414,15 @@ def _checked_array(value, shape: tuple[int, ...], where: str) -> np.ndarray:
     return arr.astype(np.float64, copy=False).reshape(shape)
 
 
-def _cell_from_dict(data, gate_order: tuple[str, ...], input_size: int, hidden: int, where: str) -> CellParams:
+def _cell_from_dict(data, gate_order: tuple[str, ...], cell: CellParams, where: str) -> None:
+    """Fill ``cell`` from its checkpoint entry."""
     if not isinstance(data, dict):
         raise CheckpointError(f"checkpoint {where}: expected an object of gate arrays")
-    gates = len(gate_order)
-    w = np.empty((gates * hidden, input_size))
-    u = np.empty((gates * hidden, hidden))
-    b = np.empty(gates * hidden)
     for idx, name in enumerate(gate_order):
-        rows = slice(idx * hidden, (idx + 1) * hidden)
-        w[rows] = _checked_array(data.get(f"w_{name}"), (hidden, input_size), f"{where}.w_{name}")
-        u[rows] = _checked_array(data.get(f"u_{name}"), (hidden, hidden), f"{where}.u_{name}")
-        b[rows] = _checked_array(data.get(f"b_{name}"), (hidden,), f"{where}.b_{name}")
-    return CellParams(w=w, u=u, b=b)
+        w, u, b = cell.gate_block(idx)
+        w[:] = _checked_array(data.get(f"w_{name}"), w.shape, f"{where}.w_{name}")
+        u[:] = _checked_array(data.get(f"u_{name}"), u.shape, f"{where}.u_{name}")
+        b[:] = _checked_array(data.get(f"b_{name}"), b.shape, f"{where}.b_{name}")
 
 
 def model_to_dict(model: ModelParams) -> dict:
@@ -478,25 +476,22 @@ def model_from_dict(data: dict) -> ModelParams:
         found = len(entries) if isinstance(entries, list) else "no list of"
         raise CheckpointError(f"checkpoint declares {arch.layers} layers but holds {found} layer entries")
     gate_order = GRU_GATE_ORDER if arch.cell_kind == "gru" else LSTM_GATE_ORDER
-    layers = []
-    for li, (input_size, entry) in enumerate(zip(arch.layer_input_sizes(), entries)):
+    model = ModelParams.zeros(arch, data.get("seed"))
+    for li, (layer, entry) in enumerate(zip(model.layers, entries)):
         where = f"layers[{li}]"
         if not arch.bidirectional:
-            layers.append(_cell_from_dict(entry, gate_order, input_size, arch.hidden_units, where))
+            _cell_from_dict(entry, gate_order, layer, where)
             continue
         if not isinstance(entry, dict) or not {"forward", "backward"} <= entry.keys():
             raise CheckpointError(f"checkpoint {where}: needs 'forward' and 'backward' cells")
-        fwd, bwd = (
-            _cell_from_dict(entry[d], gate_order, input_size, arch.hidden_units, f"{where}.{d}")
-            for d in ("forward", "backward")
-        )
-        layers.append(BiCellParams(fwd=fwd, bwd=bwd))
+        _cell_from_dict(entry["forward"], gate_order, layer.fwd, f"{where}.forward")
+        _cell_from_dict(entry["backward"], gate_order, layer.bwd, f"{where}.backward")
     dense = data.get("dense")
     if not isinstance(dense, dict):
         raise CheckpointError("checkpoint dense: expected an object with 'w' and 'b'")
-    dense_w = _checked_array(dense.get("w"), (arch.dense_input_size,), "dense.w")
-    dense_b = _checked_array([dense.get("b")], (1,), "dense.b")
-    return ModelParams(arch=arch, layers=layers, dense_w=dense_w, dense_b=dense_b, seed=data.get("seed"))
+    model.dense_w[:] = _checked_array(dense.get("w"), model.dense_w.shape, "dense.w")
+    model.dense_b[:] = _checked_array([dense.get("b")], model.dense_b.shape, "dense.b")
+    return model
 
 
 def save_checkpoint(model: ModelParams, path) -> None:

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, InsufficientDataError, PoisonedUpdateError
+from .cells import _HOIST_BYTES
+from .errors import DivergenceError, ForecastError, InsufficientDataError, PoisonedUpdateError
+from .metrics import mse_loss
 from .network import ModelParams, ParamGrads, backward_batch, forward_batch
 from .preprocess import SequenceBatch
 
@@ -45,15 +47,15 @@ class TrainConfig:
 
 @dataclass(eq=False)
 class OptimizerState:
-    """Adam accumulators, shape-congruent with the model they update."""
+    """Adam moment vectors, element-for-element with the model's :attr:`ModelParams.vector`."""
 
-    m: ModelParams
-    v: ModelParams
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
     @classmethod
     def zeros(cls, model: ModelParams) -> "OptimizerState":
-        return cls(m=model.zeros_like(), v=model.zeros_like(), step=0)
+        return cls(m=np.zeros_like(model.vector), v=np.zeros_like(model.vector), step=0)
 
 
 @dataclass
@@ -77,31 +79,23 @@ class TrainReport:
         ]
 
 
-def mse_loss(predictions, targets) -> float:
-    """Mean of squared residuals."""
-    p = np.asarray(predictions, dtype=np.float64)
-    t = np.asarray(targets, dtype=np.float64)
-    if p.shape != t.shape or p.size == 0:
-        raise ValueError(f"predictions and targets must be equal nonempty shapes, got {p.shape} vs {t.shape}")
-    d = p - t
-    return float(np.mean(d * d))
-
-
 def adam_step(
     params: ModelParams, grads: ParamGrads, state: OptimizerState, config: TrainConfig
 ) -> tuple[ModelParams, OptimizerState]:
-    """One bias-corrected Adam update.  Pure: returns new params and state."""
-    p_arrays = params.flat()
-    g_arrays = grads.flat()
-    m_arrays = state.m.flat()
-    v_arrays = state.v.flat()
-    if len(p_arrays) != len(g_arrays):
+    """One bias-corrected Adam update.  Pure: returns new params and state.
+
+    A non-finite gradient raises :class:`PoisonedUpdateError`, naming its
+    parameter array, before any update.  The vectors are updated a block at
+    a time, so temporaries stay within :data:`cells._HOIST_BYTES` and in
+    cache at any model size; each element sees the textbook operations in
+    textbook order, so the result does not depend on the blocking.
+    """
+    if grads.arch != params.arch:
         raise ValueError("gradient structure does not match parameters")
-    for p, g in zip(p_arrays, g_arrays):
-        if p.shape != g.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match parameter shape {p.shape}")
-        if not np.all(np.isfinite(g)):
-            raise PoisonedUpdateError("non-finite gradient; aborting update")
+    p, g, m, v = params.vector, grads.vector, state.m, state.v
+    finite = np.isfinite(g)
+    if not finite.all():
+        raise PoisonedUpdateError(params.locate(int(np.argmin(finite)))[0])
 
     t = state.step + 1
     b1, b2 = config.adam_beta1, config.adam_beta2
@@ -109,16 +103,26 @@ def adam_step(
     corr2 = 1.0 - b2**t
     lr, eps = config.learning_rate, config.adam_epsilon
 
-    new_p, new_m, new_v = [], [], []
-    for p, g, m, v in zip(p_arrays, g_arrays, m_arrays, v_arrays):
-        m2 = b1 * m + (1.0 - b1) * g
-        v2 = b2 * v + (1.0 - b2) * (g * g)
-        update = lr * (m2 / corr1) / (np.sqrt(v2 / corr2) + eps)
-        new_p.append(p - update)
-        new_m.append(m2)
-        new_v.append(v2)
-
-    return params.rebuild(new_p), OptimizerState(m=state.m.rebuild(new_m), v=state.v.rebuild(new_v), step=t)
+    new_p, new_m, new_v = np.empty_like(p), np.empty_like(m), np.empty_like(v)
+    block = _HOIST_BYTES // p.itemsize
+    update_buf, denom_buf = np.empty(min(block, p.size)), np.empty(min(block, p.size))
+    for start in range(0, p.size, block):
+        rows = slice(start, start + block)
+        update, denom = update_buf[: p.size - start], denom_buf[: p.size - start]
+        m2 = np.multiply(b1, m[rows], out=new_m[rows])
+        m2 += np.multiply(1.0 - b1, g[rows], out=update)
+        gg = np.multiply(g[rows], g[rows], out=update)
+        gg *= 1.0 - b2
+        v2 = np.multiply(b2, v[rows], out=new_v[rows])
+        v2 += gg
+        np.divide(m2, corr1, out=update)
+        update *= lr
+        np.divide(v2, corr2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        update /= denom
+        np.subtract(p[rows], update, out=new_p[rows])
+    return ModelParams(params.arch, new_p, params.seed), OptimizerState(m=new_m, v=new_v, step=t)
 
 
 def train(
@@ -132,6 +136,9 @@ def train(
     remaining windows with the seeded generator, walks them once in
     batches of ``batch_size`` (the last batch may be short), and applies
     each batch's mean-loss gradient with Adam.
+
+    A :class:`ForecastError` raised in the epoch loop carries the epochs
+    completed before it as its ``report``.
     """
     n = len(train_batch)
     n_val = int(n * config.validation_fraction)
@@ -148,51 +155,47 @@ def train(
 
     rng = np.random.default_rng(config.shuffle_seed)
     state = OptimizerState.zeros(model)
+    report = TrainReport(train_losses=[], val_losses=[], epoch_seconds=[], config=config)
+    try:
+        for epoch in range(1, config.epochs + 1):
+            started = time.perf_counter()
+            perm = rng.permutation(n_train)
+            batch_losses = []
+            for batch, start in enumerate(range(0, n_train, config.batch_size), start=1):
+                idx = perm[start : start + config.batch_size]
+                xb = inputs[idx]
+                yb = targets[idx]
+                preds, tape = forward_batch(model, xb)
+                resid = preds - yb
+                batch_losses.append(float(np.mean(resid * resid)))
+                d_preds = (2.0 / idx.shape[0]) * resid
+                grads = backward_batch(model, tape, d_preds)
+                try:
+                    model, state = adam_step(model, grads, state, config)
+                except PoisonedUpdateError as exc:
+                    raise PoisonedUpdateError(exc.array, epoch, batch) from None
 
-    train_losses: list[float] = []
-    val_losses: list[float | None] = []
-    epoch_seconds: list[float] = []
+            train_loss = float(np.mean(batch_losses))
+            if n_val > 0:
+                val_preds, _ = forward_batch(model, val_inputs, store_tape=False)
+                val_loss = mse_loss(val_preds, val_targets)
+            else:
+                val_loss = None
+            if not np.isfinite(train_loss) or (val_loss is not None and not np.isfinite(val_loss)):
+                raise DivergenceError(epoch)
 
-    for epoch in range(1, config.epochs + 1):
-        started = time.perf_counter()
-        perm = rng.permutation(n_train)
-        batch_losses = []
-        for start in range(0, n_train, config.batch_size):
-            idx = perm[start : start + config.batch_size]
-            xb = inputs[idx]
-            yb = targets[idx]
-            preds, tape = forward_batch(model, xb)
-            resid = preds - yb
-            batch_losses.append(float(np.mean(resid * resid)))
-            d_preds = (2.0 / idx.shape[0]) * resid
-            grads = backward_batch(model, tape, d_preds)
-            model, state = adam_step(model, grads, state, config)
-
-        train_loss = float(np.mean(batch_losses))
-        if n_val > 0:
-            val_preds, _ = forward_batch(model, val_inputs, store_tape=False)
-            val_loss = mse_loss(val_preds, val_targets)
-        else:
-            val_loss = None
-        if not np.isfinite(train_loss) or (val_loss is not None and not np.isfinite(val_loss)):
-            raise DivergenceError(epoch)
-
-        train_losses.append(train_loss)
-        val_losses.append(val_loss)
-        epoch_seconds.append(time.perf_counter() - started)
-        log.debug(
-            "epoch %d/%d train_loss=%.6g val_loss=%s (%.2fs)",
-            epoch,
-            config.epochs,
-            train_loss,
-            f"{val_loss:.6g}" if val_loss is not None else "n/a",
-            epoch_seconds[-1],
-        )
-
-    report = TrainReport(
-        train_losses=train_losses,
-        val_losses=val_losses,
-        epoch_seconds=epoch_seconds,
-        config=config,
-    )
+            report.train_losses.append(train_loss)
+            report.val_losses.append(val_loss)
+            report.epoch_seconds.append(time.perf_counter() - started)
+            log.debug(
+                "epoch %d/%d train_loss=%.6g val_loss=%s (%.2fs)",
+                epoch,
+                config.epochs,
+                train_loss,
+                f"{val_loss:.6g}" if val_loss is not None else "n/a",
+                report.epoch_seconds[-1],
+            )
+    except ForecastError as exc:
+        exc.report = report
+        raise
     return model, report

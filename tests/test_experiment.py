@@ -50,6 +50,18 @@ def tiny_config(tmp_path, **overrides) -> ExperimentConfig:
     return ExperimentConfig(**base)
 
 
+def diverging_btc_config(tmp_path) -> Path:
+    """quick.cfg shapes on the first 385 BTC fixture rows, with a learning rate that blows up."""
+    csv_path = tmp_path / "btc385.csv"
+    csv_path.write_text("".join(BTC_FIXTURE.read_text().splitlines(keepends=True)[:386]))
+    config_path = tmp_path / "diverge.cfg"
+    config_path.write_text(
+        "lookback = 20\narchitectures = lstm\nhidden_units = 8\nepochs = 2\nseed = 99\n"
+        f"learning_rate = 1e300\nout_dir = {tmp_path / 'out'}\n[asset.BTC]\ncsv = {csv_path}\n"
+    )
+    return config_path
+
+
 class TestValidateConfig:
     def test_minimal_config_gets_all_defaults(self):
         config = validate_config("[asset.BTC]\ncsv = data/btc.csv\n")
@@ -214,6 +226,33 @@ class TestRunExperiment:
         assert len(doc["failures"]) == 1
         assert len(doc["rows"]) == 1
 
+    def test_failed_training_leaves_train_report(self, tmp_path, monkeypatch):
+        from cryptoforecast import training
+
+        config = tiny_config(tmp_path, epochs=3, architectures=("lstm", "gru"))
+        real_step = training.adam_step
+
+        def poison_second_epoch(model, grads, state, tconfig):
+            if model.arch.cell_kind == "lstm" and state.step == batches_per_epoch:
+                grads.vector[-3] = np.inf  # in dense_w
+            return real_step(model, grads, state, tconfig)
+
+        n_windows = len(prepare_asset(config, config.assets[0]).train_windows)
+        n_train = n_windows - int(n_windows * config.validation_fraction)
+        batches_per_epoch = -(-n_train // config.batch_size)
+        monkeypatch.setattr(training, "adam_step", poison_second_epoch)
+        outcome = run_experiment(config)
+        error = "non-finite gradient in dense_w at epoch 2, batch 1; aborting update"
+        assert outcome.failures == [("TST", "lstm", error)]
+        run_dir = outcome.out_dir / "TST_lstm"
+        assert sorted(p.name for p in run_dir.iterdir()) == ["train_report.json"]
+        doc = json.loads((run_dir / "train_report.json").read_text())
+        assert doc["error"] == error
+        assert [e["epoch"] for e in doc["epochs"]] == [1]
+        assert np.isfinite(doc["epochs"][0]["train_loss"])
+        assert doc["config"]["cell_kind"] == "lstm" and "checkpoint" not in doc
+        assert (outcome.out_dir / "TST_gru" / "checkpoint.json").exists()
+
     def test_failed_evaluation_keeps_trained_model(self, tmp_path, monkeypatch):
         from cryptoforecast import experiment as exp_mod
         from cryptoforecast.errors import UndefinedMetricError
@@ -328,6 +367,18 @@ class TestCli:
         )
         assert main(["train", "--config", str(config_path), "--asset", "TST", "--arch", "gru"]) == 0
         assert (tmp_path / "out" / "TST_gru" / "checkpoint.json").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the blow-up overflows on purpose
+    def test_train_failure_says_where_and_leaves_train_report(self, tmp_path, capsys):
+        config_path = diverging_btc_config(tmp_path)
+        assert main(["train", "--config", str(config_path), "--asset", "BTC", "--arch", "lstm"]) == 2
+        error = "non-finite gradient in layers[0].w at epoch 1, batch 2; aborting update"
+        assert error in capsys.readouterr().err
+        run_dir = tmp_path / "out" / "BTC_lstm"
+        assert sorted(p.name for p in run_dir.iterdir()) == ["train_report.json"]
+        doc = json.loads((run_dir / "train_report.json").read_text())
+        assert doc["error"] == error
+        assert doc["epochs"] == []
 
     def test_train_keeps_model_when_evaluation_fails(self, tmp_path, capsys, monkeypatch):
         from cryptoforecast import experiment as exp_mod
@@ -446,6 +497,20 @@ class TestShippedConfigs:
 
 
 class TestRunSingleOnRealFixture:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the blow-up overflows on purpose
+    def test_huge_learning_rate_failure_names_epoch_batch_and_array(self, tmp_path):
+        from cryptoforecast.errors import PoisonedUpdateError
+        from cryptoforecast.experiment import load_config
+
+        config = load_config(diverging_btc_config(tmp_path))
+        with pytest.raises(PoisonedUpdateError) as exc_info:
+            run_single(config, config.assets[0], "lstm")
+        exc = exc_info.value
+        assert (exc.epoch, exc.batch, exc.array) == (1, 2, "layers[0].w")
+        assert str(exc) == "non-finite gradient in layers[0].w at epoch 1, batch 2; aborting update"
+        assert exc.report.epochs_log() == []
+        assert not (tmp_path / "out").exists()  # no run_dir, no artifacts
+
     def test_btc_quick_run_shapes(self):
         config = ExperimentConfig(
             assets=(AssetSpec("BTC", BTC_FIXTURE),),

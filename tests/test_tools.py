@@ -70,3 +70,32 @@ def test_first_json_difference_cases():
     assert first({"a": 1}, {"a": 1, "b": {"c": 2}}) == "b"
     assert first({"x": {"y": True}}, {"x": {"y": 1}}) == "x.y"
     assert first(3, 4) == "(root)"
+
+
+bench_ab = load_tool("bench_ab")
+
+
+def test_bench_ab_summary_of_a_clear_gain():
+    pairs = [(100.0 + k, 90.0 + k) for k in range(10)]  # change 10 lower in every pair
+    s = bench_ab.summarize(pairs, "lower")
+    assert s["parent"] == {"q1": 102.25, "median": 104.5, "q3": 106.75}
+    assert s["change"] == {"q1": 92.25, "median": 94.5, "q3": 96.75}
+    assert s["parent_iqr"] == 4.5
+    assert s["delta"] == -10.0
+    assert (s["wins"], s["losses"], s["pairs"]) == (10, 0, 10)
+    assert s["gain"]
+    assert not bench_ab.summarize(pairs, "higher")["gain"]
+
+
+def test_bench_ab_gain_needs_nine_in_ten_wins_and_more_than_the_parent_iqr():
+    eight_wins = [(100.0, 80.0)] * 8 + [(100.0, 120.0)] * 2
+    assert bench_ab.summarize(eight_wins, "lower")["wins"] == 8
+    assert not bench_ab.summarize(eight_wins, "lower")["gain"]
+    nine_wins_one_tie = [(100.0, 80.0)] * 9 + [(100.0, 100.0)]
+    s = bench_ab.summarize(nine_wins_one_tie, "lower")
+    assert (s["wins"], s["losses"], s["gain"]) == (9, 0, True)
+    wide_parent = [(50.0 + 10 * k, 49.0 + 10 * k) for k in range(10)]  # 1 better, IQR 45
+    s = bench_ab.summarize(wide_parent, "lower")
+    assert s["wins"] == 10 and s["parent_iqr"] == 45.0 and not s["gain"]
+    s = bench_ab.summarize([(2.0, 3.0)], "higher")
+    assert s["parent"] == {"q1": 2.0, "median": 2.0, "q3": 2.0} and s["gain"]

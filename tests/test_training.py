@@ -63,7 +63,7 @@ class TestAdamStep:
         for a, b in zip(model.flat(), new_model.flat()):
             assert np.array_equal(a, b)
         assert new_state.step == 1
-        assert all(np.all(m == 0.0) for m in new_state.m.flat())
+        assert np.all(new_state.m == 0.0)
 
     def test_first_step_is_learning_rate_sized(self, setup):
         # bias correction makes the first update lr*g/(|g|+eps) ~ lr at any scale
@@ -94,8 +94,7 @@ class TestAdamStep:
         a2, s2 = adam_step(model, grads, state, cfg)
         for x, y in zip(a1.flat(), a2.flat()):
             assert np.array_equal(x, y)
-        for x, y in zip(s1.v.flat(), s2.v.flat()):
-            assert np.array_equal(x, y)
+        assert np.array_equal(s1.v, s2.v)
 
     def test_non_finite_gradient_poisons(self, setup):
         model, state, cfg = setup
@@ -103,6 +102,18 @@ class TestAdamStep:
         arrays[0].flat[0] = np.nan
         with pytest.raises(PoisonedUpdateError):
             adam_step(model, model.rebuild(arrays), state, cfg)
+
+    def test_poisoned_update_names_first_non_finite_array(self, setup):
+        model, state, cfg = setup
+        grads = model.zeros_like()
+        names = model.array_names()
+        grads.flat()[names.index("dense_b")][0] = np.nan
+        grads.flat()[names.index("layers[1].u")][2, 1] = -np.inf
+        with pytest.raises(PoisonedUpdateError) as exc_info:
+            adam_step(model, grads, state, cfg)
+        assert exc_info.value.array == "layers[1].u"
+        assert (exc_info.value.epoch, exc_info.value.batch) == (None, None)
+        assert "layers[1].u" in str(exc_info.value)
 
     def test_shape_mismatch_rejected(self, setup):
         model, state, cfg = setup
@@ -204,6 +215,25 @@ class TestTrainLoop:
         with pytest.raises(DivergenceError) as exc_info:
             train(model, poisoned, TrainConfig(epochs=3, shuffle_seed=0))
         assert exc_info.value.epoch == 1
+
+    def test_failure_carries_epoch_batch_and_completed_epochs(self, monkeypatch):
+        windows = sine_windows(n_points=60, lookback=5)
+        cfg = TrainConfig(epochs=4, batch_size=16, shuffle_seed=0)
+        batches_per_epoch = -(-(len(windows) - int(len(windows) * 0.1)) // 16)
+        real_step = training.adam_step
+
+        def poison_third_batch_of_epoch_two(model, grads, state, config):
+            if state.step == batches_per_epoch + 2:
+                grads.vector[0] = np.nan
+            return real_step(model, grads, state, config)
+
+        monkeypatch.setattr(training, "adam_step", poison_third_batch_of_epoch_two)
+        with pytest.raises(PoisonedUpdateError) as exc_info:
+            train(init_params(ArchSpec("gru", hidden_units=3), seed=1), windows, cfg)
+        exc = exc_info.value
+        assert (exc.epoch, exc.batch, exc.array) == (2, 3, "layers[0].w")
+        assert "epoch 2, batch 3" in str(exc)
+        assert [e["epoch"] for e in exc.report.epochs_log()] == [1]
 
     def test_poisoned_gradient_aborts(self):
         # a non-finite training target reaches the optimizer as a bad gradient
