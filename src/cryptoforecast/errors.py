@@ -42,11 +42,16 @@ class PoisonedUpdateError(ForecastError):
 
 
 class DivergenceError(ForecastError):
-    """Training produced a non-finite loss.  Carries the offending epoch."""
+    """Training produced a non-finite loss.
 
-    def __init__(self, epoch: int, message: str = ""):
+    Carries the 1-based epoch and which loss it was: ``"train"`` or
+    ``"validation"``.
+    """
+
+    def __init__(self, epoch: int, loss: str = "train"):
         self.epoch = epoch
-        super().__init__(message or f"non-finite loss at epoch {epoch}")
+        self.loss = loss
+        super().__init__(f"non-finite {'training' if loss == 'train' else loss} loss at epoch {epoch}")
 
 
 class CheckpointError(ForecastError, ValueError):
@@ -58,7 +63,11 @@ class CheckpointError(ForecastError, ValueError):
 
 
 class UndefinedMetricError(ForecastError):
-    """A metric denominator is exactly zero."""
+    """A metric has no finite value.
+
+    Its denominator is exactly zero, or the model's predictions or the
+    metric itself are not finite, as for a model whose weights diverged.
+    """
 
 
 class ConfigError(ForecastError):

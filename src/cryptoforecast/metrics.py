@@ -122,13 +122,26 @@ def predict_batch(model: ModelParams, inputs: np.ndarray) -> np.ndarray:
     return np.concatenate(chunks)
 
 
+def _finite_metrics(scale: str, actual: np.ndarray, predicted: np.ndarray) -> MetricSet:
+    """The four measures on ``scale``; :class:`UndefinedMetricError` if a prediction or one is not finite."""
+    if not np.isfinite(predicted).all():
+        raise UndefinedMetricError(f"{scale} predictions are not finite")
+    metrics = MetricSet.compute(actual, predicted)
+    for name, value in metrics.to_dict().items():
+        if not math.isfinite(value):
+            raise UndefinedMetricError(f"{scale} {name} is not finite")
+    return metrics
+
+
+@np.errstate(over="ignore", invalid="ignore")  # non-finite values are reported below, not warned about
 def evaluate(model: ModelParams, test_windows: SequenceBatch, scaler: ScalerParams, dates) -> EvalReport:
     """Run the model over the test windows and score it at both scales.
 
     ``dates`` must align one-to-one with the window targets.  The caller
     is expected to have built ``test_windows`` from scaler-transformed
     data with the final lookback's worth of training values prepended, so
-    every test date receives a prediction.
+    every test date receives a prediction.  A model whose predictions or
+    metrics are not finite (it diverged) raises :class:`UndefinedMetricError`.
     """
     n = len(test_windows)
     if n == 0:
@@ -143,8 +156,8 @@ def evaluate(model: ModelParams, test_windows: SequenceBatch, scaler: ScalerPara
     actual_price = inverse_transform(scaler, actual_norm)
 
     return EvalReport(
-        normalized=MetricSet.compute(actual_norm, preds_norm),
-        price=MetricSet.compute(actual_price, preds_price),
+        normalized=_finite_metrics("normalized", actual_norm, preds_norm),
+        price=_finite_metrics("price", actual_price, preds_price),
         pairs=[(d, float(a), float(p)) for d, a, p in zip(dates, actual_price, preds_price)],
         n=n,
     )

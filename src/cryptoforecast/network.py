@@ -1,13 +1,13 @@
 """Stacked recurrent forecasting model.
 
-Architecture: ``layers`` recurrent layers (two by default), each with
-``hidden_units`` units, followed by a dense head with a single output.
-Every layer except the last feeds its full hidden sequence to the next
-one; the last layer contributes only its final hidden state.  The
-bidirectional variant runs an independent backward-direction LSTM over
-the reversed sequence in every layer and concatenates the per-step
-outputs (so the dense head sees ``2 * hidden_units`` features, the
-forward direction's last state next to the backward direction's).
+Architecture: ``layers`` recurrent layers (two by default), then a dense
+head with a single output.  Every layer is a tuple of direction cells of
+``hidden_units`` units: one cell for LSTM and GRU, a forward and a backward
+LSTM cell for Bi-LSTM.  Direction 1 runs over reversed time, and the
+directions' per-step outputs are concatenated in time order (one direction
+passes up uncopied).  Every layer except the last feeds that sequence to
+the next; the last contributes each direction's final hidden state, so the
+dense head sees ``directions * hidden_units`` features.
 
 Initial hidden/cell states are zero for every window; windows are
 independent samples, never stateful continuations.
@@ -39,6 +39,7 @@ CELL_KINDS = ("lstm", "gru", "bilstm")
 
 CHECKPOINT_FORMAT = "cryptoforecast-checkpoint"
 CHECKPOINT_VERSION = 1
+_DIRECTION_KEYS = ("forward", "backward")  # a two-direction layer's cells in a checkpoint
 
 
 @dataclass(frozen=True)
@@ -66,23 +67,23 @@ class ArchSpec:
             raise ValueError("output_dim is fixed to 1 (one-step-ahead scalar forecast)")
 
     @property
-    def bidirectional(self) -> bool:
-        return self.cell_kind == "bilstm"
+    def directions(self) -> int:
+        """Cells per layer: 2 (forward, then reversed time) for the bidirectional kind, else 1."""
+        return 2 if self.cell_kind == "bilstm" else 1
 
     @property
     def dense_input_size(self) -> int:
-        return 2 * self.hidden_units if self.bidirectional else self.hidden_units
+        return self.directions * self.hidden_units
 
     def layer_input_sizes(self) -> list[int]:
-        per_layer = 2 * self.hidden_units if self.bidirectional else self.hidden_units
-        return [self.input_dim] + [per_layer] * (self.layers - 1)
+        return [self.input_dim] + [self.dense_input_size] * (self.layers - 1)
 
     @cached_property
     def param_layout(self) -> tuple[tuple[str, tuple[int, ...], slice], ...]:
         """``(name, shape, span)`` of each parameter array, stored in ``vector[span]`` of its model,
         in :meth:`ModelParams.flat` order: per layer and direction ``w``, ``u``, ``b``; then the head."""
         rows = (3 if self.cell_kind == "gru" else 4) * self.hidden_units
-        directions = (".fwd", ".bwd") if self.bidirectional else ("",)
+        directions = ("",) if self.directions == 1 else (".fwd", ".bwd")
         shapes = [
             (f"layers[{li}]{d}.{name}", shape)
             for li, inp in enumerate(self.layer_input_sizes())
@@ -95,22 +96,13 @@ class ArchSpec:
 
 
 @dataclass(eq=False)
-class BiCellParams:
-    """Parameter pair for one bidirectional layer."""
-
-    fwd: CellParams
-    bwd: CellParams
-
-
-@dataclass(eq=False)
 class ModelParams:
     """All trainable state for one model, stored in one float64 ``vector``.
 
-    ``layers`` holds a :class:`CellParams` per layer (or a
-    :class:`BiCellParams` pair for the bidirectional kind); ``dense_w``
-    and ``dense_b`` form the scalar output head.  All are views of
-    ``vector`` (layout: :attr:`ArchSpec.param_layout`).  The same container
-    is reused for gradients.
+    ``layers`` holds a tuple of :class:`CellParams` per layer, one per
+    direction (:attr:`ArchSpec.directions`); ``dense_w`` and ``dense_b``
+    form the scalar output head.  All are views of ``vector`` (layout:
+    :attr:`ArchSpec.param_layout`).  The same container is reused for gradients.
     """
 
     arch: ArchSpec
@@ -126,9 +118,8 @@ class ModelParams:
             raise ValueError(f"{self.arch} needs a float64 vector of {layout[-1][2].stop} values")
         arrays = self._arrays = [self.vector[span].reshape(shape) for _, shape, span in layout]
         cells = [CellParams(*arrays[i : i + 3]) for i in range(0, len(arrays) - 2, 3)]
-        if self.arch.bidirectional:
-            cells = [BiCellParams(*cells[i : i + 2]) for i in range(0, len(cells), 2)]
-        self.layers = cells
+        d = self.arch.directions
+        self.layers = [tuple(cells[i : i + d]) for i in range(0, len(cells), d)]
         self.dense_w, self.dense_b = arrays[-2:]
 
     @classmethod
@@ -140,7 +131,7 @@ class ModelParams:
         return list(self._arrays)
 
     def array_names(self) -> list[str]:
-        """Names of the :meth:`flat` arrays, in the same order, e.g. ``layers[1].bwd.u``."""
+        """Names of the :meth:`flat` arrays, in the same order, e.g. ``layers[0].w`` or ``layers[1].bwd.u``."""
         return [name for name, *_ in self.arch.param_layout]
 
     def locate(self, index: int) -> tuple[str, tuple[int, ...]]:
@@ -190,9 +181,8 @@ def init_params(arch: ArchSpec, seed: int) -> ModelParams:
     """
     rng = np.random.default_rng(seed)
     model = ModelParams.zeros(arch, seed)
-    for layer in model.layers:
-        for cell in (layer.fwd, layer.bwd) if arch.bidirectional else (layer,):
-            _init_cell(rng, cell)
+    for cell in itertools.chain.from_iterable(model.layers):
+        _init_cell(rng, cell)
     k = arch.dense_input_size
     model.dense_w[:] = _glorot(rng, 1, k, k, 1)[0]
     return model
@@ -203,7 +193,7 @@ class ModelTape:
     """Cached activations from :func:`forward_batch` for the backward pass."""
 
     x: np.ndarray  # (T, B, D) time-major model input
-    layer_tapes: list  # per layer: cell tape, or (fwd tape, bwd tape) pair
+    layer_tapes: list  # per layer: a tuple of cell tapes, one per direction
     final: np.ndarray  # (B, K) dense-head input
 
 
@@ -223,34 +213,29 @@ def _as_batch(windows, input_dim: int) -> np.ndarray:
     return np.ascontiguousarray(x.transpose(1, 0, 2))
 
 
-def forward_batch(model: ModelParams, windows, store_tape: bool = True):
-    """Predict one scalar per window.  Returns (predictions, tape or None)."""
-    arch = model.arch
-    x = _as_batch(windows, arch.input_dim)
-    run = gru_forward if arch.cell_kind == "gru" else lstm_forward
+def _side_by_side(parts: list, axis: int) -> np.ndarray:
+    """The directions' ``parts`` concatenated along ``axis``; a single part passes through uncopied."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
 
-    seq = x
-    layer_tapes = []
-    final = None
+
+def forward_batch(model: ModelParams, windows, store_tape: bool = True):
+    """Predict one scalar per window.  Returns (predictions, tape or None).
+
+    Each layer runs its direction cells over the layer input, direction 1
+    over reversed time.  Only the next layer's input outlives a layer.
+    """
+    x = _as_batch(windows, model.arch.input_dim)
+    run = gru_forward if model.arch.cell_kind == "gru" else lstm_forward
+    seq, layer_tapes = x, []
     for li, layer in enumerate(model.layers):
-        last = li == len(model.layers) - 1
-        if arch.bidirectional:
-            h_f, tape_f = lstm_forward(layer.fwd, seq, store_tape)
-            rev = np.ascontiguousarray(seq[::-1])
-            h_b, tape_b = lstm_forward(layer.bwd, rev, store_tape)
-            layer_tapes.append((tape_f, tape_b))
-            if last:
-                # each direction contributes its own final state
-                final = np.concatenate([h_f[-1], h_b[-1]], axis=1)
-            else:
-                seq = np.concatenate([h_f, h_b[::-1]], axis=2)
-        else:
-            h_seq, tape = run(layer, seq, store_tape)
-            layer_tapes.append(tape)
-            if last:
-                final = h_seq[-1]
-            else:
-                seq = h_seq
+        runs = []  # emptied before the kernels run, so the layer below's outputs are freed
+        for d, cell in enumerate(layer):
+            runs.append(run(cell, np.ascontiguousarray(seq[::-1]) if d else seq, store_tape))
+        layer_tapes.append(tuple(cell_tape for _, cell_tape in runs))
+        if li < len(model.layers) - 1:
+            seq = _side_by_side([h_seq[::-1] if d else h_seq for d, (h_seq, _) in enumerate(runs)], axis=2)
+    # the head reads each direction's own last step
+    final = _side_by_side([h_seq[-1] for h_seq, _ in runs], axis=1)
 
     preds = final @ model.dense_w + model.dense_b[0]
     tape = ModelTape(x=x, layer_tapes=layer_tapes, final=final) if store_tape else None
@@ -268,9 +253,9 @@ def forward(model: ModelParams, window):
 def backward_batch(model: ModelParams, tape: ModelTape, d_predictions) -> ParamGrads:
     """Gradients of ``sum_j d_predictions[j] * prediction_j`` w.r.t. all parameters.
 
-    Reverse-mode accumulation through the dense head, every layer, and
-    (for the bidirectional kind) both directions.  The tape must come from
-    :func:`forward_batch` on this same model.
+    Reverse-mode accumulation through the dense head and every layer's
+    direction cells.  The tape must come from :func:`forward_batch` on this
+    same model.
     """
     arch = model.arch
     d_preds = np.asarray(d_predictions, dtype=np.float64)
@@ -288,39 +273,23 @@ def backward_batch(model: ModelParams, tape: ModelTape, d_predictions) -> ParamG
     d_dense_b = np.array([d_preds.sum()])
     d_final = np.outer(d_preds, model.dense_w)
 
-    grad_layers: list = [None] * len(model.layers)
-    d_seq = None  # gradient w.r.t. the current layer's output sequence
-    for li in reversed(range(len(model.layers))):
-        layer = model.layers[li]
-        last = li == len(model.layers) - 1
-        if arch.bidirectional:
-            tape_f, tape_b = tape.layer_tapes[li]
-            steps, batch, _ = tape_f.h.shape
-            if last:
-                dh_f = np.zeros((steps, batch, hsize))
-                dh_b = np.zeros((steps, batch, hsize))
-                dh_f[-1] = d_final[:, :hsize]
-                dh_b[-1] = d_final[:, hsize:]
-            else:
-                dh_f = np.ascontiguousarray(d_seq[:, :, :hsize])
-                # backward direction ran on reversed time, so flip its gradient
-                dh_b = np.ascontiguousarray(d_seq[::-1, :, hsize:])
-            g_f, dx_f = lstm_backward(layer.fwd, tape_f, dh_f)
-            g_b, dx_b = lstm_backward(layer.bwd, tape_b, dh_b)
-            grad_layers[li] = g_f.arrays() + g_b.arrays()
-            d_seq = dx_f + dx_b[::-1]
-        else:
-            cell_tape = tape.layer_tapes[li]
-            steps, batch, _ = cell_tape.h.shape
-            if last:
-                dh = np.zeros((steps, batch, hsize))
-                dh[-1] = d_final
-            else:
-                dh = d_seq
-            grad, d_seq = back(layer, cell_tape, dh)
-            grad_layers[li] = grad.arrays()
-
-    return model.rebuild([a for arrays in grad_layers for a in arrays] + [d_dense_w, d_dense_b])
+    arrays = [d_dense_w, d_dense_b]  # in flat() order, filled in from the top layer down
+    d_seq = None  # gradient w.r.t. the current layer's output sequence; None at the top layer
+    for layer, layer_tape in zip(reversed(model.layers), reversed(tape.layer_tapes)):
+        layer_arrays, d_input = [], None
+        for d, (cell, cell_tape) in enumerate(zip(layer, layer_tape)):
+            cols = slice(d * hsize, (d + 1) * hsize)
+            if d_seq is None:  # the head read only this direction's last step
+                dh = np.zeros(cell_tape.h.shape)
+                dh[-1] = d_final[:, cols]
+            else:  # direction 1 ran on reversed time, so its gradient is flipped
+                dh = np.ascontiguousarray((d_seq[::-1] if d else d_seq)[:, :, cols])
+            grad, dx = back(cell, cell_tape, dh)
+            layer_arrays += grad.arrays()
+            dx = dx[::-1] if d else dx  # back in time order
+            d_input = dx if d_input is None else d_input + dx
+        arrays, d_seq = layer_arrays + arrays, d_input
+    return model.rebuild(arrays)
 
 
 def backward(model: ModelParams, tape: ModelTape, d_prediction: float) -> ParamGrads:
@@ -416,7 +385,7 @@ def _checked_array(value, shape: tuple[int, ...], where: str) -> np.ndarray:
 
 def _cell_from_dict(data, gate_order: tuple[str, ...], cell: CellParams, where: str) -> None:
     """Fill ``cell`` from its checkpoint entry."""
-    if not isinstance(data, dict):
+    if type(data) is not dict:
         raise CheckpointError(f"checkpoint {where}: expected an object of gate arrays")
     for idx, name in enumerate(gate_order):
         w, u, b = cell.gate_block(idx)
@@ -426,20 +395,15 @@ def _cell_from_dict(data, gate_order: tuple[str, ...], cell: CellParams, where: 
 
 
 def model_to_dict(model: ModelParams) -> dict:
-    """Self-describing checkpoint document; arrays flattened row-major."""
+    """Self-describing checkpoint document; arrays flattened row-major.
+
+    A two-direction layer nests its cells' entries under ``forward`` and ``backward``."""
     arch = model.arch
     gate_order = GRU_GATE_ORDER if arch.cell_kind == "gru" else LSTM_GATE_ORDER
     layers = []
     for layer in model.layers:
-        if isinstance(layer, BiCellParams):
-            layers.append(
-                {
-                    "forward": _cell_to_dict(layer.fwd, gate_order),
-                    "backward": _cell_to_dict(layer.bwd, gate_order),
-                }
-            )
-        else:
-            layers.append(_cell_to_dict(layer, gate_order))
+        cells = [_cell_to_dict(cell, gate_order) for cell in layer]
+        layers.append(cells[0] if len(cells) == 1 else dict(zip(_DIRECTION_KEYS, cells)))
     return {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -463,7 +427,7 @@ def model_from_dict(data: dict) -> ModelParams:
     whole declared model: one entry per layer, every gate array with the
     element count its shape needs, a full dense head, all values finite.
     """
-    if not isinstance(data, dict) or data.get("format") != CHECKPOINT_FORMAT:
+    if type(data) is not dict or data.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"not a {CHECKPOINT_FORMAT} document")
     if data.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {data.get('version')!r}")
@@ -472,22 +436,22 @@ def model_from_dict(data: dict) -> ModelParams:
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint arch: {exc}") from None
     entries = data.get("layers")
-    if not isinstance(entries, list) or len(entries) != arch.layers:
-        found = len(entries) if isinstance(entries, list) else "no list of"
+    if type(entries) is not list or len(entries) != arch.layers:
+        found = len(entries) if type(entries) is list else "no list of"
         raise CheckpointError(f"checkpoint declares {arch.layers} layers but holds {found} layer entries")
     gate_order = GRU_GATE_ORDER if arch.cell_kind == "gru" else LSTM_GATE_ORDER
     model = ModelParams.zeros(arch, data.get("seed"))
     for li, (layer, entry) in enumerate(zip(model.layers, entries)):
         where = f"layers[{li}]"
-        if not arch.bidirectional:
-            _cell_from_dict(entry, gate_order, layer, where)
+        if len(layer) == 1:
+            _cell_from_dict(entry, gate_order, layer[0], where)
             continue
-        if not isinstance(entry, dict) or not {"forward", "backward"} <= entry.keys():
+        if type(entry) is not dict or not set(_DIRECTION_KEYS) <= entry.keys():
             raise CheckpointError(f"checkpoint {where}: needs 'forward' and 'backward' cells")
-        _cell_from_dict(entry["forward"], gate_order, layer.fwd, f"{where}.forward")
-        _cell_from_dict(entry["backward"], gate_order, layer.bwd, f"{where}.backward")
+        for cell, key in zip(layer, _DIRECTION_KEYS):
+            _cell_from_dict(entry[key], gate_order, cell, f"{where}.{key}")
     dense = data.get("dense")
-    if not isinstance(dense, dict):
+    if type(dense) is not dict:
         raise CheckpointError("checkpoint dense: expected an object with 'w' and 'b'")
     model.dense_w[:] = _checked_array(dense.get("w"), model.dense_w.shape, "dense.w")
     model.dense_b[:] = _checked_array([dense.get("b")], model.dense_b.shape, "dense.b")

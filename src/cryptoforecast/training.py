@@ -125,6 +125,7 @@ def adam_step(
     return ModelParams(params.arch, new_p, params.seed), OptimizerState(m=new_m, v=new_v, step=t)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite values are reported below, not warned about
 def train(
     model: ModelParams, train_batch: SequenceBatch, config: TrainConfig
 ) -> tuple[ModelParams, TrainReport]:
@@ -181,8 +182,10 @@ def train(
                 val_loss = mse_loss(val_preds, val_targets)
             else:
                 val_loss = None
-            if not np.isfinite(train_loss) or (val_loss is not None and not np.isfinite(val_loss)):
-                raise DivergenceError(epoch)
+            if not np.isfinite(train_loss):
+                raise DivergenceError(epoch, "train")
+            if val_loss is not None and not np.isfinite(val_loss):
+                raise DivergenceError(epoch, "validation")
 
             report.train_losses.append(train_loss)
             report.val_losses.append(val_loss)

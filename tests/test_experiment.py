@@ -1,6 +1,9 @@
 """Config parsing, experiment orchestration, and the CLI surface."""
 
 import json
+import os
+import subprocess
+import sys
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -60,6 +63,32 @@ def diverging_btc_config(tmp_path) -> Path:
         f"learning_rate = 1e300\nout_dir = {tmp_path / 'out'}\n[asset.BTC]\ncsv = {csv_path}\n"
     )
     return config_path
+
+
+def one_batch_diverging_config(tmp_path, validation_fraction=0.0) -> Path:
+    """The first 60 BTC fixture rows in a single batch at a learning rate of 1e300.
+
+    The one update leaves finite weights of about 1e300, and no later
+    gradient checks it; without validation, no validation loss does either.
+    """
+    csv_path = tmp_path / "btc60.csv"
+    csv_path.write_text("".join(BTC_FIXTURE.read_text().splitlines(keepends=True)[:61]))
+    config_path = tmp_path / "diverge60.cfg"
+    config_path.write_text(
+        "lookback = 10\narchitectures = lstm\nhidden_units = 4\nbatch_size = 64\nepochs = 1\n"
+        f"learning_rate = 1e300\nvalidation_fraction = {validation_fraction}\nseed = 3\n"
+        f"out_dir = {tmp_path / 'out'}\n[asset.BTC]\ncsv = {csv_path}\n"
+    )
+    return config_path
+
+
+def strict_json(path: Path):
+    """Parse ``path`` as standard JSON: ``Infinity``, ``-Infinity`` and ``NaN`` are errors."""
+
+    def reject(constant):
+        raise ValueError(f"{path.name} holds {constant}, which is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 class TestValidateConfig:
@@ -368,7 +397,6 @@ class TestCli:
         assert main(["train", "--config", str(config_path), "--asset", "TST", "--arch", "gru"]) == 0
         assert (tmp_path / "out" / "TST_gru" / "checkpoint.json").exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the blow-up overflows on purpose
     def test_train_failure_says_where_and_leaves_train_report(self, tmp_path, capsys):
         config_path = diverging_btc_config(tmp_path)
         assert main(["train", "--config", str(config_path), "--asset", "BTC", "--arch", "lstm"]) == 2
@@ -497,7 +525,6 @@ class TestShippedConfigs:
 
 
 class TestRunSingleOnRealFixture:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the blow-up overflows on purpose
     def test_huge_learning_rate_failure_names_epoch_batch_and_array(self, tmp_path):
         from cryptoforecast.errors import PoisonedUpdateError
         from cryptoforecast.experiment import load_config
@@ -525,3 +552,63 @@ class TestRunSingleOnRealFixture:
         assert result.eval_report.n == 366
         assert result.eval_report.pairs[0][0] == date(2023, 1, 1)
         assert result.eval_report.pairs[-1][0] == date(2024, 1, 1)
+
+
+class TestDivergedModel:
+    """A model that diverged in its last update is a failure, not a scored result."""
+
+    def test_train_fails_and_keeps_the_model(self, tmp_path, capsys):
+        config_path = one_batch_diverging_config(tmp_path)
+        assert main(["train", "--config", str(config_path), "--asset", "BTC", "--arch", "lstm"]) == 2
+        assert "error: normalized mse is not finite" in capsys.readouterr().err
+        run_dir = tmp_path / "out" / "BTC_lstm"
+        assert sorted(p.name for p in run_dir.iterdir()) == ["checkpoint.json", "train_report.json"]
+        for path in run_dir.iterdir():
+            strict_json(path)
+        network.load_checkpoint(run_dir / "checkpoint.json")
+
+    def test_run_records_a_failure_and_ranks_nothing(self, tmp_path, capsys):
+        config_path = one_batch_diverging_config(tmp_path)
+        assert main(["run", "--config", str(config_path)]) == 1
+        assert "FAILED BTC/lstm: normalized mse is not finite" in capsys.readouterr().err
+        doc = strict_json(tmp_path / "out" / "comparison.json")
+        assert doc["rows"] == []
+        assert doc["failures"] == [{"asset": "BTC", "cell_kind": "lstm", "error": "normalized mse is not finite"}]
+        for path in (tmp_path / "out").rglob("*.json"):
+            strict_json(path)
+
+    def test_evaluate_rejects_the_diverged_checkpoint(self, tmp_path, capsys):
+        config_path = one_batch_diverging_config(tmp_path)
+        main(["train", "--config", str(config_path), "--asset", "BTC", "--arch", "lstm"])
+        capsys.readouterr()
+        checkpoint = tmp_path / "out" / "BTC_lstm" / "checkpoint.json"
+        argv = ["evaluate", "--config", str(config_path), "--asset", "BTC", "--checkpoint", str(checkpoint)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: normalized mse is not finite" in captured.err
+
+    def test_validation_loss_named(self, tmp_path):
+        from cryptoforecast.errors import DivergenceError
+        from cryptoforecast.experiment import load_config
+
+        config = load_config(one_batch_diverging_config(tmp_path, validation_fraction=0.2))
+        with pytest.raises(DivergenceError) as exc_info:
+            run_single(config, config.assets[0], "lstm", run_dir=tmp_path / "run")
+        exc = exc_info.value
+        assert (exc.epoch, exc.loss) == (1, "validation")
+        assert str(exc) == "non-finite validation loss at epoch 1"
+        report = strict_json(tmp_path / "run" / "train_report.json")
+        assert report["error"] == "non-finite validation loss at epoch 1"
+        assert report["epochs"] == []
+
+    def test_cli_train_prints_no_numpy_warnings(self, tmp_path):
+        # a child process prints numpy warnings as a user sees them; this session's filter would raise them
+        config_path = one_batch_diverging_config(tmp_path)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")]))
+        argv = [sys.executable, "-m", "cryptoforecast.cli", "train", "--config", str(config_path)]
+        argv += ["--asset", "BTC", "--arch", "lstm"]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert "RuntimeWarning" not in proc.stderr
+        assert proc.stderr.splitlines()[-1] == "error: normalized mse is not finite"

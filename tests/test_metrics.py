@@ -119,6 +119,21 @@ class TestEvaluate:
             assert scale.rmse == 0.0
             assert scale.mape == 0.0
 
+    @pytest.mark.parametrize(
+        "bias,scaler,message",
+        [
+            (1e300, ScalerParams(2.0, 10.0), "normalized mse is not finite"),  # finite predictions, squares overflow
+            (np.inf, ScalerParams(2.0, 10.0), "normalized predictions are not finite"),
+            (1e150, ScalerParams(0.0, 1e160), "price predictions are not finite"),  # overflows only at price scale
+        ],
+    )
+    def test_diverged_model_is_not_scored(self, bias, scaler, message):
+        model = init_params(ArchSpec("lstm", hidden_units=3), seed=0).zeros_like()
+        model.dense_b[0] = bias
+        windows = window_batch(np.linspace(0.1, 0.9, 10), lookback=6)
+        with pytest.raises(UndefinedMetricError, match=f"^{message}$"):
+            evaluate(model, windows, scaler, eval_dates(len(windows)))
+
     def test_identity_scaler_collapses_scales(self, rng):
         model = init_params(ArchSpec("gru", hidden_units=4), seed=3)
         values = rng.uniform(0.2, 0.9, size=20)

@@ -53,7 +53,7 @@ class TestInitParams:
 
     def test_forget_gate_bias_is_one(self):
         model = init_params(ArchSpec("lstm", hidden_units=4, layers=1), seed=0)
-        cell = model.layers[0]
+        (cell,) = model.layers[0]
         _, _, b_f = cell.gate_block(1)  # stacked order: i, f, o, c
         assert b_f.tolist() == [1.0, 1.0, 1.0, 1.0]
         _, _, b_i = cell.gate_block(0)
@@ -62,7 +62,7 @@ class TestInitParams:
     def test_weights_within_glorot_bound(self):
         hidden = 16
         model = init_params(ArchSpec("lstm", hidden_units=hidden, layers=2), seed=3)
-        for li, cell in enumerate(model.layers):
+        for li, (cell,) in enumerate(model.layers):
             fan_in = 1 if li == 0 else hidden
             w_bound = np.sqrt(6.0 / (fan_in + hidden))
             u_bound = np.sqrt(6.0 / (hidden + hidden))
@@ -76,7 +76,7 @@ class TestInitParams:
         arch = ArchSpec("lstm", hidden_units=4)
         a = init_params(arch, seed=1)
         b = init_params(arch, seed=2)
-        assert not np.array_equal(a.layers[0].w, b.layers[0].w)
+        assert not np.array_equal(a.layers[0][0].w, b.layers[0][0].w)
 
 
 class TestForward:
@@ -123,7 +123,7 @@ class TestBidirectionalStructure:
         # on a palindromic window with identical direction parameters, both
         # directions see the same effective sequence
         model = init_params(ArchSpec("bilstm", layers=1, hidden_units=4), seed=8)
-        model.layers[0].bwd = model.layers[0].fwd
+        model.layers[0] = (model.layers[0][0], model.layers[0][0])
         window = np.array([0.1, 0.7, 0.3, 0.7, 0.1])
         _, tape = forward(model, window)
         h = model.arch.hidden_units
@@ -135,7 +135,7 @@ class TestBidirectionalStructure:
         bi.dense_w[hidden:] = 0.0
 
         uni = init_params(ArchSpec("lstm", layers=1, hidden_units=hidden), seed=0)
-        uni.layers[0] = bi.layers[0].fwd
+        uni.layers[0] = (bi.layers[0][0],)
         uni.dense_w = bi.dense_w[:hidden]
         uni.dense_b = bi.dense_b
 
@@ -234,7 +234,7 @@ class TestGradCheck:
 
         def corrupted(model_, tape_, d_pred):
             grads = real_backward(model_, tape_, d_pred)
-            grads.layers[1].bwd.u[3, 1] += 0.5
+            grads.layers[1][1].u[3, 1] += 0.5
             return grads
 
         monkeypatch.setattr(network, "backward", corrupted)

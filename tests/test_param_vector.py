@@ -106,7 +106,7 @@ def test_every_array_is_a_view_of_the_vector(kind, rng):
             assert np.shares_memory(array, params.vector), name
             assert array.shape == shape
             assert np.array_equal(array.ravel(), np.arange(span.start, span.stop)), name
-    cells_ = [c for layer in model.layers for c in ((layer.fwd, layer.bwd) if kind == "bilstm" else (layer,))]
+    cells_ = [c for layer in model.layers for c in layer]
     arrays = [a for cell in cells_ for a in cell.arrays()] + [model.dense_w, model.dense_b]
     assert len(arrays) == len(model.flat())
     assert all(a is b for a, b in zip(arrays, model.flat()))

@@ -215,6 +215,24 @@ class TestTrainLoop:
         with pytest.raises(DivergenceError) as exc_info:
             train(model, poisoned, TrainConfig(epochs=3, shuffle_seed=0))
         assert exc_info.value.epoch == 1
+        assert exc_info.value.loss == "validation"
+        assert str(exc_info.value) == "non-finite validation loss at epoch 1"
+
+    def test_divergence_names_the_training_loss(self, monkeypatch):
+        # predictions of about 1e200 square to an infinite loss while every
+        # gradient stays finite, so only the epoch-end check catches them
+        real_forward = training.forward_batch
+
+        def huge_predictions(model, windows, store_tape=True):
+            preds, tape = real_forward(model, windows, store_tape)
+            return preds * 1e200 + 1e200, tape
+
+        monkeypatch.setattr(training, "forward_batch", huge_predictions)
+        model = init_params(ArchSpec("gru", hidden_units=3), seed=1)
+        with pytest.raises(DivergenceError) as exc_info:
+            train(model, sine_windows(n_points=60, lookback=5), TrainConfig(epochs=2, shuffle_seed=0))
+        assert (exc_info.value.epoch, exc_info.value.loss) == (1, "train")
+        assert str(exc_info.value) == "non-finite training loss at epoch 1"
 
     def test_failure_carries_epoch_batch_and_completed_epochs(self, monkeypatch):
         windows = sine_windows(n_points=60, lookback=5)
