@@ -26,9 +26,8 @@ from .network import ArchSpec, CELL_KINDS, grad_check_worst, init_params, load_c
 log = logging.getLogger(__name__)
 
 
-def _add_common(parser: argparse.ArgumentParser, needs_config: bool = True):
-    if needs_config:
-        parser.add_argument("--config", required=True, help="experiment config path")
+def _add_common(parser: argparse.ArgumentParser):
+    parser.add_argument("--config", required=True, help="experiment config path")
     parser.add_argument("--seed", type=int, default=None, help="override the master seed")
     parser.add_argument("--out", default=None, help="override the output directory")
 
@@ -58,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    _add_common(p, needs_config=False)
+    p.add_argument("--seed", type=int, default=0, help="seed of the drawn models and inputs")
     p.add_argument("--cell", choices=CELL_KINDS, default=None, help="restrict to one cell kind")
     p.add_argument("--trials", type=int, default=20, help="seeded trials per cell kind")
     p.add_argument("--max-hidden", type=int, default=8)
@@ -66,6 +65,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=1e-5)
     p.add_argument("--threshold", type=float, default=1e-4)
     return parser
+
+
+# (flag destination, check, allowed range); the --epsilon range is the one grad_check_worst enforces
+_GRADCHECK_FLAGS = (
+    ("seed", lambda v: v >= 0, ">= 0"),
+    ("trials", lambda v: v >= 1, ">= 1"),
+    ("max_hidden", lambda v: v >= 2, ">= 2"),
+    ("max_window", lambda v: v >= 3, ">= 3"),
+    ("epsilon", lambda v: 1e-7 <= v <= 1e-3, "within [1e-7, 1e-3]"),
+)
 
 
 def _find_asset(config: experiment.ExperimentConfig, symbol: str) -> experiment.AssetSpec:
@@ -126,8 +135,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    for dest, ok, expect in _GRADCHECK_FLAGS:
+        value = getattr(args, dest)
+        if not ok(value):
+            raise ForecastError(f"--{dest.replace('_', '-')} must be {expect}, got {value}")
     kinds = (args.cell,) if args.cell else CELL_KINDS
-    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
+    rng = np.random.default_rng(args.seed)
     failed = False
     for kind in kinds:
         worst = 0.0

@@ -23,8 +23,11 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,24 +39,6 @@ from .preprocess import ScalerParams, SequenceBatch, fit_scaler, make_windows, t
 from .training import TrainConfig, TrainReport, train
 
 log = logging.getLogger(__name__)
-
-DEFAULT_SEED = 1234
-
-_TOP_LEVEL_KEYS = {
-    "price_column",
-    "lookback",
-    "train_fraction",
-    "architectures",
-    "hidden_units",
-    "layers",
-    "batch_size",
-    "epochs",
-    "learning_rate",
-    "validation_fraction",
-    "seed",
-    "out_dir",
-}
-_ASSET_KEYS = {"csv"}
 
 
 @dataclass(frozen=True)
@@ -75,7 +60,7 @@ class ExperimentConfig:
     epochs: int = 100
     learning_rate: float = 0.001
     validation_fraction: float = 0.1
-    master_seed: int = DEFAULT_SEED
+    master_seed: int = 1234
     out_dir: Path = Path("runs")
 
     def arch_for(self, cell_kind: str) -> ArchSpec:
@@ -98,15 +83,69 @@ def derive_seed(master_seed: int, *parts: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _parse_scalar(raw: str, kind: str, line: int, key: str, diags: list):
-    try:
-        if kind == "int":
-            return int(raw)
-        return float(raw)
-    except ValueError:
-        article = "an" if kind == "int" else "a"
-        diags.append((line, f"{key} expects {article} {kind}, got {raw!r}"))
-        return None
+def _number(kind: type):
+    article = "an" if kind is int else "a"
+
+    def parse(key: str, raw: str):
+        try:
+            return kind(raw)
+        except ValueError:
+            raise ValueError(f"{key} expects {article} {kind.__name__}, got {raw!r}") from None
+
+    return parse
+
+
+def _text(key: str, raw: str) -> str:
+    if not raw:
+        raise ValueError(f"{key} must not be empty")
+    return raw
+
+
+def _path(key: str, raw: str) -> Path:
+    return Path(_text(key, raw))
+
+
+def _architectures(key: str, raw: str) -> tuple[str, ...]:
+    kinds = tuple(k.strip().lower() for k in raw.split(",") if k.strip())
+    unknown = [k for k in kinds if k not in CELL_KINDS]
+    errors = [f"unknown architecture {k!r}; expected one of {CELL_KINDS}" for k in unknown]
+    errors += [f"duplicate architecture {k!r}" for k, n in Counter(kinds).items() if n > 1]
+    if not kinds:
+        errors.append(f"{key} must name at least one of {', '.join(CELL_KINDS)}")
+    if errors:
+        raise ValueError(*errors)
+    return kinds
+
+
+class _Key(NamedTuple):
+    """One top-level config key; its default is that of its ExperimentConfig field."""
+
+    key: str
+    # (key, raw value) -> value, or a ValueError whose args are the value's diagnostics
+    parse: Callable[[str, str], object]
+    ok: Callable[[object], bool] | None = None  # range check on the parsed value
+    expect: str = ""  # the range, as diagnostics state it
+    field: str | None = None  # the ExperimentConfig field; None: named like the key
+    echo: bool = True  # part of every run's config echo in train_report.json
+
+
+_KEYS = {
+    row.key: row._replace(field=row.field or row.key)
+    for row in (
+        _Key("price_column", _text),
+        _Key("lookback", _number(int), lambda v: v >= 1, ">= 1"),
+        _Key("train_fraction", _number(float), lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+        _Key("architectures", _architectures, echo=False),
+        _Key("hidden_units", _number(int), lambda v: v >= 1, ">= 1"),
+        _Key("layers", _number(int), lambda v: v >= 1, ">= 1"),
+        _Key("batch_size", _number(int), lambda v: v >= 1, ">= 1"),
+        _Key("epochs", _number(int), lambda v: v >= 1, ">= 1"),
+        _Key("learning_rate", _number(float), lambda v: v > 0.0, "> 0"),
+        _Key("validation_fraction", _number(float), lambda v: 0.0 <= v < 0.5, "in [0, 0.5)"),
+        _Key("seed", _number(int), field="master_seed"),
+        _Key("out_dir", _path, echo=False),
+    )
+}
 
 
 def validate_config(config_text: str) -> ExperimentConfig:
@@ -125,132 +164,65 @@ def validate_config(config_text: str) -> ExperimentConfig:
         if not line or line.startswith("#") or line.startswith(";"):
             continue
         if line.startswith("["):
+            section = None
+            name = line[1:-1].strip()
+            symbol = name[len("asset.") :].strip()
             if not line.endswith("]"):
                 diags.append((lineno, f"unterminated section header {line!r}"))
-                section = None
-                continue
-            name = line[1:-1].strip()
-            if not name.startswith("asset."):
+            elif not name.startswith("asset."):
                 diags.append((lineno, f"unknown section [{name}]; only [asset.<SYMBOL>] is allowed"))
-                section = None
-                continue
-            symbol = name[len("asset.") :].strip()
-            if not symbol:
+            elif not symbol:
                 diags.append((lineno, "asset section needs a symbol: [asset.<SYMBOL>]"))
-                section = None
-                continue
-            if any(sym == symbol for _, sym, _ in assets):
+            elif any(sym == symbol for _, sym, _ in assets):
                 diags.append((lineno, f"duplicate asset symbol {symbol!r}"))
-                section = None
-                continue
-            section = {}
-            assets.append((lineno, symbol, section))
+            else:
+                section = {}
+                assets.append((lineno, symbol, section))
             continue
         if "=" not in line:
             diags.append((lineno, f"expected key = value, got {line!r}"))
             continue
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        if section is None:
-            if key not in _TOP_LEVEL_KEYS:
-                diags.append((lineno, f"unknown key {key!r}"))
-                continue
-            if key in top:
-                diags.append((lineno, f"duplicate key {key!r}"))
-                continue
-            top[key] = (lineno, value)
+        known, kind, seen = (_KEYS, "key", top) if section is None else ({"csv"}, "asset key", section)
+        if key not in known:
+            diags.append((lineno, f"unknown {kind} {key!r}"))
+        elif key in seen:
+            diags.append((lineno, f"duplicate {kind} {key!r}"))
         else:
-            if key not in _ASSET_KEYS:
-                diags.append((lineno, f"unknown asset key {key!r}"))
-                continue
-            if key in section:
-                diags.append((lineno, f"duplicate asset key {key!r}"))
-                continue
-            section[key] = (lineno, value)
+            seen[key] = (lineno, value.strip())
 
-    def scalar(key: str, kind: str, default):
-        if key not in top:
-            return default
-        line, raw = top[key]
-        return _parse_scalar(raw, kind, line, key, diags)
-
-    price_column = top.get("price_column", (0, "Close"))[1]
-    lookback = scalar("lookback", "int", 60)
-    train_fraction = scalar("train_fraction", "float", 0.8)
-    hidden_units = scalar("hidden_units", "int", 100)
-    layers = scalar("layers", "int", 2)
-    batch_size = scalar("batch_size", "int", 32)
-    epochs = scalar("epochs", "int", 100)
-    learning_rate = scalar("learning_rate", "float", 0.001)
-    validation_fraction = scalar("validation_fraction", "float", 0.1)
-    master_seed = scalar("seed", "int", DEFAULT_SEED)
-    out_dir = Path(top.get("out_dir", (0, "runs"))[1])
-
-    if "architectures" in top:
-        line, raw = top["architectures"]
-        kinds = tuple(k.strip().lower() for k in raw.split(",") if k.strip())
-        if not kinds:
-            diags.append((line, "architectures must name at least one of lstm, gru, bilstm"))
-        for k in kinds:
-            if k not in CELL_KINDS:
-                diags.append((line, f"unknown architecture {k!r}; expected one of {CELL_KINDS}"))
-    else:
-        kinds = CELL_KINDS
-
-    def check_range(key: str, value, ok: bool, expect: str):
-        if value is not None and not ok:
-            line = top.get(key, (0, ""))[0]
-            diags.append((line, f"{key} must be {expect}, got {value}"))
-
-    check_range("lookback", lookback, lookback is None or lookback >= 1, ">= 1")
-    check_range(
-        "train_fraction",
-        train_fraction,
-        train_fraction is None or 0.0 < train_fraction < 1.0,
-        "in (0, 1)",
-    )
-    check_range("hidden_units", hidden_units, hidden_units is None or hidden_units >= 1, ">= 1")
-    check_range("layers", layers, layers is None or layers >= 1, ">= 1")
-    check_range("batch_size", batch_size, batch_size is None or batch_size >= 1, ">= 1")
-    check_range("epochs", epochs, epochs is None or epochs >= 1, ">= 1")
-    check_range(
-        "learning_rate", learning_rate, learning_rate is None or learning_rate > 0.0, "> 0"
-    )
-    check_range(
-        "validation_fraction",
-        validation_fraction,
-        validation_fraction is None or 0.0 <= validation_fraction < 0.5,
-        "in [0, 0.5)",
-    )
+    fields = {}
+    for key, (line, raw) in top.items():
+        row = _KEYS[key]
+        try:
+            value = row.parse(key, raw)
+        except ValueError as exc:
+            diags.extend((line, message) for message in exc.args)
+            continue
+        if row.ok is not None and not row.ok(value):
+            diags.append((line, f"{key} must be {row.expect}, got {value}"))
+        elif isinstance(value, float) and not math.isfinite(value):
+            diags.append((line, f"{key} must be a finite float, got {raw!r}"))
+        else:
+            fields[row.field] = value
 
     asset_specs = []
     for line, symbol, keys in assets:
         if "csv" not in keys:
             diags.append((line, f"asset {symbol!r} is missing its csv path"))
             continue
-        asset_specs.append(AssetSpec(symbol=symbol, csv_path=Path(keys["csv"][1])))
+        csv_line, raw = keys["csv"]
+        try:
+            asset_specs.append(AssetSpec(symbol=symbol, csv_path=_path("csv", raw)))
+        except ValueError as exc:
+            diags.extend((csv_line, message) for message in exc.args)
     if not assets:
         diags.append((0, "config declares no [asset.<SYMBOL>] sections"))
 
     if diags:
         raise ConfigError(sorted(diags))
-
-    return ExperimentConfig(
-        assets=tuple(asset_specs),
-        architectures=kinds,
-        price_column=price_column,
-        lookback=lookback,
-        train_fraction=train_fraction,
-        hidden_units=hidden_units,
-        layers=layers,
-        batch_size=batch_size,
-        epochs=epochs,
-        learning_rate=learning_rate,
-        validation_fraction=validation_fraction,
-        master_seed=master_seed,
-        out_dir=out_dir,
-    )
+    return ExperimentConfig(assets=tuple(asset_specs), **fields)
 
 
 def load_config(path, seed: int | None = None, out_dir=None) -> ExperimentConfig:
@@ -261,17 +233,14 @@ def load_config(path, seed: int | None = None, out_dir=None) -> ExperimentConfig
     except OSError as exc:
         raise ConfigError([(0, f"cannot read config {path}: {exc}")]) from exc
     config = validate_config(text)
-    # config-relative dataset paths make configs relocatable
-    assets = tuple(
-        AssetSpec(a.symbol, a.csv_path if a.csv_path.is_absolute() else path.parent / a.csv_path)
-        for a in config.assets
-    )
-    replacements: dict = {"assets": assets}
+    # config-relative dataset paths make configs relocatable; an absolute path stays as it is
+    assets = tuple(AssetSpec(a.symbol, path.parent / a.csv_path) for a in config.assets)
+    config = dataclasses.replace(config, assets=assets)
     if seed is not None:
-        replacements["master_seed"] = seed
+        config = dataclasses.replace(config, master_seed=seed)
     if out_dir is not None:
-        replacements["out_dir"] = Path(out_dir)
-    return dataclasses.replace(config, **replacements)
+        config = dataclasses.replace(config, out_dir=Path(out_dir))
+    return config
 
 
 @dataclass
@@ -359,8 +328,6 @@ class RunResult:
     model: ModelParams
     train_report: TrainReport
     eval_report: EvalReport | None  # None until the trained model is evaluated
-    scaler: ScalerParams
-    run_dir: Path | None = None
 
 
 def run_single(
@@ -397,15 +364,9 @@ def run_single(
     except ForecastError as exc:
         if run_dir is not None:
             partial = getattr(exc, "report", None)
-            run_dir.mkdir(parents=True, exist_ok=True)
-            write_json(
-                run_dir / "train_report.json",
-                {
-                    "config": _config_echo(config, asset.symbol, cell_kind),
-                    "epochs": partial.epochs_log() if partial else [],
-                    "error": str(exc),
-                },
-            )
+            echo = _config_echo(config, asset.symbol, cell_kind)
+            epochs = partial.epochs_log() if partial else []
+            _write_train_report(run_dir, echo, epochs=epochs, error=str(exc))
         raise
     result = RunResult(
         asset=asset.symbol,
@@ -413,7 +374,6 @@ def run_single(
         model=model,
         train_report=train_report,
         eval_report=None,
-        scaler=prepared.scaler,
     )
     if run_dir is not None:
         write_run_artifacts(config, result, run_dir)
@@ -434,19 +394,11 @@ def run_single(
 
 
 def _config_echo(config: ExperimentConfig, asset: str, cell_kind: str) -> dict:
+    echo = {row.field: getattr(config, row.field) for row in _KEYS.values() if row.echo}
     return {
+        **echo,
         "asset": asset,
         "cell_kind": cell_kind,
-        "price_column": config.price_column,
-        "lookback": config.lookback,
-        "train_fraction": config.train_fraction,
-        "hidden_units": config.hidden_units,
-        "layers": config.layers,
-        "batch_size": config.batch_size,
-        "epochs": config.epochs,
-        "learning_rate": config.learning_rate,
-        "validation_fraction": config.validation_fraction,
-        "master_seed": config.master_seed,
         "init_seed": derive_seed(config.master_seed, asset, cell_kind, "init"),
         "shuffle_seed": derive_seed(config.master_seed, asset, cell_kind, "shuffle"),
     }
@@ -456,19 +408,19 @@ def write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _write_train_report(run_dir: Path, echo: dict, **entries) -> None:
+    """Write ``train_report.json``: the run's config echo and ``entries``."""
+    run_dir.mkdir(parents=True, exist_ok=True)
+    write_json(run_dir / "train_report.json", {"config": echo, **entries})
+
+
 def write_run_artifacts(config: ExperimentConfig, result: RunResult, run_dir: Path) -> None:
     """Persist one trained run: checkpoint and train report."""
     run_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(result.model, run_dir / "checkpoint.json")
-    write_json(
-        run_dir / "train_report.json",
-        {
-            "config": _config_echo(config, result.asset, result.cell_kind),
-            "checkpoint": "checkpoint.json",
-            "epochs": result.train_report.epochs_log(),
-        },
-    )
-    result.run_dir = run_dir
+    echo = _config_echo(config, result.asset, result.cell_kind)
+    epochs = result.train_report.epochs_log()
+    _write_train_report(run_dir, echo, checkpoint="checkpoint.json", epochs=epochs)
 
 
 def eval_report_dict(report: EvalReport, asset: str, cell_kind: str, scaler: ScalerParams) -> dict:

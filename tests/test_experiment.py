@@ -1,7 +1,9 @@
 """Config parsing, experiment orchestration, and the CLI surface."""
 
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from datetime import date, timedelta
@@ -10,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cryptoforecast import ConfigError, network, validate_config
+from cryptoforecast import ConfigError, experiment, network, validate_config
 from cryptoforecast.cli import main
 from cryptoforecast.network import ArchSpec, init_params, model_to_dict
 from cryptoforecast.experiment import (
@@ -91,6 +93,78 @@ def strict_json(path: Path):
     return json.loads(path.read_text(), parse_constant=reject)
 
 
+TOP_LEVEL_KEYS = (
+    "price_column",
+    "lookback",
+    "train_fraction",
+    "architectures",
+    "hidden_units",
+    "layers",
+    "batch_size",
+    "epochs",
+    "learning_rate",
+    "validation_fraction",
+    "seed",
+    "out_dir",
+)
+
+# (config line, the one diagnostic it gets) for a value of the wrong type or range
+BAD_VALUE_DIAGNOSTICS = [
+    ("lookback = 1.5", "lookback expects an int, got '1.5'"),
+    ("lookback = 0", "lookback must be >= 1, got 0"),
+    ("train_fraction = half", "train_fraction expects a float, got 'half'"),
+    ("train_fraction = 1", "train_fraction must be in (0, 1), got 1.0"),
+    ("train_fraction = nan", "train_fraction must be in (0, 1), got nan"),
+    ("train_fraction = inf", "train_fraction must be in (0, 1), got inf"),
+    ("architectures = lstm, transformer", "unknown architecture 'transformer'; expected one of ('lstm', 'gru', 'bilstm')"),
+    ("architectures = ,", "architectures must name at least one of lstm, gru, bilstm"),
+    ("hidden_units = x", "hidden_units expects an int, got 'x'"),
+    ("hidden_units = 0", "hidden_units must be >= 1, got 0"),
+    ("layers = two", "layers expects an int, got 'two'"),
+    ("layers = -1", "layers must be >= 1, got -1"),
+    ("batch_size = 32.0", "batch_size expects an int, got '32.0'"),
+    ("batch_size = 0", "batch_size must be >= 1, got 0"),
+    ("epochs =", "epochs expects an int, got ''"),
+    ("epochs = 0", "epochs must be >= 1, got 0"),
+    ("learning_rate = fast", "learning_rate expects a float, got 'fast'"),
+    ("learning_rate = 0", "learning_rate must be > 0, got 0.0"),
+    ("learning_rate = -inf", "learning_rate must be > 0, got -inf"),
+    ("learning_rate = nan", "learning_rate must be > 0, got nan"),
+    ("validation_fraction = none", "validation_fraction expects a float, got 'none'"),
+    ("validation_fraction = 0.5", "validation_fraction must be in [0, 0.5), got 0.5"),
+    ("seed = 1e3", "seed expects an int, got '1e3'"),
+]
+
+# (config line, ExperimentConfig field, parsed value) for a valid non-default value of every key
+ACCEPTED_VALUES = [
+    ("price_column = Adj Close", "price_column", "Adj Close"),
+    ("lookback = 5", "lookback", 5),
+    ("train_fraction = 0.75", "train_fraction", 0.75),
+    ("architectures = GRU, lstm", "architectures", ("gru", "lstm")),
+    ("hidden_units = 3", "hidden_units", 3),
+    ("layers = 1", "layers", 1),
+    ("batch_size = 1", "batch_size", 1),
+    ("epochs = 1", "epochs", 1),
+    ("learning_rate = 1e300", "learning_rate", 1e300),
+    ("validation_fraction = 0", "validation_fraction", 0.0),
+    ("seed = -5", "master_seed", -5),
+    ("out_dir = runs/x", "out_dir", Path("runs/x")),
+]
+
+# (config line, its diagnostics) for values that were accepted before the guards existed
+NEW_GUARD_DIAGNOSTICS = [
+    ("architectures = lstm, lstm", ["duplicate architecture 'lstm'"]),
+    (
+        "architectures = gru, LSTM, gru, lstm, gru",
+        ["duplicate architecture 'gru'", "duplicate architecture 'lstm'"],
+    ),
+    ("learning_rate = inf", ["learning_rate must be a finite float, got 'inf'"]),
+    ("learning_rate = 1e400", ["learning_rate must be a finite float, got '1e400'"]),
+    ("price_column =", ["price_column must not be empty"]),
+    ("out_dir =", ["out_dir must not be empty"]),
+]
+
+
 class TestValidateConfig:
     def test_minimal_config_gets_all_defaults(self):
         config = validate_config("[asset.BTC]\ncsv = data/btc.csv\n")
@@ -104,7 +178,48 @@ class TestValidateConfig:
         assert config.layers == 2
         assert config.architectures == ("lstm", "gru", "bilstm")
         assert config.price_column == "Close"
+        assert config.master_seed == 1234
+        assert config.out_dir == Path("runs")
         assert [a.symbol for a in config.assets] == ["BTC"]
+        assert config == ExperimentConfig(assets=(AssetSpec("BTC", Path("data/btc.csv")),))
+
+    @pytest.mark.parametrize("line, message", BAD_VALUE_DIAGNOSTICS)
+    def test_bad_value_diagnostic_text_and_line(self, line, message):
+        with pytest.raises(ConfigError) as exc_info:
+            validate_config(f"# the key sits on line 2\n{line}\n[asset.BTC]\ncsv = x.csv\n")
+        assert exc_info.value.diagnostics == [(2, message)]
+
+    @pytest.mark.parametrize("line, field, value", ACCEPTED_VALUES)
+    def test_accepted_value_sets_its_field_only(self, line, field, value):
+        config = validate_config(f"{line}\n[asset.BTC]\ncsv = x.csv\n")
+        default = validate_config("[asset.BTC]\ncsv = x.csv\n")
+        assert config == dataclasses.replace(default, **{field: value})
+
+    @pytest.mark.parametrize("line, messages", NEW_GUARD_DIAGNOSTICS)
+    def test_new_guard_diagnostics(self, line, messages):
+        with pytest.raises(ConfigError) as exc_info:
+            validate_config(f"# the key sits on line 2\n{line}\n[asset.BTC]\ncsv = x.csv\n")
+        assert exc_info.value.diagnostics == [(2, m) for m in messages]
+
+    def test_every_empty_value_is_diagnosed_at_its_own_line(self):
+        lines = [f"{key} =" for key in TOP_LEVEL_KEYS] + ["[asset.BTC]", "csv ="]
+        with pytest.raises(ConfigError) as exc_info:
+            validate_config("\n".join(lines) + "\n")
+        diagnosed = [line for line, _ in exc_info.value.diagnostics]
+        assert diagnosed == [*range(1, len(TOP_LEVEL_KEYS) + 1), len(lines)]
+        assert (len(lines), "csv must not be empty") in exc_info.value.diagnostics
+
+    def test_readme_config_table_matches_the_key_table(self):
+        section = (REPO / "README.md").read_text().split("## Config format", 1)[1].split("\n## ", 1)[0]
+        rows = dict(re.findall(r"^\| `(\w+)`[^|]*\| (\S.*?) *\|", section, re.M))
+        defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+
+        def shown(value):
+            return ", ".join(value) if isinstance(value, tuple) else str(value)
+
+        expected = {key: f"`{shown(defaults[row.field])}`" for key, row in experiment._KEYS.items()}
+        assert rows == {**expected, "csv": "—"}
+        assert sorted(experiment._KEYS) == sorted(TOP_LEVEL_KEYS)
 
     def test_zero_lookback_is_range_diagnostic(self):
         text = "lookback = 0\n[asset.BTC]\ncsv = x.csv\n"
@@ -323,6 +438,30 @@ class TestRunExperiment:
         assert doc["config"]["asset"] == "TST"
         assert doc["config"]["epochs"] == 2
 
+    def test_config_echo_keys_and_values(self):
+        text = (
+            "price_column = Open\nlookback = 7\ntrain_fraction = 0.7\narchitectures = gru, lstm\n"
+            "hidden_units = 5\nlayers = 3\nbatch_size = 4\nepochs = 6\nlearning_rate = 0.02\n"
+            "validation_fraction = 0.2\nseed = 42\nout_dir = elsewhere\n[asset.ETH]\ncsv = e.csv\n"
+        )
+        echo = experiment._config_echo(validate_config(text), "ETH", "gru")
+        assert echo == {
+            "asset": "ETH",
+            "cell_kind": "gru",
+            "price_column": "Open",
+            "lookback": 7,
+            "train_fraction": 0.7,
+            "hidden_units": 5,
+            "layers": 3,
+            "batch_size": 4,
+            "epochs": 6,
+            "learning_rate": 0.02,
+            "validation_fraction": 0.2,
+            "master_seed": 42,
+            "init_seed": derive_seed(42, "ETH", "gru", "init"),
+            "shuffle_seed": derive_seed(42, "ETH", "gru", "shuffle"),
+        }
+
 
 class TestCli:
     def test_run_and_reevaluate_byte_identical(self, tmp_path, capsys):
@@ -439,6 +578,31 @@ class TestCli:
         assert main(["gradcheck", "--trials", "2", "--cell", "gru", "--max-hidden", "4"]) == 0
         out = capsys.readouterr().out
         assert "gru" in out and "ok" in out
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--seed", "-1", "--seed must be >= 0, got -1"),
+            ("--trials", "-3", "--trials must be >= 1, got -3"),
+            ("--trials", "0", "--trials must be >= 1, got 0"),
+            ("--max-hidden", "1", "--max-hidden must be >= 2, got 1"),
+            ("--max-window", "2", "--max-window must be >= 3, got 2"),
+            ("--epsilon", "0", "--epsilon must be within [1e-7, 1e-3], got 0.0"),
+            ("--epsilon", "0.01", "--epsilon must be within [1e-7, 1e-3], got 0.01"),
+            ("--epsilon", "nan", "--epsilon must be within [1e-7, 1e-3], got nan"),
+        ],
+    )
+    def test_gradcheck_rejects_bad_flags(self, capsys, flag, value, message):
+        assert main(["gradcheck", "--trials", "1", "--cell", "gru", "--max-hidden", "2", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_gradcheck_has_no_out_option(self, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["gradcheck", "--trials", "1", "--out", "ignored"])
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments: --out ignored" in capsys.readouterr().err
 
     def test_gradcheck_failure_names_the_element(self, capsys, monkeypatch):
         real_backward = network.backward
