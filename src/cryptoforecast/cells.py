@@ -23,6 +23,16 @@ The sequence kernels run time-major (arrays shaped ``(time, batch,
 dim)``) so every per-step slice is contiguous, and they record the
 activations needed for an exact reverse-mode gradient.  All arithmetic
 is float64.
+
+Each kernel runs on a *workspace* (:class:`LstmForwardWork`,
+:class:`LstmBackwardWork`, :class:`GruForwardWork`,
+:class:`GruBackwardWork`): its tape and scratch buffers plus, for every
+step, a tuple of the views that step reads and writes, so the time loop
+unpacks views instead of indexing arrays.  A call given no workspace
+builds a fresh one, so its outputs share no memory with any other call's.
+A workspace passed in (``workspace=``) is reused: every call overwrites
+the previous call's tape, gradients and input gradient.  Only training
+passes one, and it never keeps a tape past its batch.
 """
 
 from __future__ import annotations
@@ -183,233 +193,367 @@ def _sigmoid_into(a: np.ndarray, out: np.ndarray) -> None:
     np.divide(1.0, out, out=out)
 
 
-def lstm_forward(params: CellParams, x: np.ndarray, store_tape: bool = True):
+def _fresh(name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The workspaces' default allocator: a new array for every buffer."""
+    return np.empty(shape)
+
+
+def _zeros(alloc, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    buf = alloc(name, shape)
+    buf.fill(0.0)
+    return buf
+
+
+def _check_forward_work(work, x: np.ndarray, store_tape: bool) -> None:
+    if (work.shape, work.store_tape) != (x.shape, bool(store_tape)):
+        raise ValueError(f"workspace for {work.shape} (store_tape={work.store_tape}) used on {x.shape}")
+
+
+def _check_backward_work(work, tape, dh_seq: np.ndarray) -> None:
+    """Reject a tape the workspace's views do not read; load ``dh_seq`` into the buffer they do."""
+    if tape.s is not work.tape_s:
+        raise ValueError("backward workspace was built for another tape")
+    if dh_seq is not work.dh_seq:
+        np.copyto(work.dh_seq, dh_seq)
+
+
+class LstmForwardWork:
+    """Buffers and per-step views of :func:`lstm_forward` for one cell and one input shape.
+
+    ``alloc(name, shape)`` hands out every buffer; the default allocates
+    fresh ones.  ``blocks`` holds, per input-projection block, its first
+    step, its length, the projection rows it fills, and one tuple per step
+    of the views that step reads and writes, so the time loop only unpacks
+    them.  A workspace is reused across calls of the same shape: each call
+    overwrites the previous call's tape and hidden sequence.
+    """
+
+    def __init__(self, steps: int, batch: int, inp: int, hidden: int, store_tape: bool = True, alloc=_fresh):
+        self.shape, self.store_tape = (steps, batch, inp), bool(store_tape)
+        rows = steps if store_tape else 1  # without a tape every step reuses row 0
+        s = self.s = alloc("s", (rows, batch, 3 * hidden))
+        g = self.g = alloc("g", (rows, batch, hidden))
+        c = self.c = alloc("c", (rows, batch, hidden))
+        tc = self.tc = alloc("tc", (rows, batch, hidden))
+        h = self.h = alloc("h", (steps, batch, hidden))
+        i, f, o = s[:, :, :hidden], s[:, :, hidden : 2 * hidden], s[:, :, 2 * hidden :]
+        self.ut = alloc("ut", (hidden, 4 * hidden))
+        a = self.a = alloc("a", (batch, 4 * hidden))
+        self.a_s, self.a_g = a[:, : 3 * hidden], a[:, 3 * hidden :]
+        self.ig = alloc("ig", (batch, hidden))
+        zero = _zeros(alloc, "zero", (batch, hidden))  # h and c before step 0
+        block = _projection_block_len(steps, batch, 4 * hidden)
+        xp = alloc("xp", (block, batch, 4 * hidden))
+        self.blocks = []
+        for t0 in range(0, steps, block):
+            m = min(block, steps - t0)
+            views = []
+            for t in range(t0, t0 + m):
+                k = t if store_tape else 0
+                h_prev, c_prev = (h[t - 1], c[max(k - 1, 0)]) if t else (zero, zero)
+                views.append((h_prev, xp[t - t0], s[k], g[k], c_prev, c[k], tc[k], i[k], f[k], o[k], h[t]))
+            self.blocks.append((t0, m, xp[:m].reshape(m * batch, 4 * hidden), views))
+
+    def tape(self, x) -> "LstmTape | None":
+        if not self.store_tape:
+            return None
+        return LstmTape(x=x, s=self.s, g=self.g, c=self.c, tc=self.tc, h=self.h)
+
+
+def lstm_forward(params: CellParams, x: np.ndarray, store_tape: bool = True, *, workspace=None):
     """Run an LSTM over a time-major batch of sequences from zero state.
 
     Returns the hidden sequence (T, B, H) and, when requested, the tape
     consumed by :func:`lstm_backward`.  Activations are written straight
     into the tape; without one, a single slot per quantity is reused.  The
     input projection is computed a block of steps at a time into one
-    reused buffer (see :data:`_HOIST_BYTES`).
+    reused buffer (see :data:`_HOIST_BYTES`).  Without a ``workspace`` (an
+    :class:`LstmForwardWork` of this shape) the call builds a fresh one, so
+    its outputs share no memory with any other call's.
     """
     steps, batch, inp = x.shape
-    hsize = params.hidden_size
-    wt = params.w.T
-    ut = np.ascontiguousarray(params.u.T)
-    block = _projection_block_len(steps, batch, 4 * hsize)
-    xp = np.empty((block, batch, 4 * hsize))
-    xp_flat = xp.reshape(block * batch, 4 * hsize)
-
-    # With a tape, step t writes row t of each tape array; without one,
-    # every step reuses row 0.  c starts at zero, so the row step 0 writes
-    # doubles as the zero initial cell state.
-    rows = steps if store_tape else 1
-    s = np.empty((rows, batch, 3 * hsize))
-    g = np.empty((rows, batch, hsize))
-    c = np.zeros((rows, batch, hsize))
-    tc = np.empty((rows, batch, hsize))
-    i, f, o = s[:, :, :hsize], s[:, :, hsize : 2 * hsize], s[:, :, 2 * hsize :]
-    h_seq = np.empty((steps, batch, hsize))
-    zero = np.zeros((batch, hsize))
-    a = np.empty((batch, 4 * hsize))
-    a_s, a_g = a[:, : 3 * hsize], a[:, 3 * hsize :]
-    ig = np.empty((batch, hsize))
-
-    for t in range(steps):
-        j = t % block
-        if not j:
-            m = min(block, steps - t)
-            xp_m = np.matmul(x[t : t + m].reshape(m * batch, inp), wt, out=xp_flat[: m * batch])
-            xp_m += params.b
-        k = t if store_tape else 0
-        np.matmul(h_seq[t - 1] if t else zero, ut, out=a)
-        a += xp[j]
-        _sigmoid_into(a_s, s[k])
-        g_t = np.tanh(a_g, out=g[k])
-        c_t = np.multiply(f[k], c[max(k - 1, 0)], out=c[k])
-        np.multiply(i[k], g_t, out=ig)
-        c_t += ig
-        np.multiply(o[k], np.tanh(c_t, out=tc[k]), out=h_seq[t])
-
-    if not store_tape:
-        return h_seq, None
-    return h_seq, LstmTape(x=x, s=s, g=g, c=c, tc=tc, h=h_seq)
+    work = workspace or LstmForwardWork(steps, batch, inp, params.hidden_size, store_tape)
+    _check_forward_work(work, x, store_tape)
+    wt, b = params.w.T, params.b
+    ut = work.ut
+    np.copyto(ut, params.u.T)
+    a, a_s, a_g, ig = work.a, work.a_s, work.a_g, work.ig
+    for t0, m, xp_m, views in work.blocks:
+        np.matmul(x[t0 : t0 + m].reshape(m * batch, inp), wt, out=xp_m)
+        xp_m += b
+        for h_prev, xp_t, s_t, g_t, c_prev, c_t, tc_t, i_t, f_t, o_t, h_t in views:
+            np.matmul(h_prev, ut, out=a)
+            a += xp_t
+            _sigmoid_into(a_s, s_t)
+            np.tanh(a_g, out=g_t)
+            np.multiply(f_t, c_prev, out=c_t)
+            np.multiply(i_t, g_t, out=ig)
+            c_t += ig
+            np.multiply(o_t, np.tanh(c_t, out=tc_t), out=h_t)
+    return work.h, work.tape(x)
 
 
-def lstm_backward(params: CellParams, tape: LstmTape, dh_seq: np.ndarray):
+class LstmBackwardWork:
+    """Buffers and per-step views of :func:`lstm_backward` over one cell's tape arrays.
+
+    ``tape`` supplies the arrays the views read (its ``x`` is not used) and
+    ``inp`` the layer's input width.  ``dh_seq`` is the output-gradient
+    buffer the views read; without one it is allocated.  Parameter
+    gradients are written into ``grad`` (a :class:`CellParams`, fresh
+    arrays unless given), and the input gradient into ``dx`` when
+    ``need_dx``.  ``alloc`` hands out the cell's own buffers; ``shared``
+    the scratch that lives only while one backward call runs (``da``, the
+    hoisted factors, the carries), which cells that run one after another
+    may share.
+    """
+
+    def __init__(self, tape, inp: int, dh_seq=None, grad=None, need_dx=True, alloc=_fresh, shared=_fresh):
+        steps, batch, hsize = tape.h.shape
+        s, g, c, tc, h = tape.s, tape.g, tape.c, tape.tc, tape.h
+        i, f, o = s[:, :, :hsize], s[:, :, hsize : 2 * hsize], s[:, :, 2 * hsize :]
+        self.tape_s = s
+        self.dh_seq = alloc("dh_seq", (steps, batch, hsize)) if dh_seq is None else dh_seq
+        da = shared("da", (steps, batch, 4 * hsize))
+        da_s, da_g = da[:, :, : 3 * hsize], da[:, :, 3 * hsize :]
+        da_i, da_f, da_o = da[:, :, :hsize], da[:, :, hsize : 2 * hsize], da[:, :, 2 * hsize : 3 * hsize]
+        self.dh, self.dc = shared("dh", (batch, hsize)), shared("dc", (batch, hsize))
+        self.dh_carry, self.dc_carry = shared("dh_carry", (batch, hsize)), shared("dc_carry", (batch, hsize))
+        zero = _zeros(shared, "zero", (batch, hsize))  # c before step 0
+
+        block = _block_len(steps, batch * 5 * hsize)
+        oms_buf = shared("oms", (block, batch, 3 * hsize))  # 1 - sigmoid gates
+        otc_buf = shared("otc", (block, batch, hsize))  # 1 - tanh(c)**2
+        og_buf = shared("og", (block, batch, hsize))  # 1 - g**2
+        self.blocks = []
+        for end in range(steps, 0, -block):
+            start = max(0, end - block)
+            oms, otc, og = oms_buf[: end - start], otc_buf[: end - start], og_buf[: end - start]
+            views = [
+                (self.dh_seq[t], o[t], otc[t - start], g[t], da_i[t], c[t - 1] if t else zero, da_f[t],
+                 tc[t], da_o[t], da_s[t], s[t], oms[t - start], da_g[t], i[t], og[t - start], da[t], f[t])
+                for t in range(end - 1, start - 1, -1)
+            ]
+            self.blocks.append(((s[start:end], oms, tc[start:end], otc, g[start:end], og), views))
+
+        self.flat = da.reshape(steps * batch, 4 * hsize)
+        # h_prev is zero at t=0, so the recurrent gradient only sums t >= 1
+        self.da_after_0 = da[1:].reshape(-1, 4 * hsize).T
+        self.h_before_last = h[:-1].reshape(-1, hsize)
+        if grad is None:
+            rows = 4 * hsize
+            grad = CellParams(w=alloc("dw", (rows, inp)), u=alloc("du", (rows, hsize)), b=alloc("db", (rows,)))
+        self.grad = grad
+        self.dx = alloc("dx", (steps, batch, inp)) if need_dx else None
+
+
+def lstm_backward(params: CellParams, tape: LstmTape, dh_seq: np.ndarray, *, workspace=None):
     """Exact gradient of an LSTM sequence pass.
 
     ``dh_seq`` holds the loss gradient w.r.t. every hidden output (zeros
     where a step's output is unused).  Returns (parameter gradients as a
-    :class:`CellParams`, gradient w.r.t. the layer input).
+    :class:`CellParams`, gradient w.r.t. the layer input, or None when the
+    ``workspace`` skips it).  Without a ``workspace`` (an
+    :class:`LstmBackwardWork` over this tape) the call builds a fresh one.
     """
-    steps, batch, hsize = tape.h.shape
-    s, g, c, tc = tape.s, tape.g, tape.c, tape.tc
-    i, f, o = s[:, :, :hsize], s[:, :, hsize : 2 * hsize], s[:, :, 2 * hsize :]
+    work = workspace or LstmBackwardWork(tape, tape.x.shape[2], dh_seq)
+    _check_backward_work(work, tape, dh_seq)
     u = params.u
-    da = np.empty((steps, batch, 4 * hsize))
-    da_s, da_g = da[:, :, : 3 * hsize], da[:, :, 3 * hsize :]
-    da_i, da_f, da_o = da[:, :, :hsize], da[:, :, hsize : 2 * hsize], da[:, :, 2 * hsize : 3 * hsize]
-    dh = np.empty((batch, hsize))
-    dc = np.empty((batch, hsize))
-    dh_carry = np.zeros((batch, hsize))
-    dc_carry = np.zeros((batch, hsize))
-    zero = np.zeros((batch, hsize))
-
-    block = _block_len(steps, batch * 5 * hsize)
-    oms_buf = np.empty((block, batch, 3 * hsize))
-    otc_buf = np.empty((block, batch, hsize))
-    og_buf = np.empty((block, batch, hsize))
-    for end in range(steps, 0, -block):
-        start = max(0, end - block)
-        m = end - start
-        oms = np.subtract(1.0, s[start:end], out=oms_buf[:m])  # 1 - sigmoid gates
-        otc = np.multiply(tc[start:end], tc[start:end], out=otc_buf[:m])
-        np.subtract(1.0, otc, out=otc)  # 1 - tanh(c)**2
-        og = np.multiply(g[start:end], g[start:end], out=og_buf[:m])
-        np.subtract(1.0, og, out=og)  # 1 - g**2
-
-        for t in range(end - 1, start - 1, -1):
-            k = t - start
-            np.add(dh_seq[t], dh_carry, out=dh)
-            np.multiply(dh, o[t], out=dc)
-            dc *= otc[k]
+    dh, dc, dh_carry, dc_carry = work.dh, work.dc, work.dh_carry, work.dc_carry
+    dh_carry.fill(0.0)
+    dc_carry.fill(0.0)
+    for (s_b, oms, tc_b, otc, g_b, og), views in work.blocks:
+        np.subtract(1.0, s_b, out=oms)
+        np.multiply(tc_b, tc_b, out=otc)
+        np.subtract(1.0, otc, out=otc)
+        np.multiply(g_b, g_b, out=og)
+        np.subtract(1.0, og, out=og)
+        for dh_t, o_t, otc_t, g_t, da_i, c_prev, da_f, tc_t, da_o, da_s, s_t, oms_t, da_g, i_t, og_t, da_t, f_t in views:
+            np.add(dh_t, dh_carry, out=dh)
+            np.multiply(dh, o_t, out=dc)
+            dc *= otc_t
             dc += dc_carry
-            np.multiply(dc, g[t], out=da_i[t])
-            np.multiply(dc, c[t - 1] if t else zero, out=da_f[t])
-            np.multiply(dh, tc[t], out=da_o[t])
-            das = da_s[t]
-            das *= s[t]
-            das *= oms[k]
-            dag = np.multiply(dc, i[t], out=da_g[t])
-            dag *= og[k]
-            np.matmul(da[t], u, out=dh_carry)
-            np.multiply(dc, f[t], out=dc_carry)
+            np.multiply(dc, g_t, out=da_i)
+            np.multiply(dc, c_prev, out=da_f)
+            np.multiply(dh, tc_t, out=da_o)
+            da_s *= s_t
+            da_s *= oms_t
+            np.multiply(dc, i_t, out=da_g)
+            da_g *= og_t
+            np.matmul(da_t, u, out=dh_carry)
+            np.multiply(dc, f_t, out=dc_carry)
 
-    flat = da.reshape(steps * batch, 4 * hsize)
-    dw = flat.T @ tape.x.reshape(steps * batch, -1)
-    # h_prev is zero at t=0, so the recurrent gradient only sums t >= 1.
-    du = da[1:].reshape(-1, 4 * hsize).T @ tape.h[:-1].reshape(-1, hsize)
-    db = flat.sum(axis=0)
-    dx = (flat @ params.w).reshape(tape.x.shape)
-    return CellParams(w=dw, u=du, b=db), dx
+    flat, grad = work.flat, work.grad
+    np.matmul(flat.T, tape.x.reshape(flat.shape[0], -1), out=grad.w)
+    np.matmul(work.da_after_0, work.h_before_last, out=grad.u)
+    np.sum(flat, axis=0, out=grad.b)
+    if work.dx is not None:
+        np.matmul(flat, params.w, out=work.dx.reshape(flat.shape[0], -1))
+    return grad, work.dx
 
 
-def gru_forward(params: CellParams, x: np.ndarray, store_tape: bool = True):
+class GruForwardWork:
+    """Buffers and per-step views of :func:`gru_forward`; see :class:`LstmForwardWork`."""
+
+    def __init__(self, steps: int, batch: int, inp: int, hidden: int, store_tape: bool = True, alloc=_fresh):
+        self.shape, self.store_tape = (steps, batch, inp), bool(store_tape)
+        rows = steps if store_tape else 1
+        s = self.s = alloc("s", (rows, batch, 2 * hidden))
+        n = self.n = alloc("n", (rows, batch, hidden))
+        rh = self.rh = alloc("rh", (rows, batch, hidden))
+        h = self.h = alloc("h", (steps, batch, hidden))
+        u, r = s[:, :, :hidden], s[:, :, hidden:]
+        self.u_ur_t = alloc("u_ur_t", (hidden, 2 * hidden))
+        self.u_c_t = alloc("u_c_t", (hidden, hidden))
+        self.a_ur, self.a_c = alloc("a_ur", (batch, 2 * hidden)), alloc("a_c", (batch, hidden))
+        self.keep = alloc("keep", (batch, hidden))
+        zero = _zeros(alloc, "zero", (batch, hidden))  # h before step 0
+        block = _projection_block_len(steps, batch, 3 * hidden)
+        xp_ur = alloc("xp_ur", (block, batch, 2 * hidden))
+        xp_c = alloc("xp_c", (block, batch, hidden))
+        self.blocks = []
+        for t0 in range(0, steps, block):
+            m = min(block, steps - t0)
+            views = []
+            for t in range(t0, t0 + m):
+                k = t if store_tape else 0
+                views.append((h[t - 1] if t else zero, xp_ur[t - t0], s[k], r[k], rh[k], xp_c[t - t0], n[k], u[k], h[t]))
+            xp_ur_m, xp_c_m = xp_ur[:m].reshape(m * batch, 2 * hidden), xp_c[:m].reshape(m * batch, hidden)
+            self.blocks.append((t0, m, xp_ur_m, xp_c_m, views))
+
+    def tape(self, x) -> "GruTape | None":
+        if not self.store_tape:
+            return None
+        return GruTape(x=x, s=self.s, n=self.n, rh=self.rh, h=self.h)
+
+
+def gru_forward(params: CellParams, x: np.ndarray, store_tape: bool = True, *, workspace=None):
     """Run a GRU over a time-major batch of sequences from zero state.
 
     Like :func:`lstm_forward`, writes activations straight into the tape,
-    or into one reused slot per quantity when no tape is kept, and computes
-    the input projection a block of steps at a time.
+    or into one reused slot per quantity when no tape is kept, computes
+    the input projection a block of steps at a time, and builds a fresh
+    :class:`GruForwardWork` when given no ``workspace``.
     """
     steps, batch, inp = x.shape
     hsize = params.hidden_size
+    work = workspace or GruForwardWork(steps, batch, inp, hsize, store_tape)
+    _check_forward_work(work, x, store_tape)
     # One input product per gate group, like the recurrent products: a
     # single product over all 3H columns rounds differently.
     w_ur_t, b_ur = params.w[: 2 * hsize].T, params.b[: 2 * hsize]
     w_c_t, b_c = params.w[2 * hsize :].T, params.b[2 * hsize :]
-    u_ur_t = np.ascontiguousarray(params.u[: 2 * hsize].T)
-    u_c_t = np.ascontiguousarray(params.u[2 * hsize :].T)
-    block = _projection_block_len(steps, batch, 3 * hsize)
-    xp_ur = np.empty((block, batch, 2 * hsize))
-    xp_c = np.empty((block, batch, hsize))
-    xp_ur_flat = xp_ur.reshape(block * batch, 2 * hsize)
-    xp_c_flat = xp_c.reshape(block * batch, hsize)
-
-    rows = steps if store_tape else 1
-    s = np.empty((rows, batch, 2 * hsize))
-    n = np.empty((rows, batch, hsize))
-    rh = np.empty((rows, batch, hsize))
-    u, r = s[:, :, :hsize], s[:, :, hsize:]
-    h_seq = np.empty((steps, batch, hsize))
-    zero = np.zeros((batch, hsize))
-    a_ur = np.empty((batch, 2 * hsize))
-    a_c = np.empty((batch, hsize))
-    keep = np.empty((batch, hsize))
-
-    for t in range(steps):
-        j = t % block
-        if not j:
-            m = min(block, steps - t)
-            x_m = x[t : t + m].reshape(m * batch, inp)
-            xp_ur_m = np.matmul(x_m, w_ur_t, out=xp_ur_flat[: m * batch])
-            xp_ur_m += b_ur
-            xp_c_m = np.matmul(x_m, w_c_t, out=xp_c_flat[: m * batch])
-            xp_c_m += b_c
-        k = t if store_tape else 0
-        h_prev = h_seq[t - 1] if t else zero
-        np.matmul(h_prev, u_ur_t, out=a_ur)
-        a_ur += xp_ur[j]
-        _sigmoid_into(a_ur, s[k])
-        np.matmul(np.multiply(r[k], h_prev, out=rh[k]), u_c_t, out=a_c)
-        a_c += xp_c[j]
-        n_t = np.tanh(a_c, out=n[k])
-        np.subtract(1.0, u[k], out=keep)
-        keep *= h_prev
-        h_t = np.multiply(u[k], n_t, out=h_seq[t])
-        h_t += keep
-
-    if not store_tape:
-        return h_seq, None
-    return h_seq, GruTape(x=x, s=s, n=n, rh=rh, h=h_seq)
+    u_ur_t, u_c_t = work.u_ur_t, work.u_c_t
+    np.copyto(u_ur_t, params.u[: 2 * hsize].T)
+    np.copyto(u_c_t, params.u[2 * hsize :].T)
+    a_ur, a_c, keep = work.a_ur, work.a_c, work.keep
+    for t0, m, xp_ur_m, xp_c_m, views in work.blocks:
+        x_m = x[t0 : t0 + m].reshape(m * batch, inp)
+        np.matmul(x_m, w_ur_t, out=xp_ur_m)
+        xp_ur_m += b_ur
+        np.matmul(x_m, w_c_t, out=xp_c_m)
+        xp_c_m += b_c
+        for h_prev, xp_ur_t, s_t, r_t, rh_t, xp_c_t, n_t, u_t, h_t in views:
+            np.matmul(h_prev, u_ur_t, out=a_ur)
+            a_ur += xp_ur_t
+            _sigmoid_into(a_ur, s_t)
+            np.matmul(np.multiply(r_t, h_prev, out=rh_t), u_c_t, out=a_c)
+            a_c += xp_c_t
+            np.tanh(a_c, out=n_t)
+            np.subtract(1.0, u_t, out=keep)
+            keep *= h_prev
+            np.multiply(u_t, n_t, out=h_t)
+            h_t += keep
+    return work.h, work.tape(x)
 
 
-def gru_backward(params: CellParams, tape: GruTape, dh_seq: np.ndarray):
+class GruBackwardWork:
+    """Buffers and per-step views of :func:`gru_backward`; see :class:`LstmBackwardWork`."""
+
+    def __init__(self, tape, inp: int, dh_seq=None, grad=None, need_dx=True, alloc=_fresh, shared=_fresh):
+        steps, batch, hsize = tape.h.shape
+        s, n, h = tape.s, tape.n, tape.h
+        u, r = s[:, :, :hsize], s[:, :, hsize:]
+        self.tape_s = s
+        self.dh_seq = alloc("dh_seq", (steps, batch, hsize)) if dh_seq is None else dh_seq
+        da_ur = shared("da_ur", (steps, batch, 2 * hsize))
+        da_u, da_r = da_ur[:, :, :hsize], da_ur[:, :, hsize:]
+        da_c = shared("da_c", (steps, batch, hsize))
+        self.dh, self.drh = shared("dh", (batch, hsize)), shared("drh", (batch, hsize))
+        self.tmp, self.dh_carry = shared("tmp", (batch, hsize)), shared("dh_carry", (batch, hsize))
+        zero = _zeros(shared, "zero", (batch, hsize))  # h before step 0
+
+        block = _block_len(steps, batch * 4 * hsize)
+        oms_buf = shared("oms", (block, batch, 2 * hsize))  # 1 - sigmoid gates
+        onn_buf = shared("onn", (block, batch, hsize))  # 1 - n**2
+        nmh_buf = shared("nmh", (block, batch, hsize))  # n - h_prev
+        self.blocks = []
+        for end in range(steps, 0, -block):
+            start = max(0, end - block)
+            oms, onn, nmh = oms_buf[: end - start], onn_buf[: end - start], nmh_buf[: end - start]
+            omu = oms[:, :, :hsize]
+            if start:
+                differences = [(n[start:end], h[start - 1 : end - 1], nmh)]
+            else:  # with a zero h_prev at step 0
+                differences = [(n[0], zero, nmh[0]), (n[1:end], h[: end - 1], nmh[1:])]
+            views = [
+                (self.dh_seq[t], u[t], da_c[t], onn[t - start], nmh[t - start], da_u[t], h[t - 1] if t else zero,
+                 da_r[t], da_ur[t], s[t], oms[t - start], omu[t - start], r[t])
+                for t in range(end - 1, start - 1, -1)
+            ]
+            self.blocks.append(((s[start:end], oms, n[start:end], onn, differences), views))
+
+        self.flat_ur = da_ur.reshape(steps * batch, 2 * hsize)
+        self.flat_c = da_c.reshape(steps * batch, hsize)
+        self.da_ur_after_0 = da_ur[1:].reshape(-1, 2 * hsize).T
+        self.h_before_last = h[:-1].reshape(-1, hsize)
+        self.rh_flat = tape.rh.reshape(steps * batch, hsize)
+        if grad is None:
+            rows = 3 * hsize
+            grad = CellParams(w=alloc("dw", (rows, inp)), u=alloc("du", (rows, hsize)), b=alloc("db", (rows,)))
+        self.grad = grad
+        self.dx = alloc("dx", (steps, batch, inp)) if need_dx else None
+        self.dx_c = shared("dx_c", (steps * batch, inp)) if need_dx else None
+
+
+def gru_backward(params: CellParams, tape: GruTape, dh_seq: np.ndarray, *, workspace=None):
     """Exact gradient of a GRU sequence pass; mirrors :func:`lstm_backward`."""
-    steps, batch, hsize = tape.h.shape
-    s, n, h = tape.s, tape.n, tape.h
-    u, r = s[:, :, :hsize], s[:, :, hsize:]
+    work = workspace or GruBackwardWork(tape, tape.x.shape[2], dh_seq)
+    _check_backward_work(work, tape, dh_seq)
+    hsize = params.hidden_size
     u_ur = params.u[: 2 * hsize]
     u_c = params.u[2 * hsize :]
-    da_ur = np.empty((steps, batch, 2 * hsize))
-    da_u, da_r = da_ur[:, :, :hsize], da_ur[:, :, hsize:]
-    da_c = np.empty((steps, batch, hsize))
-    dh = np.empty((batch, hsize))
-    drh = np.empty((batch, hsize))
-    tmp = np.empty((batch, hsize))
-    dh_carry = np.zeros((batch, hsize))
-    zero = np.zeros((batch, hsize))
+    dh, drh, tmp, dh_carry = work.dh, work.drh, work.tmp, work.dh_carry
+    dh_carry.fill(0.0)
+    for (s_b, oms, n_b, onn, differences), views in work.blocks:
+        np.subtract(1.0, s_b, out=oms)
+        np.multiply(n_b, n_b, out=onn)
+        np.subtract(1.0, onn, out=onn)
+        for a, b, out in differences:
+            np.subtract(a, b, out=out)
+        for dh_t, u_t, da_c, onn_t, nmh_t, da_u, h_prev, da_r, da_ur, s_t, oms_t, omu_t, r_t in views:
+            np.add(dh_t, dh_carry, out=dh)
+            np.multiply(dh, u_t, out=da_c)
+            da_c *= onn_t
+            np.matmul(da_c, u_c, out=drh)
+            np.multiply(dh, nmh_t, out=da_u)
+            np.multiply(drh, h_prev, out=da_r)
+            da_ur *= s_t
+            da_ur *= oms_t
+            np.multiply(dh, omu_t, out=dh_carry)
+            dh_carry += np.multiply(drh, r_t, out=tmp)
+            dh_carry += np.matmul(da_ur, u_ur, out=tmp)
 
-    block = _block_len(steps, batch * 4 * hsize)
-    oms_buf = np.empty((block, batch, 2 * hsize))
-    onn_buf = np.empty((block, batch, hsize))
-    nmh_buf = np.empty((block, batch, hsize))
-    for end in range(steps, 0, -block):
-        start = max(0, end - block)
-        m = end - start
-        oms = np.subtract(1.0, s[start:end], out=oms_buf[:m])  # 1 - sigmoid gates
-        omu = oms[:, :, :hsize]
-        onn = np.multiply(n[start:end], n[start:end], out=onn_buf[:m])
-        np.subtract(1.0, onn, out=onn)  # 1 - n**2
-        nmh = nmh_buf[:m]  # n - h_prev, with a zero h_prev at step 0
-        if start:
-            np.subtract(n[start:end], h[start - 1 : end - 1], out=nmh)
-        else:
-            np.subtract(n[0], zero, out=nmh[0])
-            np.subtract(n[1:end], h[: end - 1], out=nmh[1:])
-
-        for t in range(end - 1, start - 1, -1):
-            k = t - start
-            np.add(dh_seq[t], dh_carry, out=dh)
-            dan = np.multiply(dh, u[t], out=da_c[t])
-            dan *= onn[k]
-            np.matmul(dan, u_c, out=drh)
-            np.multiply(dh, nmh[k], out=da_u[t])
-            np.multiply(drh, h[t - 1] if t else zero, out=da_r[t])
-            da_t = da_ur[t]
-            da_t *= s[t]
-            da_t *= oms[k]
-            np.multiply(dh, omu[k], out=dh_carry)
-            dh_carry += np.multiply(drh, r[t], out=tmp)
-            dh_carry += np.matmul(da_t, u_ur, out=tmp)
-
-    flat_ur = da_ur.reshape(steps * batch, 2 * hsize)
-    flat_c = da_c.reshape(steps * batch, hsize)
-    flat_x = tape.x.reshape(steps * batch, -1)
-    dw = np.concatenate([flat_ur.T @ flat_x, flat_c.T @ flat_x], axis=0)
-    du_ur = da_ur[1:].reshape(-1, 2 * hsize).T @ tape.h[:-1].reshape(-1, hsize)
-    du_c = flat_c.T @ tape.rh.reshape(steps * batch, hsize)
-    du = np.concatenate([du_ur, du_c], axis=0)
-    db = np.concatenate([flat_ur.sum(axis=0), flat_c.sum(axis=0)])
-    dx = (flat_ur @ params.w[: 2 * hsize] + flat_c @ params.w[2 * hsize :]).reshape(tape.x.shape)
-    return CellParams(w=dw, u=du, b=db), dx
+    flat_ur, flat_c, grad = work.flat_ur, work.flat_c, work.grad
+    flat_x = tape.x.reshape(flat_ur.shape[0], -1)
+    ur, c = slice(0, 2 * hsize), slice(2 * hsize, 3 * hsize)
+    np.matmul(flat_ur.T, flat_x, out=grad.w[ur])
+    np.matmul(flat_c.T, flat_x, out=grad.w[c])
+    np.matmul(work.da_ur_after_0, work.h_before_last, out=grad.u[ur])
+    np.matmul(flat_c.T, work.rh_flat, out=grad.u[c])
+    np.sum(flat_ur, axis=0, out=grad.b[ur])
+    np.sum(flat_c, axis=0, out=grad.b[c])
+    if work.dx is not None:
+        dx_flat = work.dx.reshape(flat_ur.shape[0], -1)
+        np.matmul(flat_ur, params.w[ur], out=dx_flat)
+        dx_flat += np.matmul(flat_c, params.w[c], out=work.dx_c)
+    return grad, work.dx

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -74,6 +75,7 @@ _GRADCHECK_FLAGS = (
     ("max_hidden", lambda v: v >= 2, ">= 2"),
     ("max_window", lambda v: v >= 3, ">= 3"),
     ("epsilon", lambda v: 1e-7 <= v <= 1e-3, "within [1e-7, 1e-3]"),
+    ("threshold", lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
 )
 
 
@@ -183,6 +185,8 @@ def main(argv=None) -> int:
         format="%(asctime)s %(levelname)s %(name)s: %(message)s",
     )
     try:
+        if getattr(args, "out", None) == "":  # would otherwise write into the working directory
+            raise ForecastError("--out must not be empty")
         return _COMMANDS[args.command](args)
     except ForecastError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,6 +28,10 @@ from .cells import (
     GRU_GATE_ORDER,
     LSTM_GATE_ORDER,
     CellParams,
+    GruBackwardWork,
+    GruForwardWork,
+    LstmBackwardWork,
+    LstmForwardWork,
     gru_backward,
     gru_forward,
     lstm_backward,
@@ -218,19 +222,81 @@ def _side_by_side(parts: list, axis: int) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
 
 
-def forward_batch(model: ModelParams, windows, store_tape: bool = True):
+def _carver(buffers: dict):
+    """An allocator for the cell workspaces that hands out the leading elements of ``buffers[name]``.
+
+    A buffer is allocated on its first request and replaced when a larger
+    shape asks for it, so workspaces built for a smaller batch after a
+    larger one use the same memory.
+    """
+
+    def alloc(name: str, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        if name not in buffers or buffers[name].size < size:
+            buffers[name] = np.empty(size)
+        return buffers[name][:size].reshape(shape)
+
+    return alloc
+
+
+class Workspace:
+    """Buffers one training run reuses across its batches.
+
+    Per direction cell: its forward and backward kernel workspaces (tape,
+    scratch and per-step views), carved from buffers sized by the first
+    batch, so the short last batch uses their leading elements; the
+    backward scratch is shared by all cells, which run one after another.
+    ``grads`` is one gradient vector, laid out by
+    :attr:`ArchSpec.param_layout`, that :func:`backward_batch` writes in
+    place.  Each batch overwrites the previous batch's tape and gradients,
+    so no tape outlives its batch.
+    """
+
+    def __init__(self, model: ModelParams):
+        self.arch = model.arch
+        self.grads = ParamGrads(model.arch, np.empty(model.vector.size), model.seed)
+        self._own = [[{} for _ in layer] for layer in model.layers]
+        self._shared = {}
+        self._cells = {}
+
+    def cells(self, steps: int, batch: int) -> list:
+        """Per layer, a tuple of (forward, backward) kernel workspaces per direction, for (steps, batch) inputs."""
+        if (steps, batch) not in self._cells:
+            arch = self.arch
+            fwd_work, bwd_work = (
+                (GruForwardWork, GruBackwardWork) if arch.cell_kind == "gru" else (LstmForwardWork, LstmBackwardWork)
+            )
+            shared = _carver(self._shared)
+            layers = []
+            for li, (inp, buffers) in enumerate(zip(arch.layer_input_sizes(), self._own)):
+                pairs = []
+                for d, own in enumerate(buffers):
+                    alloc = _carver(own)
+                    fwd = fwd_work(steps, batch, inp, arch.hidden_units, True, alloc)
+                    grad = self.grads.layers[li][d]
+                    bwd = bwd_work(fwd.tape(None), inp, grad=grad, need_dx=li > 0, alloc=alloc, shared=shared)
+                    pairs.append((fwd, bwd))
+                layers.append(tuple(pairs))
+            self._cells[(steps, batch)] = layers
+        return self._cells[(steps, batch)]
+
+
+def forward_batch(model: ModelParams, windows, store_tape: bool = True, *, workspace: Workspace | None = None):
     """Predict one scalar per window.  Returns (predictions, tape or None).
 
     Each layer runs its direction cells over the layer input, direction 1
     over reversed time.  Only the next layer's input outlives a layer.
+    With a ``workspace`` the tape lives in its buffers until the next call.
     """
     x = _as_batch(windows, model.arch.input_dim)
     run = gru_forward if model.arch.cell_kind == "gru" else lstm_forward
+    cells = workspace.cells(*x.shape[:2]) if workspace is not None else None
     seq, layer_tapes = x, []
     for li, layer in enumerate(model.layers):
         runs = []  # emptied before the kernels run, so the layer below's outputs are freed
         for d, cell in enumerate(layer):
-            runs.append(run(cell, np.ascontiguousarray(seq[::-1]) if d else seq, store_tape))
+            work = cells[li][d][0] if cells is not None else None
+            runs.append(run(cell, np.ascontiguousarray(seq[::-1]) if d else seq, store_tape, workspace=work))
         layer_tapes.append(tuple(cell_tape for _, cell_tape in runs))
         if li < len(model.layers) - 1:
             seq = _side_by_side([h_seq[::-1] if d else h_seq for d, (h_seq, _) in enumerate(runs)], axis=2)
@@ -250,12 +316,15 @@ def forward(model: ModelParams, window):
     return float(preds[0]), tape
 
 
-def backward_batch(model: ModelParams, tape: ModelTape, d_predictions) -> ParamGrads:
+def backward_batch(
+    model: ModelParams, tape: ModelTape, d_predictions, *, workspace: Workspace | None = None
+) -> ParamGrads:
     """Gradients of ``sum_j d_predictions[j] * prediction_j`` w.r.t. all parameters.
 
     Reverse-mode accumulation through the dense head and every layer's
-    direction cells.  The tape must come from :func:`forward_batch` on this
-    same model.
+    direction cells, written straight into one gradient vector: a fresh
+    one, or the ``workspace``'s, which the next call overwrites.  The tape
+    must come from :func:`forward_batch` on this same model (and workspace).
     """
     arch = model.arch
     d_preds = np.asarray(d_predictions, dtype=np.float64)
@@ -267,29 +336,36 @@ def backward_batch(model: ModelParams, tape: ModelTape, d_predictions) -> ParamG
         raise ValueError("tape does not match this model")
 
     hsize = arch.hidden_units
-    back = gru_backward if arch.cell_kind == "gru" else lstm_backward
+    back, bwd_work = (gru_backward, GruBackwardWork) if arch.cell_kind == "gru" else (lstm_backward, LstmBackwardWork)
+    cells = workspace.cells(*tape.x.shape[:2]) if workspace is not None else None
+    grads = workspace.grads if workspace is not None else model.zeros_like()
 
-    d_dense_w = tape.final.T @ d_preds
-    d_dense_b = np.array([d_preds.sum()])
+    np.matmul(tape.final.T, d_preds, out=grads.dense_w)
+    grads.dense_b[0] = d_preds.sum()
     d_final = np.outer(d_preds, model.dense_w)
 
-    arrays = [d_dense_w, d_dense_b]  # in flat() order, filled in from the top layer down
     d_seq = None  # gradient w.r.t. the current layer's output sequence; None at the top layer
-    for layer, layer_tape in zip(reversed(model.layers), reversed(tape.layer_tapes)):
-        layer_arrays, d_input = [], None
-        for d, (cell, cell_tape) in enumerate(zip(layer, layer_tape)):
+    for li in range(len(model.layers) - 1, -1, -1):
+        d_input = None
+        for d, (cell, cell_tape) in enumerate(zip(model.layers[li], tape.layer_tapes[li])):
+            if cells is not None:
+                work = cells[li][d][1]
+            else:
+                inp = cell_tape.x.shape[2]
+                work = bwd_work(cell_tape, inp, grad=grads.layers[li][d], need_dx=li > 0)
             cols = slice(d * hsize, (d + 1) * hsize)
+            dh = work.dh_seq
             if d_seq is None:  # the head read only this direction's last step
-                dh = np.zeros(cell_tape.h.shape)
+                dh[:-1] = 0.0
                 dh[-1] = d_final[:, cols]
             else:  # direction 1 ran on reversed time, so its gradient is flipped
-                dh = np.ascontiguousarray((d_seq[::-1] if d else d_seq)[:, :, cols])
-            grad, dx = back(cell, cell_tape, dh)
-            layer_arrays += grad.arrays()
-            dx = dx[::-1] if d else dx  # back in time order
-            d_input = dx if d_input is None else d_input + dx
-        arrays, d_seq = layer_arrays + arrays, d_input
-    return model.rebuild(arrays)
+                np.copyto(dh, (d_seq[::-1] if d else d_seq)[:, :, cols])
+            _, dx = back(cell, cell_tape, dh, workspace=work)
+            if li:
+                dx = dx[::-1] if d else dx  # back in time order
+                d_input = dx if d_input is None else d_input + dx
+        d_seq = d_input
+    return grads
 
 
 def backward(model: ModelParams, tape: ModelTape, d_prediction: float) -> ParamGrads:

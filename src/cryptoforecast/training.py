@@ -17,7 +17,7 @@ import numpy as np
 from .cells import _HOIST_BYTES
 from .errors import DivergenceError, ForecastError, InsufficientDataError, PoisonedUpdateError
 from .metrics import mse_loss
-from .network import ModelParams, ParamGrads, backward_batch, forward_batch
+from .network import ModelParams, ParamGrads, Workspace, backward_batch, forward_batch
 from .preprocess import SequenceBatch
 
 log = logging.getLogger(__name__)
@@ -80,40 +80,53 @@ class TrainReport:
 
 
 def adam_step(
-    params: ModelParams, grads: ParamGrads, state: OptimizerState, config: TrainConfig
+    params: ModelParams,
+    grads: ParamGrads,
+    state: OptimizerState,
+    config: TrainConfig,
+    *,
+    out: tuple[ModelParams, OptimizerState] | None = None,
 ) -> tuple[ModelParams, OptimizerState]:
-    """One bias-corrected Adam update.  Pure: returns new params and state.
+    """One bias-corrected Adam update.  Returns the updated params and state.
 
-    A non-finite gradient raises :class:`PoisonedUpdateError`, naming its
-    parameter array, before any update.  The vectors are updated a block at
-    a time, so temporaries stay within :data:`cells._HOIST_BYTES` and in
-    cache at any model size; each element sees the textbook operations in
-    textbook order, so the result does not depend on the blocking.
+    Pure by default: the update is applied to copies.  With
+    ``out=(params, state)`` it is applied to those objects' vectors in
+    place and they are returned.  A non-finite gradient raises
+    :class:`PoisonedUpdateError`, naming its parameter array, before any
+    update.  The vectors are updated a block at a time, so temporaries stay
+    within :data:`cells._HOIST_BYTES` and in cache at any model size; each
+    element sees the textbook operations in textbook order, so the result
+    does not depend on the blocking or on updating in place.
     """
     if grads.arch != params.arch:
         raise ValueError("gradient structure does not match parameters")
-    p, g, m, v = params.vector, grads.vector, state.m, state.v
+    g = grads.vector
     finite = np.isfinite(g)
     if not finite.all():
         raise PoisonedUpdateError(params.locate(int(np.argmin(finite)))[0])
+    if out is None:
+        out = params.copy(), OptimizerState(m=state.m.copy(), v=state.v.copy(), step=state.step)
+    new_params, new_state = out
+    p, m, v = new_params.vector, new_state.m, new_state.v
 
-    t = state.step + 1
+    t = new_state.step = state.step + 1
     b1, b2 = config.adam_beta1, config.adam_beta2
     corr1 = 1.0 - b1**t
     corr2 = 1.0 - b2**t
     lr, eps = config.learning_rate, config.adam_epsilon
 
-    new_p, new_m, new_v = np.empty_like(p), np.empty_like(m), np.empty_like(v)
     block = _HOIST_BYTES // p.itemsize
     update_buf, denom_buf = np.empty(min(block, p.size)), np.empty(min(block, p.size))
     for start in range(0, p.size, block):
         rows = slice(start, start + block)
         update, denom = update_buf[: p.size - start], denom_buf[: p.size - start]
-        m2 = np.multiply(b1, m[rows], out=new_m[rows])
+        m2 = m[rows]
+        m2 *= b1
         m2 += np.multiply(1.0 - b1, g[rows], out=update)
         gg = np.multiply(g[rows], g[rows], out=update)
         gg *= 1.0 - b2
-        v2 = np.multiply(b2, v[rows], out=new_v[rows])
+        v2 = v[rows]
+        v2 *= b2
         v2 += gg
         np.divide(m2, corr1, out=update)
         update *= lr
@@ -121,8 +134,8 @@ def adam_step(
         np.sqrt(denom, out=denom)
         denom += eps
         update /= denom
-        np.subtract(p[rows], update, out=new_p[rows])
-    return ModelParams(params.arch, new_p, params.seed), OptimizerState(m=new_m, v=new_v, step=t)
+        p[rows] -= update
+    return new_params, new_state
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite values are reported below, not warned about
@@ -155,7 +168,9 @@ def train(
     val_targets = targets[n_train:]
 
     rng = np.random.default_rng(config.shuffle_seed)
+    model = model.copy()  # updated in place from here on
     state = OptimizerState.zeros(model)
+    workspace = Workspace(model)
     report = TrainReport(train_losses=[], val_losses=[], epoch_seconds=[], config=config)
     try:
         for epoch in range(1, config.epochs + 1):
@@ -166,13 +181,13 @@ def train(
                 idx = perm[start : start + config.batch_size]
                 xb = inputs[idx]
                 yb = targets[idx]
-                preds, tape = forward_batch(model, xb)
+                preds, tape = forward_batch(model, xb, workspace=workspace)
                 resid = preds - yb
                 batch_losses.append(float(np.mean(resid * resid)))
                 d_preds = (2.0 / idx.shape[0]) * resid
-                grads = backward_batch(model, tape, d_preds)
+                grads = backward_batch(model, tape, d_preds, workspace=workspace)
                 try:
-                    model, state = adam_step(model, grads, state, config)
+                    model, state = adam_step(model, grads, state, config, out=(model, state))
                 except PoisonedUpdateError as exc:
                     raise PoisonedUpdateError(exc.array, epoch, batch) from None
 

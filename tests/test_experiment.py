@@ -376,10 +376,10 @@ class TestRunExperiment:
         config = tiny_config(tmp_path, epochs=3, architectures=("lstm", "gru"))
         real_step = training.adam_step
 
-        def poison_second_epoch(model, grads, state, tconfig):
+        def poison_second_epoch(model, grads, state, tconfig, **kwargs):
             if model.arch.cell_kind == "lstm" and state.step == batches_per_epoch:
                 grads.vector[-3] = np.inf  # in dense_w
-            return real_step(model, grads, state, tconfig)
+            return real_step(model, grads, state, tconfig, **kwargs)
 
         n_windows = len(prepare_asset(config, config.assets[0]).train_windows)
         n_train = n_windows - int(n_windows * config.validation_fraction)
@@ -590,6 +590,10 @@ class TestCli:
             ("--epsilon", "0", "--epsilon must be within [1e-7, 1e-3], got 0.0"),
             ("--epsilon", "0.01", "--epsilon must be within [1e-7, 1e-3], got 0.01"),
             ("--epsilon", "nan", "--epsilon must be within [1e-7, 1e-3], got nan"),
+            ("--threshold", "nan", "--threshold must be finite and > 0, got nan"),
+            ("--threshold", "inf", "--threshold must be finite and > 0, got inf"),
+            ("--threshold", "0", "--threshold must be finite and > 0, got 0.0"),
+            ("--threshold", "-1", "--threshold must be finite and > 0, got -1.0"),
         ],
     )
     def test_gradcheck_rejects_bad_flags(self, capsys, flag, value, message):
@@ -597,6 +601,26 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["prepare", "train", "evaluate", "run"])
+    def test_empty_out_is_rejected_and_writes_nothing(self, tmp_path, capsys, monkeypatch, command):
+        csv_path = tiny_csv(tmp_path)
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(
+            f"lookback = 10\nhidden_units = 4\nepochs = 1\nout_dir = {tmp_path / 'out'}\n[asset.TST]\ncsv = {csv_path}\n"
+        )
+        ckpt = tmp_path / "checkpoint.json"
+        ckpt.write_text(json.dumps(model_to_dict(init_params(ArchSpec("lstm", hidden_units=4), seed=3))))
+        extra = {"train": ["--asset", "TST", "--arch", "lstm"], "evaluate": ["--asset", "TST", "--checkpoint", str(ckpt)]}
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert main([command, "--config", str(config_path), "--out", "", *extra.get(command, [])]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --out must not be empty\n"
+        assert list(cwd.iterdir()) == []
+        assert not (tmp_path / "out").exists()
 
     def test_gradcheck_has_no_out_option(self, capsys):
         with pytest.raises(SystemExit) as exc_info:

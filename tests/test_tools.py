@@ -99,3 +99,53 @@ def test_bench_ab_gain_needs_nine_in_ten_wins_and_more_than_the_parent_iqr():
     assert s["wins"] == 10 and s["parent_iqr"] == 45.0 and not s["gain"]
     s = bench_ab.summarize([(2.0, 3.0)], "higher")
     assert s["parent"] == {"q1": 2.0, "median": 2.0, "q3": 2.0} and s["gain"]
+
+
+bench = load_tool("bench")
+
+
+def result_line(values: dict, attempted=9, failed=0) -> str:
+    metrics = {name: {"value": value, "unit": "x"} for name, value in values.items()}
+    return json.dumps({"correct": failed == 0, "attempted": attempted, "failed": failed, "metrics": metrics})
+
+
+def canned_run(cal: float, rss: float = 50.0, setup: float = 0.2) -> list[str]:
+    return ["workload train_small: 6 passes", "  run_wall_cal   4000 cal",
+            result_line({"setup_s": setup, "run_wall_cal": cal, "peak_rss_mb": rss})]
+
+
+def test_bench_record_from_canned_lines():
+    spec = {"run_seconds": 30, "end_to_end": [
+        {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "run_wall_cal", "unit": "cal", "better": "lower", "bound": 0.15},
+        {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1}]}
+    env = {"git_sha": "abc", "numpy": "2.4.6"}
+    traced = ["env " + json.dumps(env), "per-layer, per traced pass:",
+              result_line({"cells.calls": 8000.0, "training.adam_step.s": 0.1})]
+    runs = [canned_run(c) for c in (4100.0, 4000.0, 4300.0, 3900.0, 4200.0)]
+    runs.append([])  # a run that printed nothing
+    tier1 = ["....", "FAILED tests/test_x.py::test_y", "1 failed, 329 passed, 2 deselected in 127.31s (0:02:07)"]
+    record = bench.bench_record("pr6", spec, 1, {"train_small": (runs, traced)}, tier1)
+
+    assert record["label"] == "pr6" and record["seed"] == 1 and record["run_seconds"] == 30
+    assert record["environment"] == env
+    assert record["tier1"] == {"wall_s": 127.31, "summary": "1 failed, 329 passed, 2 deselected"}
+    small = record["workloads"]["train_small"]
+    assert (small["runs"], small["runs_reported"], small["failed_ratio"]) == (6, 5, 0.0)
+    cal = small["end_to_end"]["run_wall_cal"]
+    assert cal["values"] == [4100.0, 4000.0, 4300.0, 3900.0, 4200.0]
+    assert (cal["q1"], cal["median"], cal["q3"]) == (4000.0, 4100.0, 4200.0)
+    assert (cal["unit"], cal["better"]) == ("cal", "lower")
+    assert small["end_to_end"]["peak_rss_mb"]["median"] == 50.0
+    assert small["per_layer"] == {"cells.calls": {"value": 8000.0, "unit": "x"},
+                                  "training.adam_step.s": {"value": 0.1, "unit": "x"}}
+
+
+def test_bench_record_without_results():
+    spec = {"run_seconds": 30, "end_to_end": [{"name": "setup_s", "unit": "s", "better": "lower"}]}
+    record = bench.bench_record("x", spec, 2, {"score_ckpt": ([[], ["no json"]], [])}, ["collected 0 items"])
+    assert record["environment"] is None and record["tier1"] is None
+    score = record["workloads"]["score_ckpt"]
+    assert (score["runs_reported"], score["failed_ratio"], score["per_layer"]) == (0, None, None)
+    assert score["end_to_end"]["setup_s"]["median"] is None
+    assert bench.parse_pytest(["== 3 passed in 1.50s =="]) == {"wall_s": 1.5, "summary": "3 passed"}

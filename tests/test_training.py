@@ -155,10 +155,10 @@ class TestTrainLoop:
         seen: list[np.ndarray] = []
         real = training.forward_batch
 
-        def spy(model, xb, store_tape=True):
+        def spy(model, xb, store_tape=True, **kwargs):
             if store_tape:  # training batches carry tapes; validation does not
                 seen.append(np.asarray(xb))
-            return real(model, xb, store_tape=store_tape)
+            return real(model, xb, store_tape=store_tape, **kwargs)
 
         monkeypatch.setattr(training, "forward_batch", spy)
         model = init_params(ArchSpec("lstm", hidden_units=4), seed=2)
@@ -223,8 +223,8 @@ class TestTrainLoop:
         # gradient stays finite, so only the epoch-end check catches them
         real_forward = training.forward_batch
 
-        def huge_predictions(model, windows, store_tape=True):
-            preds, tape = real_forward(model, windows, store_tape)
+        def huge_predictions(model, windows, store_tape=True, **kwargs):
+            preds, tape = real_forward(model, windows, store_tape, **kwargs)
             return preds * 1e200 + 1e200, tape
 
         monkeypatch.setattr(training, "forward_batch", huge_predictions)
@@ -240,10 +240,10 @@ class TestTrainLoop:
         batches_per_epoch = -(-(len(windows) - int(len(windows) * 0.1)) // 16)
         real_step = training.adam_step
 
-        def poison_third_batch_of_epoch_two(model, grads, state, config):
+        def poison_third_batch_of_epoch_two(model, grads, state, config, **kwargs):
             if state.step == batches_per_epoch + 2:
                 grads.vector[0] = np.nan
-            return real_step(model, grads, state, config)
+            return real_step(model, grads, state, config, **kwargs)
 
         monkeypatch.setattr(training, "adam_step", poison_third_batch_of_epoch_two)
         with pytest.raises(PoisonedUpdateError) as exc_info:

@@ -1,0 +1,171 @@
+"""Training workspaces: buffers reused across batches, bit for bit.
+
+``training.train`` builds one :class:`network.Workspace` per run: tapes,
+kernel scratch, per-step views and one gradient vector, carved for the
+full batch and reused, in leading slices, by the short last batch.  Adam
+updates the run's own copy of the model in place.  None of this may
+change a bit: ``train`` must reproduce the frozen per-batch loop in
+``reference_training`` (fresh tapes, packed gradients, pure Adam), and a
+workspace-driven ``forward_batch``/``backward_batch`` must reproduce the
+default calls, batch after batch and across batch-size changes.
+"""
+
+import numpy as np
+import pytest
+
+from cryptoforecast import cells, training
+from cryptoforecast.network import ArchSpec, ModelParams, Workspace, backward_batch, forward_batch, init_params
+from cryptoforecast.preprocess import SequenceBatch
+from cryptoforecast.training import OptimizerState, TrainConfig, adam_step, train
+
+import reference_training
+
+
+def assert_same_bits(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    # array_equal treats -0.0 and 0.0 as equal; the raw bits must match too
+    assert np.array_equal(np.ascontiguousarray(actual).view(np.uint64), np.ascontiguousarray(expected).view(np.uint64))
+
+
+def random_windows(rng, n, steps):
+    inputs = rng.uniform(size=(n, steps))
+    targets = rng.uniform(size=n)
+    return SequenceBatch(inputs=inputs, targets=targets, origin_indices=np.arange(n) + steps)
+
+
+def train_and_record_state(model, windows, config, monkeypatch):
+    """``train``'s result plus the optimizer state its last Adam step returned."""
+    states = []
+    real_step = training.adam_step
+
+    def record(*args, **kwargs):
+        result = real_step(*args, **kwargs)
+        states.append(result[1])
+        return result
+
+    monkeypatch.setattr(training, "adam_step", record)
+    trained, report = train(model, windows, config)
+    return trained, report, states[-1]
+
+
+def check_against_frozen_loop(model, windows, config, monkeypatch):
+    p, m, v, steps, train_losses, val_losses = reference_training.train(model, windows, config)
+    trained, report, state = train_and_record_state(model, windows, config, monkeypatch)
+    assert_same_bits(trained.vector, p)
+    assert_same_bits(state.m, m)
+    assert_same_bits(state.v, v)
+    assert state.step == steps
+    assert report.train_losses == train_losses
+    assert report.val_losses == val_losses
+
+
+# 23 windows keep 21 for gradients (a short last batch of 1 at batch 4); 21 keep 19 (a short batch of 3)
+@pytest.mark.parametrize("n_windows, short", [(23, 1), (21, 3)])
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["lstm", "gru", "bilstm"])
+def test_train_matches_frozen_per_batch_loop(kind, layers, n_windows, short, rng, monkeypatch):
+    config = TrainConfig(batch_size=4, epochs=2, shuffle_seed=layers)
+    n_train = n_windows - int(n_windows * config.validation_fraction)
+    assert n_train % config.batch_size == short
+    model = init_params(ArchSpec(kind, layers=layers, hidden_units=3), seed=10 * layers + short)
+    check_against_frozen_loop(model, random_windows(rng, n_windows, steps=5), config, monkeypatch)
+
+
+def test_train_matches_frozen_loop_at_paper_shapes(rng, monkeypatch):
+    # three batches of 32, 32 and 26 windows of 60 steps, no validation tail
+    config = TrainConfig(batch_size=32, epochs=1, shuffle_seed=3, validation_fraction=0.0)
+    model = init_params(ArchSpec("bilstm", layers=2, hidden_units=100), seed=5)
+    check_against_frozen_loop(model, random_windows(rng, 90, steps=60), config, monkeypatch)
+
+
+@pytest.mark.parametrize("kind", ["lstm", "gru"])
+def test_train_matches_frozen_loop_when_one_batch_holds_every_window(kind, rng, monkeypatch):
+    config = TrainConfig(batch_size=32, epochs=3, shuffle_seed=1)
+    model = init_params(ArchSpec(kind, layers=2, hidden_units=4), seed=2)
+    check_against_frozen_loop(model, random_windows(rng, 12, steps=6), config, monkeypatch)
+
+
+@pytest.mark.parametrize("kind", ["lstm", "gru", "bilstm"])
+def test_train_leaves_the_callers_model_alone(kind, rng):
+    model = init_params(ArchSpec(kind, layers=2, hidden_units=3), seed=4)
+    saved = model.vector.copy()
+    trained, _ = train(model, random_windows(rng, 21, steps=5), TrainConfig(batch_size=4, epochs=2))
+    assert_same_bits(model.vector, saved)
+    assert not np.array_equal(trained.vector, saved)
+    assert not np.shares_memory(trained.vector, model.vector)
+    for a, b in zip(trained.flat(), model.flat()):
+        assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("kind", ["lstm", "gru", "bilstm"])
+def test_adam_step_in_place_equals_pure(kind, rng):
+    model = init_params(ArchSpec(kind, layers=2, hidden_units=8), seed=1)
+    config = TrainConfig(learning_rate=0.01)
+    pure_model, pure_state = model, OptimizerState.zeros(model)
+    own_model, own_state = model.copy(), OptimizerState.zeros(model)
+    for _ in range(4):
+        g = rng.normal(size=model.vector.size) * 10.0 ** rng.integers(-6, 3, size=model.vector.size)
+        g[rng.random(g.size) < 0.05] = 0.0
+        grads = ModelParams(model.arch, g, model.seed)
+        before = pure_model.vector.copy(), pure_state.m.copy(), pure_state.v.copy(), pure_state.step
+        pure_model, pure_state = adam_step(pure_model, grads, pure_state, config)
+        result = adam_step(own_model, grads, own_state, config, out=(own_model, own_state))
+        assert result[0] is own_model and result[1] is own_state
+        assert_same_bits(own_model.vector, pure_model.vector)
+        assert_same_bits(own_state.m, pure_state.m)
+        assert_same_bits(own_state.v, pure_state.v)
+        assert own_state.step == pure_state.step
+        assert not np.shares_memory(pure_model.vector, before[0]) and not np.shares_memory(pure_state.m, before[1])
+    assert_same_bits(g, grads.vector)  # the gradient is read, never written
+
+
+@pytest.mark.parametrize("kind", ["lstm", "gru", "bilstm"])
+def test_workspace_batches_match_default_calls_across_batch_sizes(kind, rng):
+    model = init_params(ArchSpec(kind, layers=3, hidden_units=4), seed=6)
+    workspace = Workspace(model)
+    tapes = []
+    for batch in (5, 2, 1, 5):  # full, short, shorter, full again
+        windows = rng.uniform(size=(batch, 7))
+        d_preds = rng.normal(size=batch)
+        preds, tape = forward_batch(model, windows, workspace=workspace)
+        grads = backward_batch(model, tape, d_preds, workspace=workspace)
+        want_preds, want_tape = forward_batch(model, windows)
+        assert_same_bits(preds, want_preds)
+        for layer_tape, want_layer in zip(tape.layer_tapes, want_tape.layer_tapes):
+            for cell_tape, want_cell in zip(layer_tape, want_layer):
+                assert_same_bits(cell_tape.h, want_cell.h)
+                assert_same_bits(cell_tape.s, want_cell.s)
+        assert grads is workspace.grads
+        assert_same_bits(grads.vector, backward_batch(model, want_tape, d_preds).vector)
+        tapes.append(tape)
+    # each batch's tape reuses the first batch's memory: no tape outlives its batch
+    first = tapes[0].layer_tapes[0][0]
+    for tape in tapes[1:]:
+        assert np.shares_memory(tape.layer_tapes[0][0].s, first.s)
+
+
+@pytest.mark.parametrize("kind", ["lstm", "gru"])
+def test_kernel_workspace_rejects_foreign_tapes_and_shapes(kind, rng):
+    fwd_work = {"lstm": cells.LstmForwardWork, "gru": cells.GruForwardWork}[kind]
+    bwd_work = {"lstm": cells.LstmBackwardWork, "gru": cells.GruBackwardWork}[kind]
+    forward, backward = getattr(cells, f"{kind}_forward"), getattr(cells, f"{kind}_backward")
+    model = init_params(ArchSpec(kind, layers=1, hidden_units=3), seed=0)
+    params = model.layers[0][0]
+    x = rng.uniform(size=(4, 2, 1))
+    work = fwd_work(4, 2, 1, 3)
+    with pytest.raises(ValueError, match="workspace"):
+        forward(params, rng.uniform(size=(4, 3, 1)), workspace=work)
+    with pytest.raises(ValueError, match="workspace"):
+        forward(params, x, store_tape=False, workspace=work)
+    _, tape = forward(params, x, workspace=work)
+    _, other = forward(params, x)
+    back = bwd_work(tape, 1)
+    dh = rng.normal(size=(4, 2, 3))
+    with pytest.raises(ValueError, match="another tape"):
+        backward(params, other, dh, workspace=back)
+    grad, dx = backward(params, tape, dh, workspace=back)
+    want_grad, want_dx = backward(params, other, dh)
+    for got, want in zip(grad.arrays(), want_grad.arrays()):
+        assert_same_bits(got, want)
+    assert_same_bits(dx, want_dx)

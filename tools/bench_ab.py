@@ -59,16 +59,21 @@ def summarize(pairs: list[tuple[float, float]], better: str) -> dict:
     }
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict | None:
-    """The result document of one benchmark run, or None (with its stderr shown) when it printed none."""
+def run_lines(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> list[str]:
+    """Standard output lines of one benchmark run; empty (with its stderr shown) when it failed."""
     command = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
-               "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+               "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
     if proc.returncode:
         print(f"{checkout}: exit {proc.returncode}: {proc.stderr.strip()[-500:]}", file=sys.stderr)
-        return None
+        return []
+    return proc.stdout.splitlines()
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict | None:
+    """The result document of one untraced benchmark run, or None when it printed none."""
     try:
-        return json.loads(proc.stdout.strip().splitlines()[-1])
+        return json.loads(run_lines(checkout, workload, seed, seconds)[-1])
     except (ValueError, IndexError):
         return None
 
