@@ -26,13 +26,16 @@ is float64.
 
 Each kernel runs on a *workspace* (:class:`LstmForwardWork`,
 :class:`LstmBackwardWork`, :class:`GruForwardWork`,
-:class:`GruBackwardWork`): its tape and scratch buffers plus, for every
-step, a tuple of the views that step reads and writes, so the time loop
-unpacks views instead of indexing arrays.  A call given no workspace
-builds a fresh one, so its outputs share no memory with any other call's.
-A workspace passed in (``workspace=``) is reused: every call overwrites
-the previous call's tape, gradients and input gradient.  Only training
-passes one, and it never keeps a tape past its batch.
+:class:`GruBackwardWork`): its buffers plus, for every step, a tuple of
+the views that step reads and writes, so the time loop unpacks views
+instead of indexing arrays.  A forward workspace is also the tape: a
+forward call that keeps one returns its workspace, which the backward
+kernel reads.  A forward call given no workspace (``workspace=``) builds
+a fresh one, so no two such calls share memory; a workspace passed in is
+reused, and every call overwrites its tape.  A backward call runs on the
+backward workspace attached to its tape (``tape.backward``) and
+overwrites that workspace's gradients and input gradient; a tape with
+none attached gets a fresh one per call.
 """
 
 from __future__ import annotations
@@ -135,33 +138,6 @@ def gru_step(params: CellParams, x_t, h_prev) -> np.ndarray:
     return (1.0 - u) * h_prev + u * n
 
 
-@dataclass(eq=False)
-class LstmTape:
-    """Activations recorded by :func:`lstm_forward` for the backward pass.
-
-    All arrays are time-major.  ``s`` holds the three sigmoid gates in
-    one (T, B, 3H) block ordered i, f, o; ``g`` is the candidate tanh.
-    """
-
-    x: np.ndarray  # (T, B, D) layer input
-    s: np.ndarray  # (T, B, 3H) sigmoid gates i|f|o
-    g: np.ndarray  # (T, B, H) candidate tanh
-    c: np.ndarray  # (T, B, H) cell state
-    tc: np.ndarray  # (T, B, H) tanh of cell state
-    h: np.ndarray  # (T, B, H) hidden sequence
-
-
-@dataclass(eq=False)
-class GruTape:
-    """Activations recorded by :func:`gru_forward` for the backward pass."""
-
-    x: np.ndarray  # (T, B, D)
-    s: np.ndarray  # (T, B, 2H) sigmoid gates u|r
-    n: np.ndarray  # (T, B, H) candidate tanh
-    rh: np.ndarray  # (T, B, H) reset-scaled previous hidden state
-    h: np.ndarray  # (T, B, H) hidden sequence
-
-
 # Kernels work on blocks of steps: forward passes compute the input
 # projection ``x @ W.T + b`` of a block at once, backward passes the factors
 # that depend only on the tape (``1 - s``, ``1 - tanh(c)**2``, ...).  A
@@ -209,27 +185,24 @@ def _check_forward_work(work, x: np.ndarray, store_tape: bool) -> None:
         raise ValueError(f"workspace for {work.shape} (store_tape={work.store_tape}) used on {x.shape}")
 
 
-def _check_backward_work(work, tape, dh_seq: np.ndarray) -> None:
-    """Reject a tape the workspace's views do not read; load ``dh_seq`` into the buffer they do."""
-    if tape.s is not work.tape_s:
-        raise ValueError("backward workspace was built for another tape")
-    if dh_seq is not work.dh_seq:
-        np.copyto(work.dh_seq, dh_seq)
-
-
 class LstmForwardWork:
-    """Buffers and per-step views of :func:`lstm_forward` for one cell and one input shape.
+    """Buffers and per-step views of :func:`lstm_forward` for one cell and one input shape; also its tape.
 
-    ``alloc(name, shape)`` hands out every buffer; the default allocates
-    fresh ones.  ``blocks`` holds, per input-projection block, its first
-    step, its length, the projection rows it fills, and one tuple per step
-    of the views that step reads and writes, so the time loop only unpacks
-    them.  A workspace is reused across calls of the same shape: each call
-    overwrites the previous call's tape and hidden sequence.
+    The tape, all time-major: ``x`` the last call's input (T, B, D), ``s``
+    the sigmoid gates i|f|o (T, B, 3H), ``g`` the candidate tanh, ``c`` the
+    cell state, ``tc`` its tanh and ``h`` the hidden sequence (T, B, H).
+    ``backward`` is the :class:`LstmBackwardWork` that :func:`lstm_backward`
+    runs on, or None.  ``alloc(name, shape)`` hands out every buffer; the
+    default allocates fresh ones.  ``blocks`` holds, per input-projection
+    block, its first step, its length, the projection rows it fills, and
+    one tuple per step of the views that step reads and writes, so the time
+    loop only unpacks them.  A workspace is reused across calls of the same
+    shape: each call overwrites the previous call's tape.
     """
 
     def __init__(self, steps: int, batch: int, inp: int, hidden: int, store_tape: bool = True, alloc=_fresh):
         self.shape, self.store_tape = (steps, batch, inp), bool(store_tape)
+        self.x = self.backward = None
         rows = steps if store_tape else 1  # without a tape every step reuses row 0
         s = self.s = alloc("s", (rows, batch, 3 * hidden))
         g = self.g = alloc("g", (rows, batch, hidden))
@@ -254,22 +227,18 @@ class LstmForwardWork:
                 views.append((h_prev, xp[t - t0], s[k], g[k], c_prev, c[k], tc[k], i[k], f[k], o[k], h[t]))
             self.blocks.append((t0, m, xp[:m].reshape(m * batch, 4 * hidden), views))
 
-    def tape(self, x) -> "LstmTape | None":
-        if not self.store_tape:
-            return None
-        return LstmTape(x=x, s=self.s, g=self.g, c=self.c, tc=self.tc, h=self.h)
-
 
 def lstm_forward(params: CellParams, x: np.ndarray, store_tape: bool = True, *, workspace=None):
     """Run an LSTM over a time-major batch of sequences from zero state.
 
     Returns the hidden sequence (T, B, H) and, when requested, the tape
-    consumed by :func:`lstm_backward`.  Activations are written straight
-    into the tape; without one, a single slot per quantity is reused.  The
-    input projection is computed a block of steps at a time into one
-    reused buffer (see :data:`_HOIST_BYTES`).  Without a ``workspace`` (an
-    :class:`LstmForwardWork` of this shape) the call builds a fresh one, so
-    its outputs share no memory with any other call's.
+    consumed by :func:`lstm_backward`: the workspace, with ``x`` recorded.
+    Activations are written straight into the tape; without one, a single
+    slot per quantity is reused.  The input projection is computed a block
+    of steps at a time into one reused buffer (see :data:`_HOIST_BYTES`).
+    Without a ``workspace`` (an :class:`LstmForwardWork` of this shape) the
+    call builds a fresh one, so its outputs share no memory with any other
+    call's.
     """
     steps, batch, inp = x.shape
     work = workspace or LstmForwardWork(steps, batch, inp, params.hidden_size, store_tape)
@@ -290,28 +259,28 @@ def lstm_forward(params: CellParams, x: np.ndarray, store_tape: bool = True, *, 
             np.multiply(i_t, g_t, out=ig)
             c_t += ig
             np.multiply(o_t, np.tanh(c_t, out=tc_t), out=h_t)
-    return work.h, work.tape(x)
+    work.x = x
+    return work.h, work if store_tape else None
 
 
 class LstmBackwardWork:
-    """Buffers and per-step views of :func:`lstm_backward` over one cell's tape arrays.
+    """Buffers and per-step views of :func:`lstm_backward` over one cell's tape.
 
-    ``tape`` supplies the arrays the views read (its ``x`` is not used) and
-    ``inp`` the layer's input width.  ``dh_seq`` is the output-gradient
-    buffer the views read; without one it is allocated.  Parameter
-    gradients are written into ``grad`` (a :class:`CellParams`, fresh
-    arrays unless given), and the input gradient into ``dx`` when
-    ``need_dx``.  ``alloc`` hands out the cell's own buffers; ``shared``
-    the scratch that lives only while one backward call runs (``da``, the
-    hoisted factors, the carries), which cells that run one after another
-    may share.
+    ``tape`` is the :class:`LstmForwardWork` whose arrays the views read.
+    ``dh_seq`` is the output-gradient buffer the views read; without one it
+    is allocated.  Parameter gradients are written into ``grad`` (a
+    :class:`CellParams`, fresh arrays unless given), and the input gradient
+    into ``dx`` when ``need_dx``.  ``alloc`` hands out the cell's own
+    buffers; ``shared`` the scratch that lives only while one backward call
+    runs (``da``, the hoisted factors, the carries), which cells that run
+    one after another may share.
     """
 
-    def __init__(self, tape, inp: int, dh_seq=None, grad=None, need_dx=True, alloc=_fresh, shared=_fresh):
-        steps, batch, hsize = tape.h.shape
+    def __init__(self, tape, dh_seq=None, grad=None, need_dx=True, alloc=_fresh, shared=_fresh):
+        steps, batch, inp = tape.shape
+        hsize = tape.h.shape[2]
         s, g, c, tc, h = tape.s, tape.g, tape.c, tape.tc, tape.h
         i, f, o = s[:, :, :hsize], s[:, :, hsize : 2 * hsize], s[:, :, 2 * hsize :]
-        self.tape_s = s
         self.dh_seq = alloc("dh_seq", (steps, batch, hsize)) if dh_seq is None else dh_seq
         da = shared("da", (steps, batch, 4 * hsize))
         da_s, da_g = da[:, :, : 3 * hsize], da[:, :, 3 * hsize :]
@@ -346,17 +315,19 @@ class LstmBackwardWork:
         self.dx = alloc("dx", (steps, batch, inp)) if need_dx else None
 
 
-def lstm_backward(params: CellParams, tape: LstmTape, dh_seq: np.ndarray, *, workspace=None):
-    """Exact gradient of an LSTM sequence pass.
+def lstm_backward(params: CellParams, tape: LstmForwardWork, dh_seq: np.ndarray):
+    """Exact gradient of the LSTM sequence pass that recorded ``tape``.
 
     ``dh_seq`` holds the loss gradient w.r.t. every hidden output (zeros
     where a step's output is unused).  Returns (parameter gradients as a
     :class:`CellParams`, gradient w.r.t. the layer input, or None when the
-    ``workspace`` skips it).  Without a ``workspace`` (an
-    :class:`LstmBackwardWork` over this tape) the call builds a fresh one.
+    backward workspace skips it).  The call runs on ``tape.backward``,
+    overwriting its previous results, or on a fresh
+    :class:`LstmBackwardWork` when none is attached.
     """
-    work = workspace or LstmBackwardWork(tape, tape.x.shape[2], dh_seq)
-    _check_backward_work(work, tape, dh_seq)
+    work = tape.backward or LstmBackwardWork(tape, dh_seq)
+    if dh_seq is not work.dh_seq:
+        np.copyto(work.dh_seq, dh_seq)
     u = params.u
     dh, dc, dh_carry, dc_carry = work.dh, work.dc, work.dh_carry, work.dc_carry
     dh_carry.fill(0.0)
@@ -392,10 +363,17 @@ def lstm_backward(params: CellParams, tape: LstmTape, dh_seq: np.ndarray, *, wor
 
 
 class GruForwardWork:
-    """Buffers and per-step views of :func:`gru_forward`; see :class:`LstmForwardWork`."""
+    """Buffers and per-step views of :func:`gru_forward`; see :class:`LstmForwardWork`.
+
+    The tape: ``x``, ``s`` the sigmoid gates u|r (T, B, 2H), ``n`` the
+    candidate tanh, ``rh`` the reset-scaled previous hidden state and ``h``
+    the hidden sequence (T, B, H); ``backward`` a :class:`GruBackwardWork`
+    or None.
+    """
 
     def __init__(self, steps: int, batch: int, inp: int, hidden: int, store_tape: bool = True, alloc=_fresh):
         self.shape, self.store_tape = (steps, batch, inp), bool(store_tape)
+        self.x = self.backward = None
         rows = steps if store_tape else 1
         s = self.s = alloc("s", (rows, batch, 2 * hidden))
         n = self.n = alloc("n", (rows, batch, hidden))
@@ -419,11 +397,6 @@ class GruForwardWork:
                 views.append((h[t - 1] if t else zero, xp_ur[t - t0], s[k], r[k], rh[k], xp_c[t - t0], n[k], u[k], h[t]))
             xp_ur_m, xp_c_m = xp_ur[:m].reshape(m * batch, 2 * hidden), xp_c[:m].reshape(m * batch, hidden)
             self.blocks.append((t0, m, xp_ur_m, xp_c_m, views))
-
-    def tape(self, x) -> "GruTape | None":
-        if not self.store_tape:
-            return None
-        return GruTape(x=x, s=self.s, n=self.n, rh=self.rh, h=self.h)
 
 
 def gru_forward(params: CellParams, x: np.ndarray, store_tape: bool = True, *, workspace=None):
@@ -463,17 +436,18 @@ def gru_forward(params: CellParams, x: np.ndarray, store_tape: bool = True, *, w
             keep *= h_prev
             np.multiply(u_t, n_t, out=h_t)
             h_t += keep
-    return work.h, work.tape(x)
+    work.x = x
+    return work.h, work if store_tape else None
 
 
 class GruBackwardWork:
     """Buffers and per-step views of :func:`gru_backward`; see :class:`LstmBackwardWork`."""
 
-    def __init__(self, tape, inp: int, dh_seq=None, grad=None, need_dx=True, alloc=_fresh, shared=_fresh):
-        steps, batch, hsize = tape.h.shape
+    def __init__(self, tape, dh_seq=None, grad=None, need_dx=True, alloc=_fresh, shared=_fresh):
+        steps, batch, inp = tape.shape
+        hsize = tape.h.shape[2]
         s, n, h = tape.s, tape.n, tape.h
         u, r = s[:, :, :hsize], s[:, :, hsize:]
-        self.tape_s = s
         self.dh_seq = alloc("dh_seq", (steps, batch, hsize)) if dh_seq is None else dh_seq
         da_ur = shared("da_ur", (steps, batch, 2 * hsize))
         da_u, da_r = da_ur[:, :, :hsize], da_ur[:, :, hsize:]
@@ -515,10 +489,11 @@ class GruBackwardWork:
         self.dx_c = shared("dx_c", (steps * batch, inp)) if need_dx else None
 
 
-def gru_backward(params: CellParams, tape: GruTape, dh_seq: np.ndarray, *, workspace=None):
+def gru_backward(params: CellParams, tape: GruForwardWork, dh_seq: np.ndarray):
     """Exact gradient of a GRU sequence pass; mirrors :func:`lstm_backward`."""
-    work = workspace or GruBackwardWork(tape, tape.x.shape[2], dh_seq)
-    _check_backward_work(work, tape, dh_seq)
+    work = tape.backward or GruBackwardWork(tape, dh_seq)
+    if dh_seq is not work.dh_seq:
+        np.copyto(work.dh_seq, dh_seq)
     hsize = params.hidden_size
     u_ur = params.u[: 2 * hsize]
     u_c = params.u[2 * hsize :]

@@ -143,15 +143,6 @@ class ModelParams:
         name, shape, span = next(entry for entry in self.arch.param_layout if index < entry[2].stop)
         return name, tuple(int(i) for i in np.unravel_index(index - span.start, shape))
 
-    def rebuild(self, arrays: list[np.ndarray]) -> "ModelParams":
-        """New ModelParams with the same structure, packing ``arrays`` (in :meth:`flat` order)."""
-        if [a.shape for a in arrays] != [shape for _, shape, _ in self.arch.param_layout]:
-            raise ValueError("arrays do not match the model's parameter shapes")
-        return ModelParams(self.arch, np.concatenate(arrays, axis=None), self.seed)
-
-    def zeros_like(self) -> "ModelParams":
-        return ModelParams(self.arch, np.zeros_like(self.vector), self.seed)
-
     def copy(self) -> "ModelParams":
         return ModelParams(self.arch, self.vector.copy(), self.seed)
 
@@ -194,11 +185,12 @@ def init_params(arch: ArchSpec, seed: int) -> ModelParams:
 
 @dataclass(eq=False)
 class ModelTape:
-    """Cached activations from :func:`forward_batch` for the backward pass."""
+    """Cached activations from :func:`forward_batch` for the backward pass, and the gradients it writes."""
 
     x: np.ndarray  # (T, B, D) time-major model input
-    layer_tapes: list  # per layer: a tuple of cell tapes, one per direction
+    layer_tapes: list  # per layer: a tuple of cell tapes (forward kernel workspaces), one per direction
     final: np.ndarray  # (B, K) dense-head input
+    grads: ParamGrads | None = None  # the workspace's gradient vector, which backward_batch overwrites
 
 
 def _as_batch(windows, input_dim: int) -> np.ndarray:
@@ -210,6 +202,8 @@ def _as_batch(windows, input_dim: int) -> np.ndarray:
         x = x[:, :, np.newaxis]
     if x.ndim != 3:
         raise ValueError(f"windows must be 1-D, 2-D, or 3-D, got shape {x.shape}")
+    if x.shape[0] < 1:
+        raise ValueError(f"empty batch: no windows in shape {x.shape}")
     if x.shape[1] < 1:
         raise ValueError("window length must be >= 1")
     if x.shape[2] != input_dim:
@@ -240,16 +234,15 @@ def _carver(buffers: dict):
 
 
 class Workspace:
-    """Buffers one training run reuses across its batches.
+    """Buffers that :func:`forward_batch` and :func:`backward_batch` reuse across batches.
 
-    Per direction cell: its forward and backward kernel workspaces (tape,
-    scratch and per-step views), carved from buffers sized by the first
-    batch, so the short last batch uses their leading elements; the
-    backward scratch is shared by all cells, which run one after another.
-    ``grads`` is one gradient vector, laid out by
+    Per direction cell: its forward kernel workspace (the tape, scratch and
+    per-step views) with its backward kernel workspace attached, carved
+    from buffers sized by the first batch, so a shorter batch uses their
+    leading elements; the backward scratch is shared by all cells, which
+    run one after another.  ``grads`` is one gradient vector, laid out by
     :attr:`ArchSpec.param_layout`, that :func:`backward_batch` writes in
-    place.  Each batch overwrites the previous batch's tape and gradients,
-    so no tape outlives its batch.
+    place.  Each batch overwrites the previous batch's tape and gradients.
     """
 
     def __init__(self, model: ModelParams):
@@ -260,7 +253,12 @@ class Workspace:
         self._cells = {}
 
     def cells(self, steps: int, batch: int) -> list:
-        """Per layer, a tuple of (forward, backward) kernel workspaces per direction, for (steps, batch) inputs."""
+        """Per layer, a tuple of forward kernel workspaces, one per direction, for (steps, batch) inputs.
+
+        Releases the inputs the previous batch's tapes recorded, so none outlives its batch.
+        """
+        for work in (work for layers in self._cells.values() for layer in layers for work in layer):
+            work.x = None
         if (steps, batch) not in self._cells:
             arch = self.arch
             fwd_work, bwd_work = (
@@ -269,14 +267,14 @@ class Workspace:
             shared = _carver(self._shared)
             layers = []
             for li, (inp, buffers) in enumerate(zip(arch.layer_input_sizes(), self._own)):
-                pairs = []
+                works = []
                 for d, own in enumerate(buffers):
                     alloc = _carver(own)
                     fwd = fwd_work(steps, batch, inp, arch.hidden_units, True, alloc)
                     grad = self.grads.layers[li][d]
-                    bwd = bwd_work(fwd.tape(None), inp, grad=grad, need_dx=li > 0, alloc=alloc, shared=shared)
-                    pairs.append((fwd, bwd))
-                layers.append(tuple(pairs))
+                    fwd.backward = bwd_work(fwd, grad=grad, need_dx=li > 0, alloc=alloc, shared=shared)
+                    works.append(fwd)
+                layers.append(tuple(works))
             self._cells[(steps, batch)] = layers
         return self._cells[(steps, batch)]
 
@@ -286,16 +284,19 @@ def forward_batch(model: ModelParams, windows, store_tape: bool = True, *, works
 
     Each layer runs its direction cells over the layer input, direction 1
     over reversed time.  Only the next layer's input outlives a layer.
-    With a ``workspace`` the tape lives in its buffers until the next call.
+    The tape lives in the ``workspace``'s buffers until the next call; a
+    tape kept without one gets a fresh :class:`Workspace`.
     """
     x = _as_batch(windows, model.arch.input_dim)
     run = gru_forward if model.arch.cell_kind == "gru" else lstm_forward
+    if store_tape and workspace is None:
+        workspace = Workspace(model)
     cells = workspace.cells(*x.shape[:2]) if workspace is not None else None
     seq, layer_tapes = x, []
     for li, layer in enumerate(model.layers):
         runs = []  # emptied before the kernels run, so the layer below's outputs are freed
         for d, cell in enumerate(layer):
-            work = cells[li][d][0] if cells is not None else None
+            work = cells[li][d] if cells is not None else None
             runs.append(run(cell, np.ascontiguousarray(seq[::-1]) if d else seq, store_tape, workspace=work))
         layer_tapes.append(tuple(cell_tape for _, cell_tape in runs))
         if li < len(model.layers) - 1:
@@ -304,7 +305,7 @@ def forward_batch(model: ModelParams, windows, store_tape: bool = True, *, works
     final = _side_by_side([h_seq[-1] for h_seq, _ in runs], axis=1)
 
     preds = final @ model.dense_w + model.dense_b[0]
-    tape = ModelTape(x=x, layer_tapes=layer_tapes, final=final) if store_tape else None
+    tape = ModelTape(x=x, layer_tapes=layer_tapes, final=final, grads=workspace.grads) if store_tape else None
     return preds, tape
 
 
@@ -316,29 +317,27 @@ def forward(model: ModelParams, window):
     return float(preds[0]), tape
 
 
-def backward_batch(
-    model: ModelParams, tape: ModelTape, d_predictions, *, workspace: Workspace | None = None
-) -> ParamGrads:
+def backward_batch(model: ModelParams, tape: ModelTape, d_predictions) -> ParamGrads:
     """Gradients of ``sum_j d_predictions[j] * prediction_j`` w.r.t. all parameters.
 
     Reverse-mode accumulation through the dense head and every layer's
-    direction cells, written straight into one gradient vector: a fresh
-    one, or the ``workspace``'s, which the next call overwrites.  The tape
-    must come from :func:`forward_batch` on this same model (and workspace).
+    direction cells, written straight into the tape's gradient vector
+    (``tape.grads``), which is returned.  Every backward call on a tape of
+    the same workspace, this one included, overwrites it.  The tape must
+    come from :func:`forward_batch` on this same model.
     """
     arch = model.arch
     d_preds = np.asarray(d_predictions, dtype=np.float64)
-    if tape is None:
+    if tape is None or tape.grads is None:
         raise ValueError("backward requires the tape produced by forward")
     if d_preds.shape != (tape.final.shape[0],):
         raise ValueError(f"d_predictions must have shape ({tape.final.shape[0]},), got {d_preds.shape}")
-    if len(tape.layer_tapes) != len(model.layers) or tape.final.shape[1] != arch.dense_input_size:
+    if tape.grads.arch != arch:
         raise ValueError("tape does not match this model")
 
     hsize = arch.hidden_units
-    back, bwd_work = (gru_backward, GruBackwardWork) if arch.cell_kind == "gru" else (lstm_backward, LstmBackwardWork)
-    cells = workspace.cells(*tape.x.shape[:2]) if workspace is not None else None
-    grads = workspace.grads if workspace is not None else model.zeros_like()
+    back = gru_backward if arch.cell_kind == "gru" else lstm_backward
+    grads = tape.grads
 
     np.matmul(tape.final.T, d_preds, out=grads.dense_w)
     grads.dense_b[0] = d_preds.sum()
@@ -348,19 +347,14 @@ def backward_batch(
     for li in range(len(model.layers) - 1, -1, -1):
         d_input = None
         for d, (cell, cell_tape) in enumerate(zip(model.layers[li], tape.layer_tapes[li])):
-            if cells is not None:
-                work = cells[li][d][1]
-            else:
-                inp = cell_tape.x.shape[2]
-                work = bwd_work(cell_tape, inp, grad=grads.layers[li][d], need_dx=li > 0)
             cols = slice(d * hsize, (d + 1) * hsize)
-            dh = work.dh_seq
+            dh = cell_tape.backward.dh_seq
             if d_seq is None:  # the head read only this direction's last step
                 dh[:-1] = 0.0
                 dh[-1] = d_final[:, cols]
             else:  # direction 1 ran on reversed time, so its gradient is flipped
                 np.copyto(dh, (d_seq[::-1] if d else d_seq)[:, :, cols])
-            _, dx = back(cell, cell_tape, dh, workspace=work)
+            _, dx = back(cell, cell_tape, dh)
             if li:
                 dx = dx[::-1] if d else dx  # back in time order
                 d_input = dx if d_input is None else d_input + dx

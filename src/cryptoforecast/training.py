@@ -185,7 +185,7 @@ def train(
                 resid = preds - yb
                 batch_losses.append(float(np.mean(resid * resid)))
                 d_preds = (2.0 / idx.shape[0]) * resid
-                grads = backward_batch(model, tape, d_preds, workspace=workspace)
+                grads = backward_batch(model, tape, d_preds)
                 try:
                     model, state = adam_step(model, grads, state, config, out=(model, state))
                 except PoisonedUpdateError as exc:

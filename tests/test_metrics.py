@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from cryptoforecast import UndefinedMetricError
 from cryptoforecast.metrics import evaluate, mae, mape, rmse
-from cryptoforecast.network import ArchSpec, init_params, model_to_dict
+from cryptoforecast.network import ArchSpec, ModelParams, init_params, model_to_dict
 from cryptoforecast.preprocess import ScalerParams, SequenceBatch
 from cryptoforecast.training import mse_loss
 
@@ -108,7 +108,7 @@ def eval_dates(n, start=date(2023, 1, 1)):
 class TestEvaluate:
     def test_perfect_prediction_all_zero(self):
         # constant targets and a zero model whose dense bias equals them
-        model = init_params(ArchSpec("lstm", hidden_units=3), seed=0).zeros_like()
+        model = ModelParams.zeros(ArchSpec("lstm", hidden_units=3), seed=0)
         model.dense_b[0] = 0.5
         values = np.concatenate([np.linspace(0.1, 0.9, 6), np.full(4, 0.5)])
         windows = window_batch(values, lookback=6)
@@ -128,7 +128,7 @@ class TestEvaluate:
         ],
     )
     def test_diverged_model_is_not_scored(self, bias, scaler, message):
-        model = init_params(ArchSpec("lstm", hidden_units=3), seed=0).zeros_like()
+        model = ModelParams.zeros(ArchSpec("lstm", hidden_units=3), seed=0)
         model.dense_b[0] = bias
         windows = window_batch(np.linspace(0.1, 0.9, 10), lookback=6)
         with pytest.raises(UndefinedMetricError, match=f"^{message}$"):

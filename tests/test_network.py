@@ -8,6 +8,8 @@ import pytest
 from cryptoforecast import CheckpointError, ForecastError, network
 from cryptoforecast.network import (
     ArchSpec,
+    ModelParams,
+    ModelTape,
     backward,
     forward,
     forward_batch,
@@ -82,7 +84,7 @@ class TestInitParams:
 class TestForward:
     def test_zero_model_predicts_dense_bias(self, rng):
         for kind in ("lstm", "gru", "bilstm"):
-            model = init_params(ArchSpec(kind, hidden_units=3), seed=0).zeros_like()
+            model = ModelParams.zeros(ArchSpec(kind, hidden_units=3), seed=0)
             pred, _ = forward(model, rng.uniform(size=9))
             assert pred == 0.0
             model.dense_b[0] = 0.625
@@ -101,6 +103,12 @@ class TestForward:
         model = init_params(ArchSpec("lstm", hidden_units=2), seed=0)
         with pytest.raises(ValueError):
             forward(model, np.empty(0))
+
+    @pytest.mark.parametrize("store_tape", [True, False])
+    def test_empty_batch_rejected(self, store_tape):
+        model = init_params(ArchSpec("lstm", hidden_units=2), seed=0)
+        with pytest.raises(ValueError, match="empty batch"):
+            forward_batch(model, np.empty((0, 5)), store_tape=store_tape)
 
     def test_deterministic_bit_for_bit(self, rng):
         model = init_params(ArchSpec("bilstm", hidden_units=5), seed=4)
@@ -190,15 +198,16 @@ class TestBackward:
         _, tape = forward(lstm, rng.uniform(size=6))
         with pytest.raises(ValueError):
             backward(other, tape, 1.0)
+        with pytest.raises(ValueError, match="tape produced by forward"):  # no gradient vector to write
+            backward(lstm, ModelTape(x=tape.x, layer_tapes=tape.layer_tapes, final=tape.final), 1.0)
 
     def test_deterministic_bit_for_bit(self, rng):
         model = init_params(ArchSpec("gru", hidden_units=5), seed=9)
         window = rng.uniform(size=8)
         _, tape = forward(model, window)
-        g1 = backward(model, tape, 0.37)
+        g1 = backward(model, tape, 0.37).vector.copy()  # the second call writes into the same vector
         g2 = backward(model, tape, 0.37)
-        for a, b in zip(g1.flat(), g2.flat()):
-            assert np.array_equal(a, b)
+        assert np.array_equal(g1, g2.vector)
 
 
 class TestGradCheck:

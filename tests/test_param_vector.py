@@ -98,7 +98,7 @@ def test_every_array_is_a_view_of_the_vector(kind, rng):
     grads = backward_batch(model, tape, rng.normal(size=4))
     loaded = model_from_dict(model_to_dict(model))
     stepped, _ = adam_step(model, grads, OptimizerState.zeros(model), TrainConfig())
-    derived = (model.copy(), model.zeros_like(), model.rebuild(model.flat()), stepped)
+    derived = (model.copy(), ModelParams.zeros(model.arch, model.seed), stepped)
     for params in (model, grads, loaded) + derived:
         # writing the vector shows through every array, at its layout offsets
         params.vector[:] = np.arange(params.vector.size)
@@ -110,6 +110,8 @@ def test_every_array_is_a_view_of_the_vector(kind, rng):
     arrays = [a for cell in cells_ for a in cell.arrays()] + [model.dense_w, model.dense_b]
     assert len(arrays) == len(model.flat())
     assert all(a is b for a, b in zip(arrays, model.flat()))
+    with pytest.raises(ValueError):
+        ModelParams(model.arch, np.zeros(model.vector.size + 1))
 
 
 def test_copies_and_updates_share_no_memory(rng):
@@ -119,25 +121,11 @@ def test_copies_and_updates_share_no_memory(rng):
     inputs = (model.vector, grads.vector, state.m, state.v)
     before = [a.copy() for a in inputs]
     stepped, new_state = adam_step(model, grads, state, TrainConfig())
-    for out in (stepped.vector, new_state.m, new_state.v, model.copy().vector, model.zeros_like().vector):
+    for out in (stepped.vector, new_state.m, new_state.v, model.copy().vector):
         assert not any(np.shares_memory(out, a) for a in inputs)
     for a, b in zip(inputs, before):
         assert_same_bits(a, b)  # the step is pure
-    assert model.copy().seed == model.zeros_like().seed == stepped.seed == 8
-
-
-def test_rebuild_packs_and_checks_shapes():
-    model = init_params(ArchSpec("gru", hidden_units=3), seed=1)
-    arrays = [np.full(a.shape, float(k)) for k, a in enumerate(model.flat())]
-    packed = model.rebuild(arrays)
-    for a, b in zip(packed.flat(), arrays):
-        assert np.array_equal(a, b) and not np.shares_memory(a, b)
-    with pytest.raises(ValueError):
-        model.rebuild(arrays[:-1])
-    with pytest.raises(ValueError):
-        model.rebuild(arrays[:1] + [arrays[1].T] + arrays[2:])
-    with pytest.raises(ValueError):
-        ModelParams(model.arch, np.zeros(model.vector.size + 1))
+    assert model.copy().seed == stepped.seed == 8
 
 
 def test_locate_names_the_array_and_element():

@@ -101,6 +101,32 @@ def test_bench_ab_gain_needs_nine_in_ten_wins_and_more_than_the_parent_iqr():
     assert s["parent"] == {"q1": 2.0, "median": 2.0, "q3": 2.0} and s["gain"]
 
 
+def test_bench_ab_counts_a_pair_with_a_failed_run_as_not_won(tmp_path, monkeypatch, capsys):
+    # the change wins all 8 pairs that report; 2 pairs lose a run, so 8 of 10 pairs are won
+    spec = {"run_seconds": 1, "end_to_end": [{"name": "run_wall_cal", "better": "lower"}]}
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(spec))
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        calls.append(checkout.name)
+        pair = (len(calls) - 1) // 2
+        if pair in (3, 7) and checkout.name == "change":
+            return None
+        value = 100.0 + pair if checkout.name == "parent" else 80.0
+        return {"failed": 0, "metrics": {"run_wall_cal": {"value": value}}}
+
+    monkeypatch.setattr(bench_ab, "run_once", run_once)
+    assert bench_ab.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "w", "--seed", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "change better in 8/10 pairs (worse in 0, 2 failed); gain: no" in out
+    assert "2 pair(s) with a failed run" in out
+    s = bench_ab.summarize([(100.0, 80.0)] * 8 + [None, None], "lower")
+    assert (s["pairs"], s["wins"], s["failed_pairs"], s["gain"]) == (10, 8, 2, False)
+    assert s["parent"]["median"] == 100.0
+
+
 bench = load_tool("bench")
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from cryptoforecast import training
 from cryptoforecast.errors import DivergenceError, InsufficientDataError, PoisonedUpdateError
-from cryptoforecast.network import ArchSpec, init_params
+from cryptoforecast.network import ArchSpec, ModelParams, init_params
 from cryptoforecast.preprocess import SequenceBatch, fit_scaler, make_windows, transform
 from cryptoforecast.training import OptimizerState, TrainConfig, adam_step, mse_loss, train
 
@@ -59,7 +59,7 @@ class TestAdamStep:
 
     def test_zero_gradient_is_fixed_point(self, setup):
         model, state, cfg = setup
-        new_model, new_state = adam_step(model, model.zeros_like(), state, cfg)
+        new_model, new_state = adam_step(model, ModelParams.zeros(model.arch), state, cfg)
         for a, b in zip(model.flat(), new_model.flat()):
             assert np.array_equal(a, b)
         assert new_state.step == 1
@@ -69,7 +69,7 @@ class TestAdamStep:
         # bias correction makes the first update lr*g/(|g|+eps) ~ lr at any scale
         model, state, cfg = setup
         for scale in (1e-6, 1.0, 1e6):
-            grads = model.rebuild([np.full_like(a, scale) for a in model.flat()])
+            grads = ModelParams(model.arch, np.full(model.vector.size, scale))
             new_model, _ = adam_step(model, grads, state, cfg)
             expect = cfg.learning_rate * scale / (scale + cfg.adam_epsilon)
             for a, b in zip(model.flat(), new_model.flat()):
@@ -79,7 +79,7 @@ class TestAdamStep:
     def test_bias_corrected_recurrence_hand_check(self, setup):
         model, state, cfg = setup
         g = 0.25
-        grads = model.rebuild([np.full_like(a, g) for a in model.flat()])
+        grads = ModelParams(model.arch, np.full(model.vector.size, g))
         stepped, st1 = adam_step(model, grads, state, cfg)
         # by hand: m=0.1*0.25/(1-0.9)=0.25 ; v=0.001*0.0625/(1-0.999)=0.0625
         expect = cfg.learning_rate * 0.25 / (np.sqrt(0.0625) + cfg.adam_epsilon)
@@ -89,7 +89,7 @@ class TestAdamStep:
 
     def test_deterministic(self, setup):
         model, state, cfg = setup
-        grads = model.rebuild([np.full_like(a, 0.1) for a in model.flat()])
+        grads = ModelParams(model.arch, np.full(model.vector.size, 0.1))
         a1, s1 = adam_step(model, grads, state, cfg)
         a2, s2 = adam_step(model, grads, state, cfg)
         for x, y in zip(a1.flat(), a2.flat()):
@@ -98,14 +98,14 @@ class TestAdamStep:
 
     def test_non_finite_gradient_poisons(self, setup):
         model, state, cfg = setup
-        arrays = [np.zeros_like(a) for a in model.flat()]
-        arrays[0].flat[0] = np.nan
+        grads = ModelParams.zeros(model.arch)
+        grads.flat()[0].flat[0] = np.nan
         with pytest.raises(PoisonedUpdateError):
-            adam_step(model, model.rebuild(arrays), state, cfg)
+            adam_step(model, grads, state, cfg)
 
     def test_poisoned_update_names_first_non_finite_array(self, setup):
         model, state, cfg = setup
-        grads = model.zeros_like()
+        grads = ModelParams.zeros(model.arch)
         names = model.array_names()
         grads.flat()[names.index("dense_b")][0] = np.nan
         grads.flat()[names.index("layers[1].u")][2, 1] = -np.inf
@@ -119,7 +119,7 @@ class TestAdamStep:
         model, state, cfg = setup
         other = init_params(ArchSpec("lstm", hidden_units=4), seed=0)
         with pytest.raises(ValueError):
-            adam_step(model, other.zeros_like(), state, cfg)
+            adam_step(model, ModelParams.zeros(other.arch), state, cfg)
 
 
 class TestTrainLoop:

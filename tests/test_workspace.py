@@ -129,7 +129,9 @@ def test_workspace_batches_match_default_calls_across_batch_sizes(kind, rng):
         windows = rng.uniform(size=(batch, 7))
         d_preds = rng.normal(size=batch)
         preds, tape = forward_batch(model, windows, workspace=workspace)
-        grads = backward_batch(model, tape, d_preds, workspace=workspace)
+        if tapes:  # the previous batch (another size) no longer holds its inputs
+            assert all(cell_tape.x is None for layer_tape in tapes[-1].layer_tapes for cell_tape in layer_tape)
+        grads = backward_batch(model, tape, d_preds)
         want_preds, want_tape = forward_batch(model, windows)
         assert_same_bits(preds, want_preds)
         for layer_tape, want_layer in zip(tape.layer_tapes, want_tape.layer_tapes):
@@ -146,26 +148,27 @@ def test_workspace_batches_match_default_calls_across_batch_sizes(kind, rng):
 
 
 @pytest.mark.parametrize("kind", ["lstm", "gru"])
-def test_kernel_workspace_rejects_foreign_tapes_and_shapes(kind, rng):
+def test_kernel_workspace_rejects_other_shapes_and_reuses_its_backward(kind, rng):
     fwd_work = {"lstm": cells.LstmForwardWork, "gru": cells.GruForwardWork}[kind]
     bwd_work = {"lstm": cells.LstmBackwardWork, "gru": cells.GruBackwardWork}[kind]
     forward, backward = getattr(cells, f"{kind}_forward"), getattr(cells, f"{kind}_backward")
     model = init_params(ArchSpec(kind, layers=1, hidden_units=3), seed=0)
     params = model.layers[0][0]
-    x = rng.uniform(size=(4, 2, 1))
     work = fwd_work(4, 2, 1, 3)
     with pytest.raises(ValueError, match="workspace"):
         forward(params, rng.uniform(size=(4, 3, 1)), workspace=work)
     with pytest.raises(ValueError, match="workspace"):
-        forward(params, x, store_tape=False, workspace=work)
-    _, tape = forward(params, x, workspace=work)
-    _, other = forward(params, x)
-    back = bwd_work(tape, 1)
-    dh = rng.normal(size=(4, 2, 3))
-    with pytest.raises(ValueError, match="another tape"):
-        backward(params, other, dh, workspace=back)
-    grad, dx = backward(params, tape, dh, workspace=back)
-    want_grad, want_dx = backward(params, other, dh)
-    for got, want in zip(grad.arrays(), want_grad.arrays()):
-        assert_same_bits(got, want)
-    assert_same_bits(dx, want_dx)
+        forward(params, rng.uniform(size=(4, 2, 1)), store_tape=False, workspace=work)
+    work.backward = bwd_work(work)
+    for _ in range(2):  # the second pass overwrites the first in the same buffers
+        x, dh = rng.uniform(size=(4, 2, 1)), rng.normal(size=(4, 2, 3))
+        _, tape = forward(params, x, workspace=work)
+        assert tape is work and tape.x is x
+        grad, dx = backward(params, tape, dh)
+        assert grad is work.backward.grad and dx is work.backward.dx
+        _, fresh = forward(params, x)
+        assert fresh.backward is None
+        want_grad, want_dx = backward(params, fresh, dh)
+        for got, want in zip(grad.arrays(), want_grad.arrays()):
+            assert_same_bits(got, want)
+        assert_same_bits(dx, want_dx)

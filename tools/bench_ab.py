@@ -12,10 +12,11 @@ sides alike.  Run length is ``run_seconds`` from CHANGE's
 ``BENCHMARK.json``, the same for both sides.  For every gated end-to-end
 metric of that file the tool prints each pair, then both sides' medians and
 quartiles, the parent's interquartile range, the change's wins and whether
-the change is a gain: it wins at least nine pairs in ten (ties count for
-neither side) and its median is better than the parent's by more than the
-parent's interquartile range.  Exit status is 0 when every run reported a
-result, 1 otherwise.
+the change is a gain: it wins at least nine in ten of the pairs that ran
+(ties count for neither side, and a pair with a failed run counts as not
+won) and its median is better than the parent's by more than the parent's
+interquartile range.  Exit status is 0 when every run reported a result, 1
+otherwise.
 """
 
 from __future__ import annotations
@@ -36,18 +37,23 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(pairs: list[tuple[float, float]], better: str) -> dict:
-    """Statistics of (parent, change) value pairs of one metric; ``better`` is "lower" or "higher"."""
+def summarize(pairs: list[tuple[float, float] | None], better: str) -> dict:
+    """Statistics of (parent, change) value pairs of one metric; ``better`` is "lower" or "higher".
+
+    A None pair had a failed run: it counts towards the pairs, never as a win.
+    """
     sign = -1.0 if better == "lower" else 1.0
-    parent = [p for p, _ in pairs]
-    change = [c for _, c in pairs]
+    ran = [pair for pair in pairs if pair is not None]
+    parent = [p for p, _ in ran]
+    change = [c for _, c in ran]
     p_q1, p_med, p_q3 = quartiles(parent)
     c_q1, c_med, c_q3 = quartiles(change)
-    wins = sum(sign * (c - p) > 0 for p, c in pairs)
-    losses = sum(sign * (c - p) < 0 for p, c in pairs)
+    wins = sum(sign * (c - p) > 0 for p, c in ran)
+    losses = sum(sign * (c - p) < 0 for p, c in ran)
     iqr = p_q3 - p_q1
     return {
         "pairs": len(pairs),
+        "failed_pairs": len(pairs) - len(ran),
         "parent": {"q1": p_q1, "median": p_med, "q3": p_q3},
         "change": {"q1": c_q1, "median": c_med, "q3": c_q3},
         "parent_iqr": iqr,
@@ -90,7 +96,7 @@ def main(argv=None) -> int:
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     gated = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
-    values: dict[str, list[tuple[float, float]]] = {name: [] for name in gated}
+    values: dict[str, list[tuple[float, float] | None]] = {name: [] for name in gated}
     failed = 0
     for k in range(args.pairs):
         sides = [("parent", args.parent), ("change", args.change)]
@@ -102,6 +108,8 @@ def main(argv=None) -> int:
         if any(r is None or r["failed"] for r in results.values()):
             failed += 1
             print(f"pair {k + 1}: a run failed: {json.dumps(results)}")
+            for name in gated:
+                values[name].append(None)
             continue
         line = []
         for name in gated:
@@ -111,7 +119,7 @@ def main(argv=None) -> int:
         print(f"pair {k + 1} ({sides[0][0]} first): " + ", ".join(line), flush=True)
 
     for name, better in gated.items():
-        if not values[name]:
+        if not any(values[name]):
             continue
         s = summarize(values[name], better)
         p, c = s["parent"], s["change"]
@@ -119,7 +127,7 @@ def main(argv=None) -> int:
             f"{name} ({better} is better): parent median {p['median']:.4g} (q1 {p['q1']:.4g}, q3 {p['q3']:.4g},"
             f" IQR {s['parent_iqr']:.4g}); change median {c['median']:.4g} (q1 {c['q1']:.4g}, q3 {c['q3']:.4g});"
             f" {s['delta_pct']:+.1f}%; change better in {s['wins']}/{s['pairs']} pairs"
-            f" (worse in {s['losses']}); gain: {'yes' if s['gain'] else 'no'}"
+            f" (worse in {s['losses']}, {s['failed_pairs']} failed); gain: {'yes' if s['gain'] else 'no'}"
         )
     if failed:
         print(f"{failed} pair(s) with a failed run")
