@@ -24,18 +24,16 @@ dim)``) so every per-step slice is contiguous, and they record the
 activations needed for an exact reverse-mode gradient.  All arithmetic
 is float64.
 
-Each kernel runs on a *workspace* (:class:`LstmForwardWork`,
-:class:`LstmBackwardWork`, :class:`GruForwardWork`,
-:class:`GruBackwardWork`): its buffers plus, for every step, a tuple of
-the views that step reads and writes, so the time loop unpacks views
-instead of indexing arrays.  A forward workspace is also the tape: a
-forward call that keeps one returns its workspace, which the backward
-kernel reads.  A forward call given no workspace (``workspace=``) builds
-a fresh one, so no two such calls share memory; a workspace passed in is
-reused, and every call overwrites its tape.  A backward call runs on the
-backward workspace attached to its tape (``tape.backward``) and
-overwrites that workspace's gradients and input gradient; a tape with
-none attached gets a fresh one per call.
+Each cell runs on one *workspace* (:class:`LstmWork`, :class:`GruWork`):
+its buffers plus, for every step, a tuple of the views that step reads
+and writes, so the time loops unpack views instead of indexing arrays.
+A workspace that keeps a tape is the tape: a forward call that keeps
+one returns its workspace, which also holds the backward pass's buffers
+and views over its own tape arrays.  A forward call given no workspace
+(``workspace=``) builds a fresh one, so no two such calls share memory.
+A workspace passed in is overwritten: every forward call overwrites its
+tape, and every backward call on a tape overwrites that tape's gradients
+and input gradient.
 """
 
 from __future__ import annotations
@@ -185,24 +183,31 @@ def _check_forward_work(work, x: np.ndarray, store_tape: bool) -> None:
         raise ValueError(f"workspace for {work.shape} (store_tape={work.store_tape}) used on {x.shape}")
 
 
-class LstmForwardWork:
-    """Buffers and per-step views of :func:`lstm_forward` for one cell and one input shape; also its tape.
+class LstmWork:
+    """Buffers and per-step views of :func:`lstm_forward` and :func:`lstm_backward` for one cell and input shape.
 
-    The tape, all time-major: ``x`` the last call's input (T, B, D), ``s``
-    the sigmoid gates i|f|o (T, B, 3H), ``g`` the candidate tanh, ``c`` the
-    cell state, ``tc`` its tanh and ``h`` the hidden sequence (T, B, H).
-    ``backward`` is the :class:`LstmBackwardWork` that :func:`lstm_backward`
-    runs on, or None.  ``alloc(name, shape)`` hands out every buffer; the
+    The tape, all time-major: ``x`` the last forward call's input (T, B,
+    D), ``s`` the sigmoid gates i|f|o (T, B, 3H), ``g`` the candidate tanh,
+    ``c`` the cell state, ``tc`` its tanh and ``h`` the hidden sequence (T,
+    B, H).  ``alloc(name, shape)`` hands out the cell's own buffers; the
     default allocates fresh ones.  ``blocks`` holds, per input-projection
     block, its first step, its length, the projection rows it fills, and
     one tuple per step of the views that step reads and writes, so the time
-    loop only unpacks them.  A workspace is reused across calls of the same
-    shape: each call overwrites the previous call's tape.
+    loop only unpacks them.
+
+    With ``store_tape`` the workspace also holds the backward pass over its
+    tape: ``dh_seq`` the output gradient, ``back_blocks`` the reversed-time
+    blocks of per-step views, the parameter gradients in ``grad`` (a
+    :class:`CellParams`, fresh arrays unless given) and the input gradient
+    in ``dx`` when ``need_dx``.  ``shared`` hands out the scratch that
+    lives only while one backward call runs (``da``, the hoisted factors,
+    the carries), which cells that run one after another may share.
     """
 
-    def __init__(self, steps: int, batch: int, inp: int, hidden: int, store_tape: bool = True, alloc=_fresh):
+    def __init__(self, steps: int, batch: int, inp: int, hidden: int, store_tape: bool = True, alloc=_fresh,
+                 grad=None, need_dx=True, shared=_fresh):
         self.shape, self.store_tape = (steps, batch, inp), bool(store_tape)
-        self.x = self.backward = None
+        self.x = None
         rows = steps if store_tape else 1  # without a tape every step reuses row 0
         s = self.s = alloc("s", (rows, batch, 3 * hidden))
         g = self.g = alloc("g", (rows, batch, hidden))
@@ -226,6 +231,39 @@ class LstmForwardWork:
                 h_prev, c_prev = (h[t - 1], c[max(k - 1, 0)]) if t else (zero, zero)
                 views.append((h_prev, xp[t - t0], s[k], g[k], c_prev, c[k], tc[k], i[k], f[k], o[k], h[t]))
             self.blocks.append((t0, m, xp[:m].reshape(m * batch, 4 * hidden), views))
+        if not store_tape:
+            return
+
+        dh_seq = self.dh_seq = alloc("dh_seq", (steps, batch, hidden))
+        da = shared("da", (steps, batch, 4 * hidden))
+        da_s, da_g = da[:, :, : 3 * hidden], da[:, :, 3 * hidden :]
+        da_i, da_f, da_o = da[:, :, :hidden], da[:, :, hidden : 2 * hidden], da[:, :, 2 * hidden : 3 * hidden]
+        self.dh, self.dc = shared("dh", (batch, hidden)), shared("dc", (batch, hidden))
+        self.dh_carry, self.dc_carry = shared("dh_carry", (batch, hidden)), shared("dc_carry", (batch, hidden))
+        block = _block_len(steps, batch * 5 * hidden)
+        oms_buf = shared("oms", (block, batch, 3 * hidden))  # 1 - sigmoid gates
+        otc_buf = shared("otc", (block, batch, hidden))  # 1 - tanh(c)**2
+        og_buf = shared("og", (block, batch, hidden))  # 1 - g**2
+        self.back_blocks = []
+        for end in range(steps, 0, -block):
+            start = max(0, end - block)
+            oms, otc, og = oms_buf[: end - start], otc_buf[: end - start], og_buf[: end - start]
+            views = [
+                (dh_seq[t], o[t], otc[t - start], g[t], da_i[t], c[t - 1] if t else zero, da_f[t],
+                 tc[t], da_o[t], da_s[t], s[t], oms[t - start], da_g[t], i[t], og[t - start], da[t], f[t])
+                for t in range(end - 1, start - 1, -1)
+            ]
+            self.back_blocks.append(((s[start:end], oms, tc[start:end], otc, g[start:end], og), views))
+
+        self.flat = da.reshape(steps * batch, 4 * hidden)
+        # h_prev is zero at t=0, so the recurrent gradient only sums t >= 1
+        self.da_after_0 = da[1:].reshape(-1, 4 * hidden).T
+        self.h_before_last = h[:-1].reshape(-1, hidden)
+        if grad is None:
+            rows = 4 * hidden
+            grad = CellParams(w=alloc("dw", (rows, inp)), u=alloc("du", (rows, hidden)), b=alloc("db", (rows,)))
+        self.grad = grad
+        self.dx = alloc("dx", (steps, batch, inp)) if need_dx else None
 
 
 def lstm_forward(params: CellParams, x: np.ndarray, store_tape: bool = True, *, workspace=None):
@@ -236,12 +274,12 @@ def lstm_forward(params: CellParams, x: np.ndarray, store_tape: bool = True, *, 
     Activations are written straight into the tape; without one, a single
     slot per quantity is reused.  The input projection is computed a block
     of steps at a time into one reused buffer (see :data:`_HOIST_BYTES`).
-    Without a ``workspace`` (an :class:`LstmForwardWork` of this shape) the
-    call builds a fresh one, so its outputs share no memory with any other
+    Without a ``workspace`` (an :class:`LstmWork` of this shape) the call
+    builds a fresh one, so its outputs share no memory with any other
     call's.
     """
     steps, batch, inp = x.shape
-    work = workspace or LstmForwardWork(steps, batch, inp, params.hidden_size, store_tape)
+    work = workspace or LstmWork(steps, batch, inp, params.hidden_size, store_tape)
     _check_forward_work(work, x, store_tape)
     wt, b = params.w.T, params.b
     ut = work.ut
@@ -263,76 +301,22 @@ def lstm_forward(params: CellParams, x: np.ndarray, store_tape: bool = True, *, 
     return work.h, work if store_tape else None
 
 
-class LstmBackwardWork:
-    """Buffers and per-step views of :func:`lstm_backward` over one cell's tape.
-
-    ``tape`` is the :class:`LstmForwardWork` whose arrays the views read.
-    ``dh_seq`` is the output-gradient buffer the views read; without one it
-    is allocated.  Parameter gradients are written into ``grad`` (a
-    :class:`CellParams`, fresh arrays unless given), and the input gradient
-    into ``dx`` when ``need_dx``.  ``alloc`` hands out the cell's own
-    buffers; ``shared`` the scratch that lives only while one backward call
-    runs (``da``, the hoisted factors, the carries), which cells that run
-    one after another may share.
-    """
-
-    def __init__(self, tape, dh_seq=None, grad=None, need_dx=True, alloc=_fresh, shared=_fresh):
-        steps, batch, inp = tape.shape
-        hsize = tape.h.shape[2]
-        s, g, c, tc, h = tape.s, tape.g, tape.c, tape.tc, tape.h
-        i, f, o = s[:, :, :hsize], s[:, :, hsize : 2 * hsize], s[:, :, 2 * hsize :]
-        self.dh_seq = alloc("dh_seq", (steps, batch, hsize)) if dh_seq is None else dh_seq
-        da = shared("da", (steps, batch, 4 * hsize))
-        da_s, da_g = da[:, :, : 3 * hsize], da[:, :, 3 * hsize :]
-        da_i, da_f, da_o = da[:, :, :hsize], da[:, :, hsize : 2 * hsize], da[:, :, 2 * hsize : 3 * hsize]
-        self.dh, self.dc = shared("dh", (batch, hsize)), shared("dc", (batch, hsize))
-        self.dh_carry, self.dc_carry = shared("dh_carry", (batch, hsize)), shared("dc_carry", (batch, hsize))
-        zero = _zeros(shared, "zero", (batch, hsize))  # c before step 0
-
-        block = _block_len(steps, batch * 5 * hsize)
-        oms_buf = shared("oms", (block, batch, 3 * hsize))  # 1 - sigmoid gates
-        otc_buf = shared("otc", (block, batch, hsize))  # 1 - tanh(c)**2
-        og_buf = shared("og", (block, batch, hsize))  # 1 - g**2
-        self.blocks = []
-        for end in range(steps, 0, -block):
-            start = max(0, end - block)
-            oms, otc, og = oms_buf[: end - start], otc_buf[: end - start], og_buf[: end - start]
-            views = [
-                (self.dh_seq[t], o[t], otc[t - start], g[t], da_i[t], c[t - 1] if t else zero, da_f[t],
-                 tc[t], da_o[t], da_s[t], s[t], oms[t - start], da_g[t], i[t], og[t - start], da[t], f[t])
-                for t in range(end - 1, start - 1, -1)
-            ]
-            self.blocks.append(((s[start:end], oms, tc[start:end], otc, g[start:end], og), views))
-
-        self.flat = da.reshape(steps * batch, 4 * hsize)
-        # h_prev is zero at t=0, so the recurrent gradient only sums t >= 1
-        self.da_after_0 = da[1:].reshape(-1, 4 * hsize).T
-        self.h_before_last = h[:-1].reshape(-1, hsize)
-        if grad is None:
-            rows = 4 * hsize
-            grad = CellParams(w=alloc("dw", (rows, inp)), u=alloc("du", (rows, hsize)), b=alloc("db", (rows,)))
-        self.grad = grad
-        self.dx = alloc("dx", (steps, batch, inp)) if need_dx else None
-
-
-def lstm_backward(params: CellParams, tape: LstmForwardWork, dh_seq: np.ndarray):
+def lstm_backward(params: CellParams, tape: LstmWork, dh_seq: np.ndarray):
     """Exact gradient of the LSTM sequence pass that recorded ``tape``.
 
     ``dh_seq`` holds the loss gradient w.r.t. every hidden output (zeros
     where a step's output is unused).  Returns (parameter gradients as a
     :class:`CellParams`, gradient w.r.t. the layer input, or None when the
-    backward workspace skips it).  The call runs on ``tape.backward``,
-    overwriting its previous results, or on a fresh
-    :class:`LstmBackwardWork` when none is attached.
+    workspace skips it), both in the tape's own buffers, which the next
+    backward call on it overwrites.
     """
-    work = tape.backward or LstmBackwardWork(tape, dh_seq)
-    if dh_seq is not work.dh_seq:
-        np.copyto(work.dh_seq, dh_seq)
+    if dh_seq is not tape.dh_seq:
+        np.copyto(tape.dh_seq, dh_seq)
     u = params.u
-    dh, dc, dh_carry, dc_carry = work.dh, work.dc, work.dh_carry, work.dc_carry
+    dh, dc, dh_carry, dc_carry = tape.dh, tape.dc, tape.dh_carry, tape.dc_carry
     dh_carry.fill(0.0)
     dc_carry.fill(0.0)
-    for (s_b, oms, tc_b, otc, g_b, og), views in work.blocks:
+    for (s_b, oms, tc_b, otc, g_b, og), views in tape.back_blocks:
         np.subtract(1.0, s_b, out=oms)
         np.multiply(tc_b, tc_b, out=otc)
         np.subtract(1.0, otc, out=otc)
@@ -353,27 +337,27 @@ def lstm_backward(params: CellParams, tape: LstmForwardWork, dh_seq: np.ndarray)
             np.matmul(da_t, u, out=dh_carry)
             np.multiply(dc, f_t, out=dc_carry)
 
-    flat, grad = work.flat, work.grad
+    flat, grad = tape.flat, tape.grad
     np.matmul(flat.T, tape.x.reshape(flat.shape[0], -1), out=grad.w)
-    np.matmul(work.da_after_0, work.h_before_last, out=grad.u)
+    np.matmul(tape.da_after_0, tape.h_before_last, out=grad.u)
     np.sum(flat, axis=0, out=grad.b)
-    if work.dx is not None:
-        np.matmul(flat, params.w, out=work.dx.reshape(flat.shape[0], -1))
-    return grad, work.dx
+    if tape.dx is not None:
+        np.matmul(flat, params.w, out=tape.dx.reshape(flat.shape[0], -1))
+    return grad, tape.dx
 
 
-class GruForwardWork:
-    """Buffers and per-step views of :func:`gru_forward`; see :class:`LstmForwardWork`.
+class GruWork:
+    """Buffers and per-step views of :func:`gru_forward` and :func:`gru_backward`; see :class:`LstmWork`.
 
     The tape: ``x``, ``s`` the sigmoid gates u|r (T, B, 2H), ``n`` the
     candidate tanh, ``rh`` the reset-scaled previous hidden state and ``h``
-    the hidden sequence (T, B, H); ``backward`` a :class:`GruBackwardWork`
-    or None.
+    the hidden sequence (T, B, H).
     """
 
-    def __init__(self, steps: int, batch: int, inp: int, hidden: int, store_tape: bool = True, alloc=_fresh):
+    def __init__(self, steps: int, batch: int, inp: int, hidden: int, store_tape: bool = True, alloc=_fresh,
+                 grad=None, need_dx=True, shared=_fresh):
         self.shape, self.store_tape = (steps, batch, inp), bool(store_tape)
-        self.x = self.backward = None
+        self.x = None
         rows = steps if store_tape else 1
         s = self.s = alloc("s", (rows, batch, 2 * hidden))
         n = self.n = alloc("n", (rows, batch, hidden))
@@ -397,6 +381,46 @@ class GruForwardWork:
                 views.append((h[t - 1] if t else zero, xp_ur[t - t0], s[k], r[k], rh[k], xp_c[t - t0], n[k], u[k], h[t]))
             xp_ur_m, xp_c_m = xp_ur[:m].reshape(m * batch, 2 * hidden), xp_c[:m].reshape(m * batch, hidden)
             self.blocks.append((t0, m, xp_ur_m, xp_c_m, views))
+        if not store_tape:
+            return
+
+        dh_seq = self.dh_seq = alloc("dh_seq", (steps, batch, hidden))
+        da_ur = shared("da_ur", (steps, batch, 2 * hidden))
+        da_u, da_r = da_ur[:, :, :hidden], da_ur[:, :, hidden:]
+        da_c = shared("da_c", (steps, batch, hidden))
+        self.dh, self.drh = shared("dh", (batch, hidden)), shared("drh", (batch, hidden))
+        self.tmp, self.dh_carry = shared("tmp", (batch, hidden)), shared("dh_carry", (batch, hidden))
+        block = _block_len(steps, batch * 4 * hidden)
+        oms_buf = shared("oms", (block, batch, 2 * hidden))  # 1 - sigmoid gates
+        onn_buf = shared("onn", (block, batch, hidden))  # 1 - n**2
+        nmh_buf = shared("nmh", (block, batch, hidden))  # n - h_prev
+        self.back_blocks = []
+        for end in range(steps, 0, -block):
+            start = max(0, end - block)
+            oms, onn, nmh = oms_buf[: end - start], onn_buf[: end - start], nmh_buf[: end - start]
+            omu = oms[:, :, :hidden]
+            if start:
+                differences = [(n[start:end], h[start - 1 : end - 1], nmh)]
+            else:  # with a zero h_prev at step 0
+                differences = [(n[0], zero, nmh[0]), (n[1:end], h[: end - 1], nmh[1:])]
+            views = [
+                (dh_seq[t], u[t], da_c[t], onn[t - start], nmh[t - start], da_u[t], h[t - 1] if t else zero,
+                 da_r[t], da_ur[t], s[t], oms[t - start], omu[t - start], r[t])
+                for t in range(end - 1, start - 1, -1)
+            ]
+            self.back_blocks.append(((s[start:end], oms, n[start:end], onn, differences), views))
+
+        self.flat_ur = da_ur.reshape(steps * batch, 2 * hidden)
+        self.flat_c = da_c.reshape(steps * batch, hidden)
+        self.da_ur_after_0 = da_ur[1:].reshape(-1, 2 * hidden).T
+        self.h_before_last = h[:-1].reshape(-1, hidden)
+        self.rh_flat = rh.reshape(steps * batch, hidden)
+        if grad is None:
+            rows = 3 * hidden
+            grad = CellParams(w=alloc("dw", (rows, inp)), u=alloc("du", (rows, hidden)), b=alloc("db", (rows,)))
+        self.grad = grad
+        self.dx = alloc("dx", (steps, batch, inp)) if need_dx else None
+        self.dx_c = shared("dx_c", (steps * batch, inp)) if need_dx else None
 
 
 def gru_forward(params: CellParams, x: np.ndarray, store_tape: bool = True, *, workspace=None):
@@ -405,11 +429,11 @@ def gru_forward(params: CellParams, x: np.ndarray, store_tape: bool = True, *, w
     Like :func:`lstm_forward`, writes activations straight into the tape,
     or into one reused slot per quantity when no tape is kept, computes
     the input projection a block of steps at a time, and builds a fresh
-    :class:`GruForwardWork` when given no ``workspace``.
+    :class:`GruWork` when given no ``workspace``.
     """
     steps, batch, inp = x.shape
     hsize = params.hidden_size
-    work = workspace or GruForwardWork(steps, batch, inp, hsize, store_tape)
+    work = workspace or GruWork(steps, batch, inp, hsize, store_tape)
     _check_forward_work(work, x, store_tape)
     # One input product per gate group, like the recurrent products: a
     # single product over all 3H columns rounds differently.
@@ -440,66 +464,16 @@ def gru_forward(params: CellParams, x: np.ndarray, store_tape: bool = True, *, w
     return work.h, work if store_tape else None
 
 
-class GruBackwardWork:
-    """Buffers and per-step views of :func:`gru_backward`; see :class:`LstmBackwardWork`."""
-
-    def __init__(self, tape, dh_seq=None, grad=None, need_dx=True, alloc=_fresh, shared=_fresh):
-        steps, batch, inp = tape.shape
-        hsize = tape.h.shape[2]
-        s, n, h = tape.s, tape.n, tape.h
-        u, r = s[:, :, :hsize], s[:, :, hsize:]
-        self.dh_seq = alloc("dh_seq", (steps, batch, hsize)) if dh_seq is None else dh_seq
-        da_ur = shared("da_ur", (steps, batch, 2 * hsize))
-        da_u, da_r = da_ur[:, :, :hsize], da_ur[:, :, hsize:]
-        da_c = shared("da_c", (steps, batch, hsize))
-        self.dh, self.drh = shared("dh", (batch, hsize)), shared("drh", (batch, hsize))
-        self.tmp, self.dh_carry = shared("tmp", (batch, hsize)), shared("dh_carry", (batch, hsize))
-        zero = _zeros(shared, "zero", (batch, hsize))  # h before step 0
-
-        block = _block_len(steps, batch * 4 * hsize)
-        oms_buf = shared("oms", (block, batch, 2 * hsize))  # 1 - sigmoid gates
-        onn_buf = shared("onn", (block, batch, hsize))  # 1 - n**2
-        nmh_buf = shared("nmh", (block, batch, hsize))  # n - h_prev
-        self.blocks = []
-        for end in range(steps, 0, -block):
-            start = max(0, end - block)
-            oms, onn, nmh = oms_buf[: end - start], onn_buf[: end - start], nmh_buf[: end - start]
-            omu = oms[:, :, :hsize]
-            if start:
-                differences = [(n[start:end], h[start - 1 : end - 1], nmh)]
-            else:  # with a zero h_prev at step 0
-                differences = [(n[0], zero, nmh[0]), (n[1:end], h[: end - 1], nmh[1:])]
-            views = [
-                (self.dh_seq[t], u[t], da_c[t], onn[t - start], nmh[t - start], da_u[t], h[t - 1] if t else zero,
-                 da_r[t], da_ur[t], s[t], oms[t - start], omu[t - start], r[t])
-                for t in range(end - 1, start - 1, -1)
-            ]
-            self.blocks.append(((s[start:end], oms, n[start:end], onn, differences), views))
-
-        self.flat_ur = da_ur.reshape(steps * batch, 2 * hsize)
-        self.flat_c = da_c.reshape(steps * batch, hsize)
-        self.da_ur_after_0 = da_ur[1:].reshape(-1, 2 * hsize).T
-        self.h_before_last = h[:-1].reshape(-1, hsize)
-        self.rh_flat = tape.rh.reshape(steps * batch, hsize)
-        if grad is None:
-            rows = 3 * hsize
-            grad = CellParams(w=alloc("dw", (rows, inp)), u=alloc("du", (rows, hsize)), b=alloc("db", (rows,)))
-        self.grad = grad
-        self.dx = alloc("dx", (steps, batch, inp)) if need_dx else None
-        self.dx_c = shared("dx_c", (steps * batch, inp)) if need_dx else None
-
-
-def gru_backward(params: CellParams, tape: GruForwardWork, dh_seq: np.ndarray):
+def gru_backward(params: CellParams, tape: GruWork, dh_seq: np.ndarray):
     """Exact gradient of a GRU sequence pass; mirrors :func:`lstm_backward`."""
-    work = tape.backward or GruBackwardWork(tape, dh_seq)
-    if dh_seq is not work.dh_seq:
-        np.copyto(work.dh_seq, dh_seq)
+    if dh_seq is not tape.dh_seq:
+        np.copyto(tape.dh_seq, dh_seq)
     hsize = params.hidden_size
     u_ur = params.u[: 2 * hsize]
     u_c = params.u[2 * hsize :]
-    dh, drh, tmp, dh_carry = work.dh, work.drh, work.tmp, work.dh_carry
+    dh, drh, tmp, dh_carry = tape.dh, tape.drh, tape.tmp, tape.dh_carry
     dh_carry.fill(0.0)
-    for (s_b, oms, n_b, onn, differences), views in work.blocks:
+    for (s_b, oms, n_b, onn, differences), views in tape.back_blocks:
         np.subtract(1.0, s_b, out=oms)
         np.multiply(n_b, n_b, out=onn)
         np.subtract(1.0, onn, out=onn)
@@ -518,17 +492,17 @@ def gru_backward(params: CellParams, tape: GruForwardWork, dh_seq: np.ndarray):
             dh_carry += np.multiply(drh, r_t, out=tmp)
             dh_carry += np.matmul(da_ur, u_ur, out=tmp)
 
-    flat_ur, flat_c, grad = work.flat_ur, work.flat_c, work.grad
+    flat_ur, flat_c, grad = tape.flat_ur, tape.flat_c, tape.grad
     flat_x = tape.x.reshape(flat_ur.shape[0], -1)
     ur, c = slice(0, 2 * hsize), slice(2 * hsize, 3 * hsize)
     np.matmul(flat_ur.T, flat_x, out=grad.w[ur])
     np.matmul(flat_c.T, flat_x, out=grad.w[c])
-    np.matmul(work.da_ur_after_0, work.h_before_last, out=grad.u[ur])
-    np.matmul(flat_c.T, work.rh_flat, out=grad.u[c])
+    np.matmul(tape.da_ur_after_0, tape.h_before_last, out=grad.u[ur])
+    np.matmul(flat_c.T, tape.rh_flat, out=grad.u[c])
     np.sum(flat_ur, axis=0, out=grad.b[ur])
     np.sum(flat_c, axis=0, out=grad.b[c])
-    if work.dx is not None:
-        dx_flat = work.dx.reshape(flat_ur.shape[0], -1)
+    if tape.dx is not None:
+        dx_flat = tape.dx.reshape(flat_ur.shape[0], -1)
         np.matmul(flat_ur, params.w[ur], out=dx_flat)
-        dx_flat += np.matmul(flat_c, params.w[c], out=work.dx_c)
-    return grad, work.dx
+        dx_flat += np.matmul(flat_c, params.w[c], out=tape.dx_c)
+    return grad, tape.dx

@@ -229,8 +229,8 @@ def load_config(path, seed: int | None = None, out_dir=None) -> ExperimentConfig
     """Read a config file and apply CLI overrides."""
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([(0, f"cannot read config {path}: {exc}")]) from exc
     config = validate_config(text)
     # config-relative dataset paths make configs relocatable; an absolute path stays as it is
@@ -268,8 +268,8 @@ def prepare_asset(config: ExperimentConfig, asset: AssetSpec) -> PreparedAsset:
     predictable and every test date receives a prediction.
     """
     try:
-        text = asset.csv_path.read_text()
-    except OSError as exc:
+        text = asset.csv_path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([(0, f"cannot read dataset for {asset.symbol}: {exc}")]) from exc
     series = parse_ohlcv(text, price_column=config.price_column, symbol=asset.symbol)
     imputed = impute_locf(series)

@@ -28,10 +28,8 @@ from .cells import (
     GRU_GATE_ORDER,
     LSTM_GATE_ORDER,
     CellParams,
-    GruBackwardWork,
-    GruForwardWork,
-    LstmBackwardWork,
-    LstmForwardWork,
+    GruWork,
+    LstmWork,
     gru_backward,
     gru_forward,
     lstm_backward,
@@ -183,16 +181,6 @@ def init_params(arch: ArchSpec, seed: int) -> ModelParams:
     return model
 
 
-@dataclass(eq=False)
-class ModelTape:
-    """Cached activations from :func:`forward_batch` for the backward pass, and the gradients it writes."""
-
-    x: np.ndarray  # (T, B, D) time-major model input
-    layer_tapes: list  # per layer: a tuple of cell tapes (forward kernel workspaces), one per direction
-    final: np.ndarray  # (B, K) dense-head input
-    grads: ParamGrads | None = None  # the workspace's gradient vector, which backward_batch overwrites
-
-
 def _as_batch(windows, input_dim: int) -> np.ndarray:
     """Coerce windows to the time-major (T, B, D) layout the kernels use."""
     x = np.asarray(windows, dtype=np.float64)
@@ -233,79 +221,80 @@ def _carver(buffers: dict):
     return alloc
 
 
-class Workspace:
-    """Buffers that :func:`forward_batch` and :func:`backward_batch` reuse across batches.
+@dataclass(eq=False)
+class ModelTape:
+    """What :func:`forward_batch` records for the backward pass, the buffers it records into, and the gradients.
 
-    Per direction cell: its forward kernel workspace (the tape, scratch and
-    per-step views) with its backward kernel workspace attached, carved
-    from buffers sized by the first batch, so a shorter batch uses their
-    leading elements; the backward scratch is shared by all cells, which
-    run one after another.  ``grads`` is one gradient vector, laid out by
-    :attr:`ArchSpec.param_layout`, that :func:`backward_batch` writes in
-    place.  Each batch overwrites the previous batch's tape and gradients.
+    ``layer_tapes`` holds per layer a tuple of cell tapes (cell workspaces,
+    which also hold their backward buffers), one per direction; ``grads``
+    is the gradient vector, laid out by :attr:`ArchSpec.param_layout`, that
+    :func:`backward_batch` overwrites.  A tape from :func:`forward_batch`
+    also owns the buffers its cell workspaces are carved from, sized by the
+    largest batch it has seen, so a shorter batch uses their leading
+    elements; the backward scratch is shared by all cells, which run one
+    after another.  Passed back as ``workspace=``, the tape is overwritten.
     """
 
-    def __init__(self, model: ModelParams):
-        self.arch = model.arch
-        self.grads = ParamGrads(model.arch, np.empty(model.vector.size), model.seed)
-        self._own = [[{} for _ in layer] for layer in model.layers]
-        self._shared = {}
-        self._cells = {}
+    x: np.ndarray  # (T, B, D) time-major model input
+    layer_tapes: list
+    final: np.ndarray  # (B, K) dense-head input
+    grads: ParamGrads | None = None
+    # per cell its own buffers, the shared buffers, and the cell workspaces by (steps, batch); None when hand-built
+    _buffers: tuple | None = field(default=None, init=False, repr=False)
 
-    def cells(self, steps: int, batch: int) -> list:
-        """Per layer, a tuple of forward kernel workspaces, one per direction, for (steps, batch) inputs.
+    def _cells(self, steps: int, batch: int) -> list:
+        """Per layer, a tuple of cell workspaces, one per direction, for (steps, batch) inputs.
 
         Releases the inputs the previous batch's tapes recorded, so none outlives its batch.
         """
-        for work in (work for layers in self._cells.values() for layer in layers for work in layer):
+        own, shared, cells = self._buffers
+        for work in (work for layers in cells.values() for layer in layers for work in layer):
             work.x = None
-        if (steps, batch) not in self._cells:
-            arch = self.arch
-            fwd_work, bwd_work = (
-                (GruForwardWork, GruBackwardWork) if arch.cell_kind == "gru" else (LstmForwardWork, LstmBackwardWork)
-            )
-            shared = _carver(self._shared)
-            layers = []
-            for li, (inp, buffers) in enumerate(zip(arch.layer_input_sizes(), self._own)):
-                works = []
-                for d, own in enumerate(buffers):
-                    alloc = _carver(own)
-                    fwd = fwd_work(steps, batch, inp, arch.hidden_units, True, alloc)
-                    grad = self.grads.layers[li][d]
-                    fwd.backward = bwd_work(fwd, grad=grad, need_dx=li > 0, alloc=alloc, shared=shared)
-                    works.append(fwd)
-                layers.append(tuple(works))
-            self._cells[(steps, batch)] = layers
-        return self._cells[(steps, batch)]
+        if (steps, batch) not in cells:
+            arch = self.grads.arch
+            kind = GruWork if arch.cell_kind == "gru" else LstmWork
+            cells[(steps, batch)] = [
+                tuple(
+                    kind(steps, batch, inp, arch.hidden_units, True, _carver(buffers), grad, li > 0, _carver(shared))
+                    for buffers, grad in zip(own[li], self.grads.layers[li])
+                )
+                for li, inp in enumerate(arch.layer_input_sizes())
+            ]
+        return cells[(steps, batch)]
 
 
-def forward_batch(model: ModelParams, windows, store_tape: bool = True, *, workspace: Workspace | None = None):
+def forward_batch(model: ModelParams, windows, store_tape: bool = True, *, workspace: ModelTape | None = None):
     """Predict one scalar per window.  Returns (predictions, tape or None).
 
     Each layer runs its direction cells over the layer input, direction 1
-    over reversed time.  Only the next layer's input outlives a layer.
-    The tape lives in the ``workspace``'s buffers until the next call; a
-    tape kept without one gets a fresh :class:`Workspace`.
+    over reversed time.  Only the next layer's input outlives a layer.  A
+    tape passed as ``workspace`` (one this function returned for the same
+    architecture; ``store_tape`` true) is overwritten and returned; a tape
+    kept without one is a fresh :class:`ModelTape`.
     """
     x = _as_batch(windows, model.arch.input_dim)
     run = gru_forward if model.arch.cell_kind == "gru" else lstm_forward
-    if store_tape and workspace is None:
-        workspace = Workspace(model)
-    cells = workspace.cells(*x.shape[:2]) if workspace is not None else None
-    seq, layer_tapes = x, []
+    tape = workspace
+    if tape is None and store_tape:
+        tape = ModelTape(x, [], None, ParamGrads(model.arch, np.empty(model.vector.size), model.seed))
+        tape._buffers = [[{} for _ in layer] for layer in model.layers], {}, {}
+    elif tape is not None and (not store_tape or tape._buffers is None or tape.grads.arch != model.arch):
+        raise ValueError("workspace must be a tape that forward_batch returned for this architecture, with store_tape")
+    cells = tape._cells(*x.shape[:2]) if tape is not None else None
+    seq = x
     for li, layer in enumerate(model.layers):
         runs = []  # emptied before the kernels run, so the layer below's outputs are freed
         for d, cell in enumerate(layer):
             work = cells[li][d] if cells is not None else None
             runs.append(run(cell, np.ascontiguousarray(seq[::-1]) if d else seq, store_tape, workspace=work))
-        layer_tapes.append(tuple(cell_tape for _, cell_tape in runs))
         if li < len(model.layers) - 1:
             seq = _side_by_side([h_seq[::-1] if d else h_seq for d, (h_seq, _) in enumerate(runs)], axis=2)
     # the head reads each direction's own last step
     final = _side_by_side([h_seq[-1] for h_seq, _ in runs], axis=1)
 
     preds = final @ model.dense_w + model.dense_b[0]
-    tape = ModelTape(x=x, layer_tapes=layer_tapes, final=final, grads=workspace.grads) if store_tape else None
+    if tape is not None:  # the kernels kept their tapes in the cell workspaces
+        tape.x, tape.layer_tapes, tape.final = x, cells, final
     return preds, tape
 
 
@@ -322,9 +311,9 @@ def backward_batch(model: ModelParams, tape: ModelTape, d_predictions) -> ParamG
 
     Reverse-mode accumulation through the dense head and every layer's
     direction cells, written straight into the tape's gradient vector
-    (``tape.grads``), which is returned.  Every backward call on a tape of
-    the same workspace, this one included, overwrites it.  The tape must
-    come from :func:`forward_batch` on this same model.
+    (``tape.grads``), which is returned.  Every backward call on the tape,
+    this one included, overwrites it.  The tape must come from
+    :func:`forward_batch` on this same model.
     """
     arch = model.arch
     d_preds = np.asarray(d_predictions, dtype=np.float64)
@@ -348,7 +337,7 @@ def backward_batch(model: ModelParams, tape: ModelTape, d_predictions) -> ParamG
         d_input = None
         for d, (cell, cell_tape) in enumerate(zip(model.layers[li], tape.layer_tapes[li])):
             cols = slice(d * hsize, (d + 1) * hsize)
-            dh = cell_tape.backward.dh_seq
+            dh = cell_tape.dh_seq
             if d_seq is None:  # the head read only this direction's last step
                 dh[:-1] = 0.0
                 dh[-1] = d_final[:, cols]
@@ -437,9 +426,8 @@ def _cell_to_dict(cell: CellParams, gate_order: tuple[str, ...]) -> dict:
     return out
 
 
-def _checked_array(value, shape: tuple[int, ...], where: str) -> np.ndarray:
-    """``value``, a flat row-major list of finite numbers, as a float64 array of ``shape``."""
-    size = math.prod(shape)
+def _checked_array(value, size: int, where: str) -> np.ndarray:
+    """``value``, a flat list of ``size`` finite numbers, as a float64 array."""
     try:
         arr = np.asarray(value)
     except (ValueError, OverflowError):  # ragged nesting
@@ -450,18 +438,7 @@ def _checked_array(value, shape: tuple[int, ...], where: str) -> np.ndarray:
         raise CheckpointError(f"checkpoint {where}: expected {size} values, got {arr.size}")
     if not np.isfinite(arr).all():
         raise CheckpointError(f"checkpoint {where}: non-finite value")
-    return arr.astype(np.float64, copy=False).reshape(shape)
-
-
-def _cell_from_dict(data, gate_order: tuple[str, ...], cell: CellParams, where: str) -> None:
-    """Fill ``cell`` from its checkpoint entry."""
-    if type(data) is not dict:
-        raise CheckpointError(f"checkpoint {where}: expected an object of gate arrays")
-    for idx, name in enumerate(gate_order):
-        w, u, b = cell.gate_block(idx)
-        w[:] = _checked_array(data.get(f"w_{name}"), w.shape, f"{where}.w_{name}")
-        u[:] = _checked_array(data.get(f"u_{name}"), u.shape, f"{where}.u_{name}")
-        b[:] = _checked_array(data.get(f"b_{name}"), b.shape, f"{where}.b_{name}")
+    return arr.astype(np.float64, copy=False)
 
 
 def model_to_dict(model: ModelParams) -> dict:
@@ -496,6 +473,9 @@ def model_from_dict(data: dict) -> ModelParams:
     Raises :class:`CheckpointError` unless the document describes the
     whole declared model: one entry per layer, every gate array with the
     element count its shape needs, a full dense head, all values finite.
+    Every array's length is checked before the model is allocated, so a
+    document that declares an architecture larger than it holds allocates
+    nothing of the declared size.
     """
     if type(data) is not dict or data.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"not a {CHECKPOINT_FORMAT} document")
@@ -510,21 +490,36 @@ def model_from_dict(data: dict) -> ModelParams:
         found = len(entries) if type(entries) is list else "no list of"
         raise CheckpointError(f"checkpoint declares {arch.layers} layers but holds {found} layer entries")
     gate_order = GRU_GATE_ORDER if arch.cell_kind == "gru" else LSTM_GATE_ORDER
-    model = ModelParams.zeros(arch, data.get("seed"))
-    for li, (layer, entry) in enumerate(zip(model.layers, entries)):
+    hidden = arch.hidden_units
+    parts = []  # (document value, size, where) of every array, in vector order
+    for li, (inp, entry) in enumerate(zip(arch.layer_input_sizes(), entries)):
         where = f"layers[{li}]"
-        if len(layer) == 1:
-            _cell_from_dict(entry, gate_order, layer[0], where)
-            continue
-        if type(entry) is not dict or not set(_DIRECTION_KEYS) <= entry.keys():
+        if arch.directions == 1:
+            cells = [(entry, where)]
+        elif type(entry) is not dict or not set(_DIRECTION_KEYS) <= entry.keys():
             raise CheckpointError(f"checkpoint {where}: needs 'forward' and 'backward' cells")
-        for cell, key in zip(layer, _DIRECTION_KEYS):
-            _cell_from_dict(entry[key], gate_order, cell, f"{where}.{key}")
+        else:
+            cells = [(entry[key], f"{where}.{key}") for key in _DIRECTION_KEYS]
+        for cell, at in cells:
+            if type(cell) is not dict:
+                raise CheckpointError(f"checkpoint {at}: expected an object of gate arrays")
+            parts += [
+                (cell.get(f"{name}_{gate}"), size, f"{at}.{name}_{gate}")
+                for name, size in (("w", hidden * inp), ("u", hidden * hidden), ("b", hidden))
+                for gate in gate_order
+            ]
     dense = data.get("dense")
     if type(dense) is not dict:
         raise CheckpointError("checkpoint dense: expected an object with 'w' and 'b'")
-    model.dense_w[:] = _checked_array(dense.get("w"), model.dense_w.shape, "dense.w")
-    model.dense_b[:] = _checked_array([dense.get("b")], model.dense_b.shape, "dense.b")
+    parts += [(dense.get("w"), arch.dense_input_size, "dense.w"), ([dense.get("b")], 1, "dense.b")]
+    for value, size, where in parts:  # lengths first: a document short of the declared model allocates none of it
+        if type(value) is not list or len(value) != size:
+            _checked_array(value, size, where)  # raises
+    model = ModelParams.zeros(arch, data.get("seed"))
+    start = 0
+    for value, size, where in parts:
+        model.vector[start : start + size] = _checked_array(value, size, where)
+        start += size
     return model
 
 

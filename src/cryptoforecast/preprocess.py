@@ -62,10 +62,6 @@ class SequenceBatch:
     def __len__(self) -> int:
         return self.inputs.shape[0]
 
-    @property
-    def lookback(self) -> int:
-        return self.inputs.shape[1]
-
 
 def fit_scaler(train_values) -> ScalerParams:
     """Fit min/max on the training values only (test extrema must not leak)."""

@@ -17,7 +17,7 @@ import numpy as np
 from .cells import _HOIST_BYTES
 from .errors import DivergenceError, ForecastError, InsufficientDataError, PoisonedUpdateError
 from .metrics import mse_loss
-from .network import ModelParams, ParamGrads, Workspace, backward_batch, forward_batch
+from .network import ModelParams, ParamGrads, backward_batch, forward_batch
 from .preprocess import SequenceBatch
 
 log = logging.getLogger(__name__)
@@ -60,7 +60,7 @@ class OptimizerState:
 
 @dataclass
 class TrainReport:
-    """Per-epoch loss curves plus run metadata.
+    """Per-epoch loss curves and timings.
 
     ``epoch_seconds`` is wall-clock time and therefore varies between
     otherwise identical runs; it is logged but never serialized into the
@@ -70,7 +70,6 @@ class TrainReport:
     train_losses: list[float]
     val_losses: list[float | None]
     epoch_seconds: list[float]
-    config: TrainConfig
 
     def epochs_log(self) -> list[dict]:
         return [
@@ -170,8 +169,8 @@ def train(
     rng = np.random.default_rng(config.shuffle_seed)
     model = model.copy()  # updated in place from here on
     state = OptimizerState.zeros(model)
-    workspace = Workspace(model)
-    report = TrainReport(train_losses=[], val_losses=[], epoch_seconds=[], config=config)
+    tape = None  # each batch overwrites the previous batch's tape
+    report = TrainReport(train_losses=[], val_losses=[], epoch_seconds=[])
     try:
         for epoch in range(1, config.epochs + 1):
             started = time.perf_counter()
@@ -181,7 +180,7 @@ def train(
                 idx = perm[start : start + config.batch_size]
                 xb = inputs[idx]
                 yb = targets[idx]
-                preds, tape = forward_batch(model, xb, workspace=workspace)
+                preds, tape = forward_batch(model, xb, workspace=tape)
                 resid = preds - yb
                 batch_losses.append(float(np.mean(resid * resid)))
                 d_preds = (2.0 / idx.shape[0]) * resid

@@ -516,6 +516,32 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "checkpoint" in err
 
+    def test_evaluate_rejects_checkpoint_declaring_an_unallocatable_model(self, tmp_path, capsys):
+        csv_path = tiny_csv(tmp_path)
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(f"lookback = 10\nhidden_units = 4\n[asset.TST]\ncsv = {csv_path}\n")
+        doc = model_to_dict(init_params(ArchSpec("lstm", hidden_units=4), seed=3))
+        doc["arch"]["hidden_units"] = 10**7  # 3.2 PB of parameters: no machine can allocate them
+        ckpt = tmp_path / "checkpoint.json"
+        ckpt.write_text(json.dumps(doc))
+        argv = ["evaluate", "--config", str(config_path), "--asset", "TST", "--checkpoint", str(ckpt)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: checkpoint layers[0].w_i: expected 10000000 values, got 4\n"
+
+    def test_prepare_rejects_a_config_that_is_not_utf8(self, tmp_path, capsys):
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_bytes(f"lookback = 10\n[asset.TST]\ncsv = {tiny_csv(tmp_path)}\n# \xff\n".encode("latin-1"))
+        assert main(["prepare", "--config", str(config_path)]) == 2
+        assert f"cannot read config {config_path}: 'utf-8' codec can't decode" in capsys.readouterr().err
+
+    def test_prepare_rejects_a_dataset_that_is_not_utf8(self, tmp_path, capsys):
+        csv_path = tiny_csv(tmp_path)
+        csv_path.write_bytes(csv_path.read_bytes().replace(b"1000\n", b"1000\xff\n", 1))
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(f"lookback = 10\n[asset.TST]\ncsv = {csv_path}\n")
+        assert main(["prepare", "--config", str(config_path)]) == 2
+        assert "cannot read dataset for TST: 'utf-8' codec can't decode" in capsys.readouterr().err
+
     def test_prepare_prints_report(self, tmp_path, capsys):
         csv_path = tiny_csv(tmp_path)
         config_path = tmp_path / "exp.cfg"

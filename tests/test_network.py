@@ -391,6 +391,14 @@ class TestCheckpointValidation:
         with pytest.raises(CheckpointError, match="arch"):
             model_from_dict(doc)
 
+    @pytest.mark.parametrize("key, value", [("hidden_units", 10**7), ("input_dim", 10**12)])
+    def test_oversized_arch_rejected_before_allocating(self, key, value):
+        # the declared model would not fit any machine, so this passes only if nothing of its size is allocated
+        doc = self.doc("bilstm")
+        doc["arch"][key] = value
+        with pytest.raises(CheckpointError, match="layers"):
+            model_from_dict(doc)
+
     def test_unreadable_files_rejected(self, tmp_path):
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "missing.json")

@@ -175,3 +175,28 @@ def test_bench_record_without_results():
     assert (score["runs_reported"], score["failed_ratio"], score["per_layer"]) == (0, None, None)
     assert score["end_to_end"]["setup_s"]["median"] is None
     assert bench.parse_pytest(["== 3 passed in 1.50s =="]) == {"wall_s": 1.5, "summary": "3 passed"}
+
+
+gate_set = load_tool("gate_set")
+
+
+def test_gate_set_configs_are_valid_and_cover_the_gate_shapes():
+    from cryptoforecast.experiment import validate_config
+
+    configs = {name: validate_config(text) for name, text in gate_set.gate_configs().items()}
+    assert set(configs) == {"all_quick", "all_paper", "all_quick3", "all_quick_b7", "all_paper_full"}
+    for config in configs.values():
+        assert config.architectures == ("lstm", "gru", "bilstm") and config.epochs == 2
+        assert [a.symbol for a in config.assets] == ["BTC", "ETH", "LTC"]
+    shapes = {name: (c.lookback, c.hidden_units, c.layers, c.batch_size) for name, c in configs.items()}
+    assert shapes == {"all_quick": (20, 8, 2, 8), "all_paper": (60, 100, 2, 32), "all_quick3": (20, 8, 3, 8),
+                      "all_quick_b7": (20, 8, 2, 7), "all_paper_full": (60, 100, 2, 32)}
+    assert all(str(a.csv_path).startswith("full/") for a in configs["all_paper_full"].assets)
+
+
+def test_gate_set_rejects_bad_arguments(tmp_path, capsys):
+    assert gate_set.main([]) == 2
+    assert gate_set.main([str(tmp_path), str(tmp_path / "out")]) == 2  # no src/cryptoforecast
+    assert "has no src/cryptoforecast" in capsys.readouterr().err
+    assert gate_set.main([str(TOOLS.parent), str(tmp_path)]) == 2  # the output tree exists
+    assert "already exists" in capsys.readouterr().err

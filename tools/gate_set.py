@@ -1,0 +1,133 @@
+#!/usr/bin/env python3
+"""Write the bit-identity gate set of one checkout into one output tree.
+
+Usage::
+
+    python tools/gate_set.py CHECKOUT OUT
+
+Runs CHECKOUT's ``src/`` (``python -m cryptoforecast.cli``, BLAS pinned to
+one thread) on the gate set and writes everything under OUT, which must
+not exist yet:
+
+* ``inputs/``: the gate configs and the fixtures they read, the first
+  385 data rows of each (``inputs/full/``: whole fixtures);
+* ``quick/``: ``configs/quick.cfg``;
+* ``all_quick/``, ``all_paper/``, ``all_quick3/``, ``all_quick_b7/``: every
+  architecture on the three 385-row fixtures, 2 epochs, at quick shapes
+  (lookback 20, 2x8, batch 8), paper shapes (lookback 60, 2x100, batch
+  32), quick shapes with 3 layers, and quick shapes with batch 7 (a short
+  last batch of 1);
+* ``evaluate/<ASSET>_<arch>/``: ``evaluate`` of each of the nine
+  ``all_paper`` checkpoints on the whole fixture of its asset;
+* ``gradcheck/``: ``gradcheck --trials 5`` stdout and exit code.
+
+Two checkouts' trees are then compared in one call::
+
+    python tools/compare_artifacts.py OUT_PARENT OUT_CHANGE
+
+Exit status is 0 when every ``run`` and ``evaluate`` step exited 0, 1
+when one did not (its stderr is printed), 2 on bad arguments.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ASSETS = (("BTC", "btc_usd.csv"), ("ETH", "eth_usd.csv"), ("LTC", "ltc_usd.csv"))
+ARCHS = ("lstm", "gru", "bilstm")
+ROWS = 385  # fixture data rows kept for the training runs
+QUICK = {"lookback": 20, "hidden_units": 8, "layers": 2, "batch_size": 8}
+PAPER = {"lookback": 60, "hidden_units": 100, "layers": 2, "batch_size": 32}
+SHAPES = {
+    "all_quick": QUICK,
+    "all_paper": PAPER,
+    "all_quick3": {**QUICK, "layers": 3},
+    "all_quick_b7": {**QUICK, "batch_size": 7},
+}
+FULL = "full"  # inputs/ subdirectory of the whole fixtures
+EVALUATE = "all_paper_full"  # the paper shapes on the whole fixtures
+
+
+def config_text(shape: dict, csv_dir: str = ".") -> str:
+    """An all-architecture, 2-epoch config of ``shape`` over the fixtures in ``csv_dir`` (config-relative)."""
+    lines = [f"{key} = {value}" for key, value in shape.items()]
+    lines += [f"architectures = {', '.join(ARCHS)}", "epochs = 2", "seed = 1234"]
+    for symbol, filename in ASSETS:
+        lines += ["", f"[asset.{symbol}]", f"csv = {csv_dir}/{filename}"]
+    return "\n".join(lines) + "\n"
+
+
+def gate_configs() -> dict[str, str]:
+    """Every config the gate set writes to ``inputs/``, by name."""
+    configs = {name: config_text(shape) for name, shape in SHAPES.items()}
+    configs[EVALUATE] = config_text(PAPER, FULL)
+    return configs
+
+
+def write_inputs(checkout: Path, inputs: Path) -> None:
+    (inputs / FULL).mkdir(parents=True)
+    for _, filename in ASSETS:
+        text = (checkout / "fixtures" / filename).read_text()
+        (inputs / FULL / filename).write_text(text)
+        (inputs / filename).write_text("".join(text.splitlines(keepends=True)[: ROWS + 1]))
+    for name, text in gate_configs().items():
+        (inputs / f"{name}.cfg").write_text(text)
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    checkout, out = Path(args[0]).resolve(), Path(args[1]).resolve()
+    if not (checkout / "src" / "cryptoforecast").is_dir():
+        print(f"error: {checkout} has no src/cryptoforecast", file=sys.stderr)
+        return 2
+    if out.exists():
+        print(f"error: {out} already exists", file=sys.stderr)
+        return 2
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+
+    def cli(*argv: str) -> subprocess.CompletedProcess:
+        command = [sys.executable, "-m", "cryptoforecast.cli", *argv]
+        return subprocess.run(command, cwd=out, env=env, capture_output=True, text=True)
+
+    probe = [sys.executable, "-c", "import cryptoforecast; print(cryptoforecast.__file__)"]
+    found = subprocess.run(probe, cwd=checkout, env=env, capture_output=True, text=True).stdout.strip()
+    if not found.startswith(str(checkout / "src")):
+        print(f"error: cryptoforecast imports from {found or 'nowhere'}, not {checkout / 'src'}", file=sys.stderr)
+        return 2
+
+    inputs = out / "inputs"
+    write_inputs(checkout, inputs)
+    steps = [("quick", ("run", "--config", str(checkout / "configs" / "quick.cfg"), "--out", "quick"))]
+    steps += [(name, ("run", "--config", str(inputs / f"{name}.cfg"), "--out", name)) for name in SHAPES]
+    steps += [
+        (f"evaluate {symbol}_{arch}", ("evaluate", "--config", str(inputs / f"{EVALUATE}.cfg"), "--asset", symbol,
+                                       "--checkpoint", f"all_paper/{symbol}_{arch}/checkpoint.json",
+                                       "--out", f"evaluate/{symbol}_{arch}"))
+        for symbol, _ in ASSETS
+        for arch in ARCHS
+    ]
+    failed = 0
+    for name, argv in steps:
+        result = cli(*argv)
+        print(f"{name}: exit {result.returncode}", flush=True)
+        if result.returncode != 0:
+            failed += 1
+            print(result.stderr, file=sys.stderr)
+    result = cli("gradcheck", "--trials", "5")
+    (out / "gradcheck").mkdir()
+    (out / "gradcheck" / "stdout.txt").write_text(result.stdout)
+    (out / "gradcheck" / "exit_code.txt").write_text(f"{result.returncode}\n")
+    print(f"gradcheck: exit {result.returncode}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
