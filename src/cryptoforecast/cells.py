@@ -20,9 +20,9 @@ gates come first so they can be activated in a single contiguous block:
     ``h_t = (1 - u) * h_prev + u * n``
 
 The sequence kernels run time-major (arrays shaped ``(time, batch,
-dim)``) so every per-step slice is contiguous, and they record the
-activations needed for an exact reverse-mode gradient.  All arithmetic
-is float64.
+dim)``) so every per-step slice of their own arrays is contiguous, and
+they record the activations needed for an exact reverse-mode gradient.
+All arithmetic is float64.
 
 Each cell runs on one *workspace* (:class:`LstmWork`, :class:`GruWork`):
 its buffers plus, for every step, a tuple of the views that step reads
@@ -31,6 +31,8 @@ A workspace that keeps a tape is the tape: a forward call that keeps
 one returns its workspace, which also holds the backward pass's buffers
 and views over its own tape arrays.  A forward call given no workspace
 (``workspace=``) builds a fresh one, so no two such calls share memory.
+A tape-free workspace can write into a caller's buffer and walk its
+input from the last step back, with no reversed copy of it.
 A workspace passed in is overwritten: every forward call overwrites its
 tape, and every backward call on a tape overwrites that tape's gradients
 and input gradient.
@@ -178,6 +180,31 @@ def _zeros(alloc, name: str, shape: tuple[int, ...]) -> np.ndarray:
     return buf
 
 
+def _walk(steps: int, block: int, batch: int, inp: int, reverse: bool, alloc):
+    """Per projection block, in walk order (from the last step back with ``reverse``): the slice of ``x``
+    it projects, the buffer it is copied into reversed first (None unless ``reverse`` and blocks of
+    several steps), and per step its time and the time of the step walked before it (None for the first)."""
+    flip = alloc("x_rev", (block, batch, inp)) if reverse and block > 1 else None
+    step = -1 if reverse else 1
+    order = range(steps)[::step]
+    for k0 in range(0, steps, block):
+        times = order[k0 : k0 + block]
+        walked = [(t, t - step if 0 <= t - step < steps else None) for t in times]
+        yield slice(min(times), max(times) + 1), None if flip is None else flip[: len(times)], walked
+
+
+def _block_input(x: np.ndarray, rows: slice, flip) -> np.ndarray:
+    """The steps of ``x`` a projection block reads, in walk order (copied into ``flip`` when given)."""
+    if flip is not None:
+        np.copyto(flip, x[rows][::-1])
+    return x[rows] if flip is None else flip
+
+
+def _check_walk(store_tape: bool, out, reverse: bool) -> None:
+    if store_tape and (out is not None or reverse):
+        raise ValueError("out and reverse are for tape-free workspaces; the backward pass reads a tape in time order")
+
+
 def _check_forward_work(work, x: np.ndarray, store_tape: bool) -> None:
     if (work.shape, work.store_tape) != (x.shape, bool(store_tape)):
         raise ValueError(f"workspace for {work.shape} (store_tape={work.store_tape}) used on {x.shape}")
@@ -191,9 +218,14 @@ class LstmWork:
     ``c`` the cell state, ``tc`` its tanh and ``h`` the hidden sequence (T,
     B, H).  ``alloc(name, shape)`` hands out the cell's own buffers; the
     default allocates fresh ones.  ``blocks`` holds, per input-projection
-    block, its first step, its length, the projection rows it fills, and
-    one tuple per step of the views that step reads and writes, so the time
-    loop only unpacks them.
+    block, the slice of ``x`` it reads and the buffer that slice is copied
+    into reversed (or None), the projection rows it fills, and one tuple
+    per step of the views that step reads and writes, so the time loop only
+    unpacks them.
+
+    Without a tape, ``out`` may replace ``h``: (T, B, H), such as one
+    direction's columns of a layer buffer, or (1, B, H) to keep only the
+    last walked step; ``reverse`` walks ``x`` from the last step back.
 
     With ``store_tape`` the workspace also holds the backward pass over its
     tape: ``dh_seq`` the output gradient, ``back_blocks`` the reversed-time
@@ -205,7 +237,8 @@ class LstmWork:
     """
 
     def __init__(self, steps: int, batch: int, inp: int, hidden: int, store_tape: bool = True, alloc=_fresh,
-                 grad=None, need_dx=True, shared=_fresh):
+                 grad=None, need_dx=True, shared=_fresh, out=None, reverse=False):
+        _check_walk(store_tape, out, reverse)
         self.shape, self.store_tape = (steps, batch, inp), bool(store_tape)
         self.x = None
         rows = steps if store_tape else 1  # without a tape every step reuses row 0
@@ -213,24 +246,23 @@ class LstmWork:
         g = self.g = alloc("g", (rows, batch, hidden))
         c = self.c = alloc("c", (rows, batch, hidden))
         tc = self.tc = alloc("tc", (rows, batch, hidden))
-        h = self.h = alloc("h", (steps, batch, hidden))
+        h = self.h = alloc("h", (steps, batch, hidden)) if out is None else out
         i, f, o = s[:, :, :hidden], s[:, :, hidden : 2 * hidden], s[:, :, 2 * hidden :]
         self.ut = alloc("ut", (hidden, 4 * hidden))
         a = self.a = alloc("a", (batch, 4 * hidden))
         self.a_s, self.a_g = a[:, : 3 * hidden], a[:, 3 * hidden :]
         self.ig = alloc("ig", (batch, hidden))
-        zero = _zeros(alloc, "zero", (batch, hidden))  # h and c before step 0
+        zero = _zeros(alloc, "zero", (batch, hidden))  # h and c before the first step
         block = _projection_block_len(steps, batch, 4 * hidden)
         xp = alloc("xp", (block, batch, 4 * hidden))
         self.blocks = []
-        for t0 in range(0, steps, block):
-            m = min(block, steps - t0)
+        for rows_x, flip, walked in _walk(steps, block, batch, inp, reverse, alloc):
             views = []
-            for t in range(t0, t0 + m):
+            for j, (t, before) in enumerate(walked):
                 k = t if store_tape else 0
-                h_prev, c_prev = (h[t - 1], c[max(k - 1, 0)]) if t else (zero, zero)
-                views.append((h_prev, xp[t - t0], s[k], g[k], c_prev, c[k], tc[k], i[k], f[k], o[k], h[t]))
-            self.blocks.append((t0, m, xp[:m].reshape(m * batch, 4 * hidden), views))
+                h_prev, c_prev = (zero, zero) if before is None else (h[before % len(h)], c[max(k - 1, 0)])
+                views.append((h_prev, xp[j], s[k], g[k], c_prev, c[k], tc[k], i[k], f[k], o[k], h[t % len(h)]))
+            self.blocks.append((rows_x, flip, xp[: len(walked)].reshape(-1, 4 * hidden), views))
         if not store_tape:
             return
 
@@ -285,8 +317,8 @@ def lstm_forward(params: CellParams, x: np.ndarray, store_tape: bool = True, *, 
     ut = work.ut
     np.copyto(ut, params.u.T)
     a, a_s, a_g, ig = work.a, work.a_s, work.a_g, work.ig
-    for t0, m, xp_m, views in work.blocks:
-        np.matmul(x[t0 : t0 + m].reshape(m * batch, inp), wt, out=xp_m)
+    for rows_x, flip, xp_m, views in work.blocks:
+        np.matmul(_block_input(x, rows_x, flip).reshape(-1, inp), wt, out=xp_m)
         xp_m += b
         for h_prev, xp_t, s_t, g_t, c_prev, c_t, tc_t, i_t, f_t, o_t, h_t in views:
             np.matmul(h_prev, ut, out=a)
@@ -355,32 +387,33 @@ class GruWork:
     """
 
     def __init__(self, steps: int, batch: int, inp: int, hidden: int, store_tape: bool = True, alloc=_fresh,
-                 grad=None, need_dx=True, shared=_fresh):
+                 grad=None, need_dx=True, shared=_fresh, out=None, reverse=False):
+        _check_walk(store_tape, out, reverse)
         self.shape, self.store_tape = (steps, batch, inp), bool(store_tape)
         self.x = None
         rows = steps if store_tape else 1
         s = self.s = alloc("s", (rows, batch, 2 * hidden))
         n = self.n = alloc("n", (rows, batch, hidden))
         rh = self.rh = alloc("rh", (rows, batch, hidden))
-        h = self.h = alloc("h", (steps, batch, hidden))
+        h = self.h = alloc("h", (steps, batch, hidden)) if out is None else out
         u, r = s[:, :, :hidden], s[:, :, hidden:]
         self.u_ur_t = alloc("u_ur_t", (hidden, 2 * hidden))
         self.u_c_t = alloc("u_c_t", (hidden, hidden))
         self.a_ur, self.a_c = alloc("a_ur", (batch, 2 * hidden)), alloc("a_c", (batch, hidden))
         self.keep = alloc("keep", (batch, hidden))
-        zero = _zeros(alloc, "zero", (batch, hidden))  # h before step 0
+        zero = _zeros(alloc, "zero", (batch, hidden))  # h before the first step
         block = _projection_block_len(steps, batch, 3 * hidden)
         xp_ur = alloc("xp_ur", (block, batch, 2 * hidden))
         xp_c = alloc("xp_c", (block, batch, hidden))
         self.blocks = []
-        for t0 in range(0, steps, block):
-            m = min(block, steps - t0)
+        for rows_x, flip, walked in _walk(steps, block, batch, inp, reverse, alloc):
             views = []
-            for t in range(t0, t0 + m):
+            for j, (t, before) in enumerate(walked):
                 k = t if store_tape else 0
-                views.append((h[t - 1] if t else zero, xp_ur[t - t0], s[k], r[k], rh[k], xp_c[t - t0], n[k], u[k], h[t]))
-            xp_ur_m, xp_c_m = xp_ur[:m].reshape(m * batch, 2 * hidden), xp_c[:m].reshape(m * batch, hidden)
-            self.blocks.append((t0, m, xp_ur_m, xp_c_m, views))
+                h_prev = zero if before is None else h[before % len(h)]
+                views.append((h_prev, xp_ur[j], s[k], r[k], rh[k], xp_c[j], n[k], u[k], h[t % len(h)]))
+            m = len(walked)
+            self.blocks.append((rows_x, flip, xp_ur[:m].reshape(-1, 2 * hidden), xp_c[:m].reshape(-1, hidden), views))
         if not store_tape:
             return
 
@@ -443,8 +476,8 @@ def gru_forward(params: CellParams, x: np.ndarray, store_tape: bool = True, *, w
     np.copyto(u_ur_t, params.u[: 2 * hsize].T)
     np.copyto(u_c_t, params.u[2 * hsize :].T)
     a_ur, a_c, keep = work.a_ur, work.a_c, work.keep
-    for t0, m, xp_ur_m, xp_c_m, views in work.blocks:
-        x_m = x[t0 : t0 + m].reshape(m * batch, inp)
+    for rows_x, flip, xp_ur_m, xp_c_m, views in work.blocks:
+        x_m = _block_input(x, rows_x, flip).reshape(-1, inp)
         np.matmul(x_m, w_ur_t, out=xp_ur_m)
         xp_ur_m += b_ur
         np.matmul(x_m, w_c_t, out=xp_c_m)

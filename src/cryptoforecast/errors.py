@@ -71,9 +71,10 @@ class UndefinedMetricError(ForecastError):
 
 
 class ConfigError(ForecastError):
-    """Invalid experiment config.  Carries itemized (line, message) diagnostics."""
+    """Invalid experiment config.  Carries itemized (line, message) diagnostics;
+    line 0 marks a whole-file problem, stated without a line number."""
 
     def __init__(self, diagnostics):
         self.diagnostics = list(diagnostics)
-        lines = "; ".join(f"line {ln}: {msg}" for ln, msg in self.diagnostics)
+        lines = "; ".join(f"line {ln}: {msg}" if ln else msg for ln, msg in self.diagnostics)
         super().__init__(lines or "invalid config")

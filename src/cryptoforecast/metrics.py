@@ -20,10 +20,11 @@ from .network import ModelParams, forward_batch
 from .preprocess import ScalerParams, SequenceBatch, inverse_transform
 
 # Evaluation batches are chunked to bound memory; fixed size keeps reruns
-# byte-identical.  Per chunk, a tape-free forward holds each layer's
-# (T, chunk, H) hidden sequence and small per-step buffers; the kernels
-# stream the input projection through a block buffer, so it is never held
-# for all T steps.
+# byte-identical.  Per chunk, a tape-free forward streams: while a layer
+# runs it holds the layer below's (T, chunk, directions*H) output buffer,
+# its own, and small per-step buffers, and the top layer keeps one step;
+# the kernels stream the input projection through a block buffer, so it is
+# never held for all T steps.
 _EVAL_CHUNK = 256
 
 

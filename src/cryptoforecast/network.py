@@ -4,10 +4,10 @@ Architecture: ``layers`` recurrent layers (two by default), then a dense
 head with a single output.  Every layer is a tuple of direction cells of
 ``hidden_units`` units: one cell for LSTM and GRU, a forward and a backward
 LSTM cell for Bi-LSTM.  Direction 1 runs over reversed time, and the
-directions' per-step outputs are concatenated in time order (one direction
-passes up uncopied).  Every layer except the last feeds that sequence to
-the next; the last contributes each direction's final hidden state, so the
-dense head sees ``directions * hidden_units`` features.
+directions' per-step outputs sit side by side in time order.  Every layer
+except the last feeds that sequence to the next; the last contributes each
+direction's final hidden state (the last step it walked), so the dense head
+sees ``directions * hidden_units`` features.
 
 Initial hidden/cell states are zero for every window; windows are
 independent samples, never stateful continuations.
@@ -204,6 +204,10 @@ def _side_by_side(parts: list, axis: int) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
 
 
+def _work_kind(arch: ArchSpec):
+    return GruWork if arch.cell_kind == "gru" else LstmWork
+
+
 def _carver(buffers: dict):
     """An allocator for the cell workspaces that hands out the leading elements of ``buffers[name]``.
 
@@ -252,7 +256,7 @@ class ModelTape:
             work.x = None
         if (steps, batch) not in cells:
             arch = self.grads.arch
-            kind = GruWork if arch.cell_kind == "gru" else LstmWork
+            kind = _work_kind(arch)
             cells[(steps, batch)] = [
                 tuple(
                     kind(steps, batch, inp, arch.hidden_units, True, _carver(buffers), grad, li > 0, _carver(shared))
@@ -267,10 +271,12 @@ def forward_batch(model: ModelParams, windows, store_tape: bool = True, *, works
     """Predict one scalar per window.  Returns (predictions, tape or None).
 
     Each layer runs its direction cells over the layer input, direction 1
-    over reversed time.  Only the next layer's input outlives a layer.  A
-    tape passed as ``workspace`` (one this function returned for the same
-    architecture; ``store_tape`` true) is overwritten and returned; a tape
-    kept without one is a fresh :class:`ModelTape`.
+    over reversed time.  Without a tape the pass streams: a layer below the
+    top writes every direction into one (T, B, directions*H) buffer, and the
+    top layer keeps one step, the head's input.  A tape passed as
+    ``workspace`` (one this function returned for the same architecture;
+    ``store_tape`` true) is overwritten and returned; a tape kept without
+    one is a fresh :class:`ModelTape`.
     """
     x = _as_batch(windows, model.arch.input_dim)
     run = gru_forward if model.arch.cell_kind == "gru" else lstm_forward
@@ -280,22 +286,29 @@ def forward_batch(model: ModelParams, windows, store_tape: bool = True, *, works
         tape._buffers = [[{} for _ in layer] for layer in model.layers], {}, {}
     elif tape is not None and (not store_tape or tape._buffers is None or tape.grads.arch != model.arch):
         raise ValueError("workspace must be a tape that forward_batch returned for this architecture, with store_tape")
-    cells = tape._cells(*x.shape[:2]) if tape is not None else None
     seq = x
-    for li, layer in enumerate(model.layers):
-        runs = []  # emptied before the kernels run, so the layer below's outputs are freed
-        for d, cell in enumerate(layer):
-            work = cells[li][d] if cells is not None else None
-            runs.append(run(cell, np.ascontiguousarray(seq[::-1]) if d else seq, store_tape, workspace=work))
-        if li < len(model.layers) - 1:
-            seq = _side_by_side([h_seq[::-1] if d else h_seq for d, (h_seq, _) in enumerate(runs)], axis=2)
-    # the head reads each direction's own last step
-    final = _side_by_side([h_seq[-1] for h_seq, _ in runs], axis=1)
-
-    preds = final @ model.dense_w + model.dense_b[0]
-    if tape is not None:  # the kernels kept their tapes in the cell workspaces
-        tape.x, tape.layer_tapes, tape.final = x, cells, final
-    return preds, tape
+    if tape is None:
+        arch, (steps, batch, _) = model.arch, x.shape
+        kind, hsize = _work_kind(arch), arch.hidden_units
+        for li, layer in enumerate(model.layers):
+            out = np.empty((steps if li < arch.layers - 1 else 1, batch, arch.dense_input_size))
+            for d, cell in enumerate(layer):  # each workspace is freed when its kernel returns
+                cols = out[:, :, d * hsize : (d + 1) * hsize]
+                run(cell, seq, False, workspace=kind(steps, batch, seq.shape[2], hsize, False, out=cols, reverse=d > 0))
+            seq = out
+        final = seq[0]  # every direction's last walked step
+    else:
+        cells = tape._cells(*x.shape[:2])
+        for li, layer in enumerate(model.layers):
+            runs = []  # emptied before the kernels run, so the layer below's outputs are freed
+            for d, cell in enumerate(layer):
+                runs.append(run(cell, np.ascontiguousarray(seq[::-1]) if d else seq, True, workspace=cells[li][d]))
+            if li < len(model.layers) - 1:
+                seq = _side_by_side([h_seq[::-1] if d else h_seq for d, (h_seq, _) in enumerate(runs)], axis=2)
+        # the head reads each direction's own last step
+        final = _side_by_side([h_seq[-1] for h_seq, _ in runs], axis=1)
+        tape.x, tape.layer_tapes, tape.final = x, cells, final  # the kernels kept their tapes in the cell workspaces
+    return final @ model.dense_w + model.dense_b[0], tape
 
 
 def forward(model: ModelParams, window):

@@ -260,6 +260,15 @@ class TestValidateConfig:
             validate_config(text)
         assert len(exc_info.value.diagnostics) == 3
 
+    def test_file_level_diagnostic_is_line_0_and_prints_without_a_line(self):
+        text = "epochs = 0\n"
+        with pytest.raises(ConfigError) as exc_info:
+            validate_config(text)
+        assert exc_info.value.diagnostics == [
+            (0, "config declares no [asset.<SYMBOL>] sections"), (1, "epochs must be >= 1, got 0")
+        ]
+        assert str(exc_info.value) == "config declares no [asset.<SYMBOL>] sections; line 1: epochs must be >= 1, got 0"
+
     def test_comments_and_blanks_ignored(self):
         text = "\n# full line comment\n; alt comment\nepochs = 5\n[asset.X]\ncsv = x.csv\n"
         assert validate_config(text).epochs == 5
@@ -541,6 +550,25 @@ class TestCli:
         config_path.write_text(f"lookback = 10\n[asset.TST]\ncsv = {csv_path}\n")
         assert main(["prepare", "--config", str(config_path)]) == 2
         assert "cannot read dataset for TST: 'utf-8' codec can't decode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("problem", ["no_asset_section", "missing_config", "dataset_not_utf8"])
+    def test_file_level_config_errors_name_no_line(self, tmp_path, capsys, problem):
+        """A problem with a whole file has no line to name: stderr shows the message alone."""
+        csv_path = tiny_csv(tmp_path)
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(f"lookback = 10\n[asset.TST]\ncsv = {csv_path}\n")
+        if problem == "no_asset_section":
+            config_path.write_text("lookback = 10\n")
+            expected = "error: config declares no [asset.<SYMBOL>] sections\n"
+        elif problem == "missing_config":
+            config_path.unlink()
+            expected = f"error: cannot read config {config_path}: "
+        else:
+            csv_path.write_bytes(csv_path.read_bytes().replace(b"1000\n", b"1000\xff\n", 1))
+            expected = "error: cannot read dataset for TST: 'utf-8' codec can't decode"
+        assert main(["prepare", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(expected) and "line 0" not in err
 
     def test_prepare_prints_report(self, tmp_path, capsys):
         csv_path = tiny_csv(tmp_path)

@@ -6,11 +6,18 @@ one loop.  They must give exactly the predictions, tape arrays and
 gradients of the two-branch code frozen in ``reference_network``, for
 every cell kind, at one to three layers, for single steps, single
 windows and small batches, with and without a tape, and at paper shapes.
+The tape-free pass streams (each layer writes its directions into one
+buffer, direction 1 walks the unreversed input, the top layer keeps one
+step), and must still give the reference's predictions bit for bit at the
+scoring chunks of ``metrics.predict_batch`` and where a projection block
+spans several steps.
 """
 
 import numpy as np
 import pytest
 
+from cryptoforecast import cells
+from cryptoforecast.metrics import _EVAL_CHUNK, predict_batch
 from cryptoforecast.network import ArchSpec, backward_batch, forward_batch, init_params
 
 import reference_network as ref
@@ -77,3 +84,26 @@ def test_one_direction_layer_passes_its_output_up_uncopied(kind, rng):
     model = init_params(ArchSpec(kind, layers=2, hidden_units=3), seed=2)
     _, tape = forward_batch(model, rng.uniform(size=(4, 6)))
     assert tape.layer_tapes[1][0].x is tape.layer_tapes[0][0].h
+
+
+@pytest.mark.parametrize("kind", ["lstm", "gru", "bilstm"])
+def test_scoring_matches_reference_at_paper_shapes(kind, rng):
+    # the 366 test windows of a fixture: a 256-window chunk, then 110
+    model = init_params(ArchSpec(kind, layers=2, hidden_units=100), seed=4)
+    windows = rng.uniform(size=(366, 60))
+    assert _EVAL_CHUNK == 256
+    expected = np.concatenate([ref.forward_batch(model, windows[s : s + 256], store_tape=False)[0] for s in (0, 256)])
+    assert_same_bits(predict_batch(model, windows), expected)
+
+
+@pytest.mark.parametrize("layers", [2, 3])
+@pytest.mark.parametrize("kind", ["lstm", "gru", "bilstm"])
+def test_tape_free_matches_reference_with_multi_step_projection_blocks(kind, layers, rng):
+    """At quick.cfg shapes and 30 windows a projection block holds 8-11 of the 20 steps, so direction 1
+    copies each block, reversed, before projecting it; the last block is shorter."""
+    model = init_params(ArchSpec(kind, layers=layers, hidden_units=8), seed=layers)
+    assert 1 < cells._projection_block_len(20, 30, (3 if kind == "gru" else 4) * 8) < 20
+    windows = rng.uniform(size=(30, 20))
+    preds, tape = forward_batch(model, windows, store_tape=False)
+    assert tape is None
+    assert_same_bits(preds, ref.forward_batch(model, windows, store_tape=False)[0])
