@@ -231,9 +231,11 @@ class LstmWork:
     tape: ``dh_seq`` the output gradient, ``back_blocks`` the reversed-time
     blocks of per-step views, the parameter gradients in ``grad`` (a
     :class:`CellParams`, fresh arrays unless given) and the input gradient
-    in ``dx`` when ``need_dx``.  ``shared`` hands out the scratch that
-    lives only while one backward call runs (``da``, the hoisted factors,
-    the carries), which cells that run one after another may share.
+    in ``dx`` when ``need_dx``.  ``shared`` hands out what cells that run
+    one after another may share, as nothing in it is read once the kernel
+    call that uses it returns: ``ut`` (``u.T``, refilled by every forward
+    call), ``dh_seq`` (filled right before the backward call that reads
+    it), ``da``, the hoisted factors and the carries.
     """
 
     def __init__(self, steps: int, batch: int, inp: int, hidden: int, store_tape: bool = True, alloc=_fresh,
@@ -248,7 +250,7 @@ class LstmWork:
         tc = self.tc = alloc("tc", (rows, batch, hidden))
         h = self.h = alloc("h", (steps, batch, hidden)) if out is None else out
         i, f, o = s[:, :, :hidden], s[:, :, hidden : 2 * hidden], s[:, :, 2 * hidden :]
-        self.ut = alloc("ut", (hidden, 4 * hidden))
+        self.ut = shared("ut", (hidden, 4 * hidden))
         a = self.a = alloc("a", (batch, 4 * hidden))
         self.a_s, self.a_g = a[:, : 3 * hidden], a[:, 3 * hidden :]
         self.ig = alloc("ig", (batch, hidden))
@@ -266,7 +268,7 @@ class LstmWork:
         if not store_tape:
             return
 
-        dh_seq = self.dh_seq = alloc("dh_seq", (steps, batch, hidden))
+        dh_seq = self.dh_seq = shared("dh_seq", (steps, batch, hidden))
         da = shared("da", (steps, batch, 4 * hidden))
         da_s, da_g = da[:, :, : 3 * hidden], da[:, :, 3 * hidden :]
         da_i, da_f, da_o = da[:, :, :hidden], da[:, :, hidden : 2 * hidden], da[:, :, 2 * hidden : 3 * hidden]
@@ -383,7 +385,8 @@ class GruWork:
 
     The tape: ``x``, ``s`` the sigmoid gates u|r (T, B, 2H), ``n`` the
     candidate tanh, ``rh`` the reset-scaled previous hidden state and ``h``
-    the hidden sequence (T, B, H).
+    the hidden sequence (T, B, H).  ``shared`` hands out ``u_ur_t`` and
+    ``u_c_t`` (``u.T`` by gate group) in place of ``ut``.
     """
 
     def __init__(self, steps: int, batch: int, inp: int, hidden: int, store_tape: bool = True, alloc=_fresh,
@@ -397,8 +400,8 @@ class GruWork:
         rh = self.rh = alloc("rh", (rows, batch, hidden))
         h = self.h = alloc("h", (steps, batch, hidden)) if out is None else out
         u, r = s[:, :, :hidden], s[:, :, hidden:]
-        self.u_ur_t = alloc("u_ur_t", (hidden, 2 * hidden))
-        self.u_c_t = alloc("u_c_t", (hidden, hidden))
+        self.u_ur_t = shared("u_ur_t", (hidden, 2 * hidden))
+        self.u_c_t = shared("u_c_t", (hidden, hidden))
         self.a_ur, self.a_c = alloc("a_ur", (batch, 2 * hidden)), alloc("a_c", (batch, hidden))
         self.keep = alloc("keep", (batch, hidden))
         zero = _zeros(alloc, "zero", (batch, hidden))  # h before the first step
@@ -417,7 +420,7 @@ class GruWork:
         if not store_tape:
             return
 
-        dh_seq = self.dh_seq = alloc("dh_seq", (steps, batch, hidden))
+        dh_seq = self.dh_seq = shared("dh_seq", (steps, batch, hidden))
         da_ur = shared("da_ur", (steps, batch, 2 * hidden))
         da_u, da_r = da_ur[:, :, :hidden], da_ur[:, :, hidden:]
         da_c = shared("da_c", (steps, batch, hidden))

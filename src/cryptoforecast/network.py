@@ -359,7 +359,7 @@ def backward_batch(model: ModelParams, tape: ModelTape, d_predictions) -> ParamG
             _, dx = back(cell, cell_tape, dh)
             if li:
                 dx = dx[::-1] if d else dx  # back in time order
-                d_input = dx if d_input is None else d_input + dx
+                d_input = dx if d_input is None else np.add(d_input, dx, out=d_input)  # into direction 0's dx
         d_seq = d_input
     return grads
 
@@ -429,14 +429,12 @@ def grad_check(model: ModelParams, window, target: float, epsilon: float = 1e-5)
     return grad_check_worst(model, window, target, epsilon).rel_error
 
 
-def _cell_to_dict(cell: CellParams, gate_order: tuple[str, ...]) -> dict:
-    out = {}
-    for idx, name in enumerate(gate_order):
-        w, u, b = cell.gate_block(idx)
-        out[f"w_{name}"] = w.ravel().tolist()
-        out[f"u_{name}"] = u.ravel().tolist()
-        out[f"b_{name}"] = b.ravel().tolist()
-    return out
+def _cell_to_dict(cell: CellParams, gate_order: tuple[str, ...], leaf) -> dict:
+    return {f"{p}_{name}": leaf(a) for idx, name in enumerate(gate_order) for p, a in zip("wub", cell.gate_block(idx))}
+
+
+def _as_list(array: np.ndarray) -> list:
+    return array.ravel().tolist()
 
 
 def _checked_array(value, size: int, where: str) -> np.ndarray:
@@ -454,15 +452,15 @@ def _checked_array(value, size: int, where: str) -> np.ndarray:
     return arr.astype(np.float64, copy=False)
 
 
-def model_to_dict(model: ModelParams) -> dict:
-    """Self-describing checkpoint document; arrays flattened row-major.
+def _document(model: ModelParams, leaf) -> dict:
+    """The checkpoint document with ``leaf(array)`` in place of each parameter array, a view of the model's vector.
 
     A two-direction layer nests its cells' entries under ``forward`` and ``backward``."""
     arch = model.arch
     gate_order = GRU_GATE_ORDER if arch.cell_kind == "gru" else LSTM_GATE_ORDER
     layers = []
     for layer in model.layers:
-        cells = [_cell_to_dict(cell, gate_order) for cell in layer]
+        cells = [_cell_to_dict(cell, gate_order, leaf) for cell in layer]
         layers.append(cells[0] if len(cells) == 1 else dict(zip(_DIRECTION_KEYS, cells)))
     return {
         "format": CHECKPOINT_FORMAT,
@@ -476,8 +474,13 @@ def model_to_dict(model: ModelParams) -> dict:
         },
         "seed": model.seed,
         "layers": layers,
-        "dense": {"w": model.dense_w.ravel().tolist(), "b": float(model.dense_b[0])},
+        "dense": {"w": leaf(model.dense_w), "b": float(model.dense_b[0])},
     }
+
+
+def model_to_dict(model: ModelParams) -> dict:
+    """Self-describing checkpoint document; arrays flattened row-major.  :func:`save_checkpoint` writes it."""
+    return _document(model, _as_list)
 
 
 def model_from_dict(data: dict) -> ModelParams:
@@ -494,6 +497,11 @@ def model_from_dict(data: dict) -> ModelParams:
         raise CheckpointError(f"not a {CHECKPOINT_FORMAT} document")
     if data.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {data.get('version')!r}")
+    spec = data.get("arch")
+    for key, value in spec.items() if type(spec) is dict else ():
+        if type(value) is not (str if key == "cell_kind" else int):  # bool is not int here
+            want = "a string" if key == "cell_kind" else "an integer"
+            raise CheckpointError(f"checkpoint arch: {key} must be {want}, got {type(value).__name__}")
     try:
         arch = ArchSpec(**data["arch"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -536,8 +544,26 @@ def model_from_dict(data: dict) -> ModelParams:
     return model
 
 
+def _write_json(node, write) -> None:
+    """Write ``node`` as ``json.dumps(node, sort_keys=True)`` would, encoding each array on its own."""
+    if isinstance(node, (dict, list)):
+        keyed = isinstance(node, dict)
+        write("{" if keyed else "[")
+        for k, key in enumerate(sorted(node) if keyed else range(len(node))):
+            write((", " if k else "") + (json.dumps(key) + ": " if keyed else ""))
+            _write_json(node[key], write)
+        write("}" if keyed else "]")
+    else:
+        write(json.dumps(_as_list(node) if isinstance(node, np.ndarray) else node))
+
+
 def save_checkpoint(model: ModelParams, path) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model), sort_keys=True) + "\n")
+    """Write ``json.dumps(model_to_dict(model), sort_keys=True)`` and a newline, one gate array at a time.
+
+    No text or float list of the whole model is ever held; the file is complete and closed on return."""
+    with open(path, "w") as f:
+        _write_json(_document(model, lambda array: array), f.write)
+        f.write("\n")
 
 
 def load_checkpoint(path) -> ModelParams:

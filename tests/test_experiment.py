@@ -537,6 +537,24 @@ class TestCli:
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: checkpoint layers[0].w_i: expected 10000000 values, got 4\n"
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("cell_kind", None, "cell_kind must be a string, got NoneType"),  # was an AttributeError traceback, exit 1
+        ("hidden_units", 4.0, "hidden_units must be an integer, got float"),  # was a numpy TypeError traceback
+        ("layers", True, "layers must be an integer, got bool"),  # was read as 1 layer
+        ("input_dim", "1", "input_dim must be an integer, got str"),
+    ])
+    def test_evaluate_rejects_checkpoint_arch_of_the_wrong_type(self, tmp_path, capsys, field, value, message):
+        csv_path = tiny_csv(tmp_path)
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(f"lookback = 10\nhidden_units = 4\nlayers = 1\n[asset.TST]\ncsv = {csv_path}\n")
+        doc = model_to_dict(init_params(ArchSpec("lstm", layers=1, hidden_units=4), seed=3))
+        doc["arch"][field] = value
+        ckpt = tmp_path / "checkpoint.json"
+        ckpt.write_text(json.dumps(doc))
+        argv = ["evaluate", "--config", str(config_path), "--asset", "TST", "--checkpoint", str(ckpt)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: checkpoint arch: {message}\n"
+
     def test_prepare_rejects_a_config_that_is_not_utf8(self, tmp_path, capsys):
         config_path = tmp_path / "exp.cfg"
         config_path.write_bytes(f"lookback = 10\n[asset.TST]\ncsv = {tiny_csv(tmp_path)}\n# \xff\n".encode("latin-1"))

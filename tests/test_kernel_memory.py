@@ -1,4 +1,4 @@
-"""Peak memory of tape-free forward passes at scoring shapes.
+"""Peak memory of tape-free forward passes at scoring shapes, of training and of checkpoint writes.
 
 ``metrics.predict_batch`` runs the forward kernels without a tape on
 chunks of 256 windows.  The input projection ``x @ W.T + b`` is streamed
@@ -9,8 +9,15 @@ too: each layer below the top writes all its directions into one
 step without a reversed copy, and the top layer keeps one step.  So while
 a layer runs, the only sequence-sized array is the layer below's buffer:
 one such buffer plus the cells' per-step buffers bound the peak.
+
+Training holds one tape, whose cells run one after another: they share
+their output-gradient buffer and their backward scratch, and the input
+gradients of a layer's directions are summed into direction 0's own.
+A checkpoint is written one gate array at a time, so saving holds the
+encoding of one array, never the text of the whole model.
 """
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -19,7 +26,9 @@ import pytest
 from cryptoforecast import cells
 from cryptoforecast.cells import CellParams
 from cryptoforecast.metrics import predict_batch
-from cryptoforecast.network import ArchSpec, init_params
+from cryptoforecast.network import ArchSpec, forward_batch, init_params, save_checkpoint
+from cryptoforecast.preprocess import SequenceBatch
+from cryptoforecast.training import TrainConfig, train
 
 GATES = {"lstm": 4, "gru": 3}
 
@@ -80,3 +89,46 @@ def test_bilstm_scoring_peak_holds_no_direction_outputs_across_layers(rng):
 def test_scoring_peak_holds_one_layer_buffer(kind, rng):
     # 12.3 MB layer buffer, limit 18.4 MB; was 28.5 MB (LSTM) and 27.6 MB (GRU) with a top-layer sequence
     assert_one_layer_buffer(*scoring_peak(kind, rng))
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_peak_holds_one_gate_array_encoding(tmp_path):
+    model = init_params(ArchSpec("bilstm", layers=2, hidden_units=100), seed=3)
+    largest = model.layers[1][0].gate_block(0)[0]  # a (100, 200) input-weight gate, the largest array
+    text_bytes = len(json.dumps(largest.ravel().tolist()))  # 0.43 MB
+    # encoding one array holds its float list, one string per value and the joined text: about 6.5x
+    # its text (2.8 MB); the whole document's list and text copies peaked at 24.2 MB
+    limit = 10 * text_bytes
+    peak = traced_peak(lambda: save_checkpoint(model, tmp_path / "checkpoint.json"))
+    assert peak < limit, f"peak {peak / 1e6:.1f} MB >= {limit / 1e6:.1f} MB"
+
+
+def test_training_peak_holds_one_output_gradient_buffer(rng):
+    arch = ArchSpec("bilstm", layers=2, hidden_units=100)
+    model = init_params(arch, seed=3)
+    n = 142  # four batches of 32 and 14 validation windows
+    windows = SequenceBatch(rng.uniform(size=(n, 60)), rng.uniform(size=n), np.arange(60, 60 + n))
+    # what a tape must hold: per cell its tape arrays and input gradient, one output gradient
+    # and one gate-gradient scratch shared by all cells, and the gradient vector
+    _, tape = forward_batch(model, windows.inputs[:32])
+    cell = tape.layer_tapes[0][0]
+    fields = ("x", "s", "g", "c", "tc", "h", "dx")
+    tape_bytes = sum(getattr(w, f).nbytes for layer in tape.layer_tapes for w in layer for f in fields
+                     if getattr(w, f) is not None) + cell.dh_seq.nbytes + cell.flat.nbytes + tape.grads.vector.nbytes
+    del tape, cell
+    state_bytes = 3 * model.vector.nbytes  # the trained copy and Adam's two moments
+    layer_bytes = 8 * 60 * 32 * arch.dense_input_size  # one (T, B, 2H) layer sequence, 3.1 MB
+    # 65.6 + 7.7 MB, limit 79.5 MB; the per-step views, small buffers and validation pass take
+    # about 5 MB (78.2 MB); a private output gradient per cell (three more 1.5 MB buffers) and a
+    # fresh sum of the directions' input gradients per layer peaked at 85.0 MB
+    limit = tape_bytes + state_bytes + 2 * layer_bytes
+    peak = traced_peak(lambda: train(model, windows, TrainConfig(batch_size=32, epochs=1)))
+    assert peak < limit, f"peak {peak / 1e6:.1f} MB >= {limit / 1e6:.1f} MB"

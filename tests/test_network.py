@@ -300,6 +300,20 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             model_from_dict({"format": "something-else"})
 
+    @pytest.mark.parametrize("kind", ["lstm", "gru", "bilstm"])
+    @pytest.mark.parametrize("layers, hidden", [(1, 1), (2, 100), (3, 8)])
+    @pytest.mark.parametrize("seed", [11, None])
+    def test_streamed_file_equals_the_document_dump(self, tmp_path, kind, layers, hidden, seed):
+        """save_checkpoint writes gate by gate, yet the bytes are those of one dump of model_to_dict."""
+        model = init_params(ArchSpec(kind, layers=layers, hidden_units=hidden), seed=5)
+        model.seed = seed
+        model.vector[:6] = [-0.0, 5e-324, 1e300, 1.0, -2.5e-7, 0.1]  # the float spellings json chooses
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(model, path)
+        assert path.read_bytes() == (json.dumps(model_to_dict(model), sort_keys=True) + "\n").encode()
+        loaded = load_checkpoint(path)
+        assert loaded.seed == seed and loaded.vector.tobytes() == model.vector.tobytes()
+
     def test_save_is_deterministic(self, tmp_path):
         model = init_params(ArchSpec("gru", hidden_units=3), seed=2)
         save_checkpoint(model, tmp_path / "a.json")

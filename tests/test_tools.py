@@ -177,6 +177,51 @@ def test_bench_record_without_results():
     assert bench.parse_pytest(["== 3 passed in 1.50s =="]) == {"wall_s": 1.5, "summary": "3 passed"}
 
 
+def printed_run(wall_s: float, projected: float, rss: float) -> list[str]:
+    """An untraced train_paper run's output, printed as perfbench prints it."""
+    metrics = [("setup_s", 0.25, "s"), ("run_wall_cal", 860.0, "cal"), ("run_wall_s", wall_s, "s"),
+               ("calibration_unit_ms", 12.2, "ms"), ("score_windows_per_s", 1234.5, "1/s"),
+               ("peak_rss_mb", rss, "MB"), ("train_windows_per_s", 456.789, "1/s"), ("val_loss", 0.00123457, "mse"),
+               ("protocol_projected_min", projected, "min"), ("failed_ratio", 0.0, "ratio")]
+    return (["env {}", "workload train_paper: 3 passes (0 traced), 27 operations attempted, 0 failed",
+             "request cal per pass: [860.1, 859.9]", "end-to-end (gated: setup_s, run_wall_cal, peak_rss_mb):"]
+            + [f"  {name:<44} {value:>14.6g} {unit}" for name, value, unit in metrics]
+            + [result_line({"setup_s": 0.2512345, "run_wall_cal": 860.04321, "peak_rss_mb": rss})])
+
+
+def test_bench_record_keeps_every_printed_end_to_end_metric():
+    spec = {"run_seconds": 30, "end_to_end": [
+        {"name": "setup_s", "unit": "s", "better": "lower"}, {"name": "run_wall_cal", "unit": "cal", "better": "lower"},
+        {"name": "peak_rss_mb", "unit": "MB", "better": "lower"}]}
+    runs = [printed_run(10.5, 74.0, 150.0), printed_run(10.25, 73.9, 151.0), printed_run(11.0, 74.2, 152.0)]
+    # a traced run prints per-layer lines of the same shape; none of them is an end-to-end metric
+    traced = ["per-layer, per traced pass:", "  cells.calls    8000 count", result_line({"cells.calls": 8000.0})]
+    e2e = bench.bench_record("x", spec, 5, {"train_paper": (runs, traced)}, [])["workloads"]["train_paper"]["end_to_end"]
+
+    assert list(e2e) == ["setup_s", "run_wall_cal", "peak_rss_mb", "run_wall_s", "calibration_unit_ms",
+                         "score_windows_per_s", "train_windows_per_s", "val_loss", "protocol_projected_min",
+                         "failed_ratio"]
+    assert e2e["run_wall_cal"]["values"] == [860.04321] * 3  # gated: the result document's full precision
+    assert e2e["run_wall_cal"]["better"] == "lower" and "better" not in e2e["run_wall_s"]
+    assert e2e["run_wall_s"] == {"unit": "s", "values": [10.5, 10.25, 11.0], "q1": 10.375, "median": 10.5, "q3": 10.75}
+    assert e2e["protocol_projected_min"]["median"] == 74.0 and e2e["protocol_projected_min"]["unit"] == "min"
+    assert e2e["train_windows_per_s"]["values"] == [456.789] * 3 and e2e["val_loss"]["values"] == [0.00123457] * 3
+    assert bench.printed_end_to_end(traced) == {}
+
+
+def test_printed_end_to_end_reads_evaluate_percentiles_and_skips_failed_runs():
+    printed = ["end-to-end (gated: setup_s):", "  evaluate_ms.p50   123.456 ms", "  evaluate_ms.p90   2e+03 ms",
+               "  evaluate_calls    9 count"]
+    assert bench.printed_end_to_end(printed + ["{}", "  after_the_block   1 s"]) == {
+        "evaluate_ms.p50": (123.456, "ms"), "evaluate_ms.p90": (2000.0, "ms"), "evaluate_calls": (9.0, "count")}
+    spec = {"run_seconds": 30, "end_to_end": [{"name": "setup_s", "unit": "s", "better": "lower"}]}
+    failed = printed[:1] + ["  evaluate_ms.p50   999 ms", "  stray_metric   1 s"]  # printed, then no result document
+    record = bench.workload_record(spec, [printed + [result_line({"setup_s": 0.3})], failed], [])
+    assert record["runs_reported"] == 1
+    assert list(record["end_to_end"]) == ["setup_s", "evaluate_ms.p50", "evaluate_ms.p90", "evaluate_calls"]
+    assert record["end_to_end"]["evaluate_ms.p50"]["values"] == [123.456]
+
+
 gate_set = load_tool("gate_set")
 
 

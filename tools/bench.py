@@ -11,8 +11,11 @@ in a fresh process and for the file's ``run_seconds``, then runs the Tier-1
 suite once.  It writes ``DIR/BENCH_<label>.json`` (DIR defaults to the
 current directory) holding:
 
-* per workload, every run's value of each gated end-to-end metric with its
-  median and quartiles, and the failed share of operations over all runs;
+* per workload, every run's value of each end-to-end metric with its median
+  and quartiles (the gated ones from the run's result document, the others,
+  such as ``run_wall_s`` or ``protocol_projected_min``, from the lines the
+  untraced run prints under ``end-to-end``, to six significant digits), and
+  the failed share of operations over all runs;
 * per workload, the per-layer metrics of the traced run;
 * the Tier-1 wall time as pytest reports it, with its pass/fail summary;
 * the environment block the benchmark prints (the first traced run's).
@@ -37,6 +40,8 @@ from bench_ab import quartiles, run_lines  # noqa: E402
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 # pytest's closing line, e.g. "329 passed, 2 deselected in 127.31s (0:02:07)"
 _PYTEST_SUMMARY = re.compile(r"^=*\s*(?P<summary>.*?) in (?P<seconds>[0-9.]+)s\b")
+# a printed metric, e.g. "  run_wall_s                      12.3457 s"
+_METRIC_LINE = re.compile(r"^  (?P<name>\S+) +(?P<value>\S+) (?P<unit>\S+)$")
 
 
 def parse_run(lines: list[str]) -> tuple[dict | None, dict | None]:
@@ -53,6 +58,18 @@ def parse_run(lines: list[str]) -> tuple[dict | None, dict | None]:
     return result, env
 
 
+def printed_end_to_end(lines: list[str]) -> dict[str, tuple[float, str]]:
+    """``{name: (value, unit)}`` of the metrics listed under a run's ``end-to-end`` header."""
+    printed, inside = {}, False
+    for line in lines:
+        match = _METRIC_LINE.match(line)
+        if inside and match:
+            printed[match["name"]] = (float(match["value"]), match["unit"])
+        else:
+            inside = line.startswith("end-to-end")
+    return printed
+
+
 def parse_pytest(lines: list[str]) -> dict | None:
     """``{"wall_s", "summary"}`` from pytest's closing line, or None when it printed none."""
     for line in reversed(lines):
@@ -62,18 +79,24 @@ def parse_pytest(lines: list[str]) -> dict | None:
     return None
 
 
+def _spread(unit: str, values: list[float], **extra) -> dict:
+    q1, median, q3 = quartiles(values) if values else (None, None, None)
+    return {"unit": unit, **extra, "values": values, "q1": q1, "median": median, "q3": q3}
+
+
 def workload_record(spec: dict, runs: list[list[str]], traced: list[str]) -> dict:
-    """One workload's entry: gated metrics over ``runs`` and the per-layer metrics of ``traced``."""
-    results = [parse_run(lines)[0] for lines in runs]
-    done = [r for r in results if r is not None]
+    """One workload's entry: end-to-end metrics over ``runs`` and the per-layer metrics of ``traced``."""
+    reported = [(result, printed_end_to_end(lines)) for lines in runs
+                for result in [parse_run(lines)[0]] if result is not None]
+    done = [result for result, _ in reported]
     attempted = sum(r["attempted"] for r in done)
     failed = sum(r["failed"] for r in done)
-    end_to_end = {}
-    for gate in spec["end_to_end"]:
-        values = [r["metrics"][gate["name"]]["value"] for r in done]
-        q1, median, q3 = quartiles(values) if values else (None, None, None)
-        end_to_end[gate["name"]] = {"unit": gate["unit"], "better": gate["better"], "values": values,
-                                    "q1": q1, "median": median, "q3": q3}
+    end_to_end = {gate["name"]: _spread(gate["unit"], [r["metrics"][gate["name"]]["value"] for r in done],
+                                        better=gate["better"]) for gate in spec["end_to_end"]}
+    for name in dict.fromkeys(name for _, printed in reported for name in printed):
+        if name not in end_to_end:
+            seen = [printed[name] for _, printed in reported if name in printed]
+            end_to_end[name] = _spread(seen[0][1], [value for value, _ in seen])
     trace_result = parse_run(traced)[0]
     return {
         "runs": len(runs),
