@@ -34,9 +34,6 @@ from .cells import CellParams, CellState, gru_step, lstm_step
 from .network import (
     ArchSpec,
     ModelParams,
-    ParamGrads,
-    backward,
-    forward,
     grad_check,
     grad_check_worst,
     init_params,
@@ -65,7 +62,6 @@ __all__ = [
     "MetricSet",
     "ModelParams",
     "OptimizerState",
-    "ParamGrads",
     "PoisonedUpdateError",
     "PriceSeries",
     "ScalerParams",
@@ -77,11 +73,9 @@ __all__ = [
     "UndefinedMetricError",
     "UnimputableError",
     "adam_step",
-    "backward",
     "chronological_split",
     "evaluate",
     "fit_scaler",
-    "forward",
     "grad_check",
     "grad_check_worst",
     "gru_step",

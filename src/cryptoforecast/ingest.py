@@ -19,6 +19,7 @@ from .errors import DataError, InsufficientDataError, SchemaError, UnimputableEr
 
 DATE_COLUMN = "Date"
 DEFAULT_PRICE_COLUMN = "Close"
+_QUOTE_CHARS = 40  # most of a cell a diagnostic quotes: an unbalanced '"' can swallow the rest of the file
 
 
 @dataclass(frozen=True)
@@ -60,10 +61,6 @@ class PriceSeries:
     def missing_count(self) -> int:
         return int(np.isnan(self.values).sum())
 
-    @property
-    def is_complete(self) -> bool:
-        return self.missing_count == 0
-
 
 @dataclass(frozen=True)
 class SplitSpec:
@@ -74,6 +71,10 @@ class SplitSpec:
     def __post_init__(self):
         if not (0.0 < self.train_fraction < 1.0):
             raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
+
+
+def _quoted(cell: str) -> str:
+    return repr(cell[:_QUOTE_CHARS]) + ("..." if len(cell) > _QUOTE_CHARS else "")
 
 
 def _parse_price_cell(cell: str, lineno: int):
@@ -88,9 +89,9 @@ def _parse_price_cell(cell: str, lineno: int):
     if math.isnan(value):
         return math.nan
     if math.isinf(value):
-        raise DataError(f"row {lineno}: non-finite price {text!r}")
+        raise DataError(f"row {lineno}: non-finite price {_quoted(text)}")
     if value <= 0.0:
-        raise DataError(f"row {lineno}: non-positive price {text!r}")
+        raise DataError(f"row {lineno}: non-positive price {_quoted(text)}")
     return value
 
 
@@ -103,24 +104,27 @@ def parse_ohlcv(csv_text: str, price_column: str = DEFAULT_PRICE_COLUMN, symbol:
     missing markers to be repaired by :func:`impute_locf`.
     """
     reader = csv.DictReader(io.StringIO(csv_text))
-    header = reader.fieldnames
-    if header is None:
-        raise SchemaError("CSV has no header row")
-    if DATE_COLUMN not in header:
-        raise SchemaError(f"CSV header lacks a {DATE_COLUMN!r} column: {header}")
-    if price_column not in header:
-        raise SchemaError(f"CSV header lacks price column {price_column!r}: {header}")
-
     rows: list[tuple[date, float]] = []
-    for lineno, row in enumerate(reader, start=2):
-        raw_date = (row.get(DATE_COLUMN) or "").strip()
-        if not raw_date:
-            raise DataError(f"row {lineno}: empty Date cell")
-        try:
-            day = date.fromisoformat(raw_date)
-        except ValueError:
-            raise DataError(f"row {lineno}: date {raw_date!r} is not YYYY-MM-DD") from None
-        rows.append((day, _parse_price_cell(row.get(price_column) or "", lineno)))
+    try:
+        header = reader.fieldnames
+        if header is None:
+            raise SchemaError("CSV has no header row")
+        shown = "[" + ", ".join(map(_quoted, header)) + "]"
+        if DATE_COLUMN not in header:
+            raise SchemaError(f"CSV header lacks a {DATE_COLUMN!r} column: {shown}")
+        if price_column not in header:
+            raise SchemaError(f"CSV header lacks price column {price_column!r}: {shown}")
+        for lineno, row in enumerate(reader, start=2):
+            raw_date = (row.get(DATE_COLUMN) or "").strip()
+            if not raw_date:
+                raise DataError(f"row {lineno}: empty Date cell")
+            try:
+                day = date.fromisoformat(raw_date)
+            except ValueError:
+                raise DataError(f"row {lineno}: date {_quoted(raw_date)} is not YYYY-MM-DD") from None
+            rows.append((day, _parse_price_cell(row.get(price_column) or "", lineno)))
+    except csv.Error as exc:  # e.g. a lone carriage return inside a cell; the csv reader counts physical lines
+        raise DataError(f"line {reader.reader.line_num}: malformed CSV: {exc}") from None
 
     rows.sort(key=lambda item: item[0])
     dates = tuple(day for day, _ in rows)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -55,16 +55,18 @@ class ArchSpec:
     output_dim: int = 1
 
     def __post_init__(self):
+        for f in fields(self):  # bool and numpy integers are not int here
+            value = getattr(self, f.name)
+            if type(value) is not (str if f.name == "cell_kind" else int):
+                want = "a string" if f.name == "cell_kind" else "an integer"
+                raise TypeError(f"{f.name} must be {want}, got {type(value).__name__}")
         kind = self.cell_kind.lower()
         object.__setattr__(self, "cell_kind", kind)
         if kind not in CELL_KINDS:
             raise ValueError(f"unknown cell kind {self.cell_kind!r}; expected one of {CELL_KINDS}")
-        if self.layers < 1:
-            raise ValueError("layers must be >= 1")
-        if self.hidden_units < 1:
-            raise ValueError("hidden_units must be >= 1")
-        if self.input_dim < 1:
-            raise ValueError("input_dim must be >= 1")
+        for name in ("layers", "hidden_units", "input_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.output_dim != 1:
             raise ValueError("output_dim is fixed to 1 (one-step-ahead scalar forecast)")
 
@@ -72,6 +74,11 @@ class ArchSpec:
     def directions(self) -> int:
         """Cells per layer: 2 (forward, then reversed time) for the bidirectional kind, else 1."""
         return 2 if self.cell_kind == "bilstm" else 1
+
+    @property
+    def gate_order(self) -> tuple[str, ...]:
+        """Gate names in the order their row blocks are stacked in each cell's ``w``, ``u`` and ``b``."""
+        return GRU_GATE_ORDER if self.cell_kind == "gru" else LSTM_GATE_ORDER
 
     @property
     def dense_input_size(self) -> int:
@@ -84,7 +91,7 @@ class ArchSpec:
     def param_layout(self) -> tuple[tuple[str, tuple[int, ...], slice], ...]:
         """``(name, shape, span)`` of each parameter array, stored in ``vector[span]`` of its model,
         in :meth:`ModelParams.flat` order: per layer and direction ``w``, ``u``, ``b``; then the head."""
-        rows = (3 if self.cell_kind == "gru" else 4) * self.hidden_units
+        rows = len(self.gate_order) * self.hidden_units
         directions = ("",) if self.directions == 1 else (".fwd", ".bwd")
         shapes = [
             (f"layers[{li}]{d}.{name}", shape)
@@ -145,10 +152,6 @@ class ModelParams:
         return ModelParams(self.arch, self.vector.copy(), self.seed)
 
 
-# Gradients share the exact array structure of the parameters they mirror.
-ParamGrads = ModelParams
-
-
 def _glorot(rng: np.random.Generator, rows: int, cols: int, fan_in: int, fan_out: int) -> np.ndarray:
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=(rows, cols))
@@ -204,8 +207,11 @@ def _side_by_side(parts: list, axis: int) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
 
 
-def _work_kind(arch: ArchSpec):
-    return GruWork if arch.cell_kind == "gru" else LstmWork
+def _kernels(arch: ArchSpec):
+    """``(forward, backward, workspace class)`` of the cell kind, looked up at each call so wrappers bound here run."""
+    if arch.cell_kind == "gru":
+        return gru_forward, gru_backward, GruWork
+    return lstm_forward, lstm_backward, LstmWork
 
 
 def _carver(buffers: dict):
@@ -242,7 +248,7 @@ class ModelTape:
     x: np.ndarray  # (T, B, D) time-major model input
     layer_tapes: list
     final: np.ndarray  # (B, K) dense-head input
-    grads: ParamGrads | None = None
+    grads: ModelParams | None = None
     # per cell its own buffers, the shared buffers, and the cell workspaces by (steps, batch); None when hand-built
     _buffers: tuple | None = field(default=None, init=False, repr=False)
 
@@ -256,7 +262,7 @@ class ModelTape:
             work.x = None
         if (steps, batch) not in cells:
             arch = self.grads.arch
-            kind = _work_kind(arch)
+            kind = _kernels(arch)[2]
             cells[(steps, batch)] = [
                 tuple(
                     kind(steps, batch, inp, arch.hidden_units, True, _carver(buffers), grad, li > 0, _carver(shared))
@@ -279,17 +285,17 @@ def forward_batch(model: ModelParams, windows, store_tape: bool = True, *, works
     one is a fresh :class:`ModelTape`.
     """
     x = _as_batch(windows, model.arch.input_dim)
-    run = gru_forward if model.arch.cell_kind == "gru" else lstm_forward
+    run, _, kind = _kernels(model.arch)
     tape = workspace
     if tape is None and store_tape:
-        tape = ModelTape(x, [], None, ParamGrads(model.arch, np.empty(model.vector.size), model.seed))
+        tape = ModelTape(x, [], None, ModelParams(model.arch, np.empty(model.vector.size), model.seed))
         tape._buffers = [[{} for _ in layer] for layer in model.layers], {}, {}
     elif tape is not None and (not store_tape or tape._buffers is None or tape.grads.arch != model.arch):
         raise ValueError("workspace must be a tape that forward_batch returned for this architecture, with store_tape")
     seq = x
     if tape is None:
         arch, (steps, batch, _) = model.arch, x.shape
-        kind, hsize = _work_kind(arch), arch.hidden_units
+        hsize = arch.hidden_units
         for li, layer in enumerate(model.layers):
             out = np.empty((steps if li < arch.layers - 1 else 1, batch, arch.dense_input_size))
             for d, cell in enumerate(layer):  # each workspace is freed when its kernel returns
@@ -311,15 +317,7 @@ def forward_batch(model: ModelParams, windows, store_tape: bool = True, *, works
     return final @ model.dense_w + model.dense_b[0], tape
 
 
-def forward(model: ModelParams, window):
-    """Predict from a single lookback window.  Returns (prediction, tape)."""
-    preds, tape = forward_batch(model, window, store_tape=True)
-    if preds.shape[0] != 1:
-        raise ValueError("forward() takes exactly one window; use forward_batch for batches")
-    return float(preds[0]), tape
-
-
-def backward_batch(model: ModelParams, tape: ModelTape, d_predictions) -> ParamGrads:
+def backward_batch(model: ModelParams, tape: ModelTape, d_predictions) -> ModelParams:
     """Gradients of ``sum_j d_predictions[j] * prediction_j`` w.r.t. all parameters.
 
     Reverse-mode accumulation through the dense head and every layer's
@@ -338,7 +336,7 @@ def backward_batch(model: ModelParams, tape: ModelTape, d_predictions) -> ParamG
         raise ValueError("tape does not match this model")
 
     hsize = arch.hidden_units
-    back = gru_backward if arch.cell_kind == "gru" else lstm_backward
+    back = _kernels(arch)[1]
     grads = tape.grads
 
     np.matmul(tape.final.T, d_preds, out=grads.dense_w)
@@ -364,11 +362,6 @@ def backward_batch(model: ModelParams, tape: ModelTape, d_predictions) -> ParamG
     return grads
 
 
-def backward(model: ModelParams, tape: ModelTape, d_prediction: float) -> ParamGrads:
-    """Single-window convenience wrapper over :func:`backward_batch`."""
-    return backward_batch(model, tape, np.array([float(d_prediction)]))
-
-
 @dataclass(frozen=True)
 class GradCheckResult:
     """Worst analytic/numeric gradient disagreement and where it occurred."""
@@ -386,8 +379,8 @@ class GradCheckResult:
 def grad_check_worst(model: ModelParams, window, target: float, epsilon: float = 1e-5) -> GradCheckResult:
     """Compare analytic and numeric gradients; report the worst element.
 
-    Checks the gradient of the squared-error loss
-    ``(forward(window) - target)**2`` parameter-by-parameter against
+    Checks the gradient of the squared-error loss ``(prediction - target)**2``
+    of exactly one ``window`` parameter-by-parameter against
     central finite differences, with relative error
     ``|a - n| / max(|a|, |n|, 1e-8)``.
     """
@@ -395,8 +388,10 @@ def grad_check_worst(model: ModelParams, window, target: float, epsilon: float =
         raise ValueError(f"epsilon must be within [1e-7, 1e-3], got {epsilon}")
     target = float(target)
 
-    pred, tape = forward(model, window)
-    analytic = backward(model, tape, 2.0 * (pred - target))
+    preds, tape = forward_batch(model, window)
+    if preds.shape[0] != 1:
+        raise ValueError(f"grad_check_worst takes exactly one window, got {preds.shape[0]}")
+    analytic = backward_batch(model, tape, 2.0 * (preds - target))
 
     work = model.copy()
 
@@ -457,10 +452,9 @@ def _document(model: ModelParams, leaf) -> dict:
 
     A two-direction layer nests its cells' entries under ``forward`` and ``backward``."""
     arch = model.arch
-    gate_order = GRU_GATE_ORDER if arch.cell_kind == "gru" else LSTM_GATE_ORDER
     layers = []
     for layer in model.layers:
-        cells = [_cell_to_dict(cell, gate_order, leaf) for cell in layer]
+        cells = [_cell_to_dict(cell, arch.gate_order, leaf) for cell in layer]
         layers.append(cells[0] if len(cells) == 1 else dict(zip(_DIRECTION_KEYS, cells)))
     return {
         "format": CHECKPOINT_FORMAT,
@@ -497,11 +491,6 @@ def model_from_dict(data: dict) -> ModelParams:
         raise CheckpointError(f"not a {CHECKPOINT_FORMAT} document")
     if data.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {data.get('version')!r}")
-    spec = data.get("arch")
-    for key, value in spec.items() if type(spec) is dict else ():
-        if type(value) is not (str if key == "cell_kind" else int):  # bool is not int here
-            want = "a string" if key == "cell_kind" else "an integer"
-            raise CheckpointError(f"checkpoint arch: {key} must be {want}, got {type(value).__name__}")
     try:
         arch = ArchSpec(**data["arch"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -510,7 +499,6 @@ def model_from_dict(data: dict) -> ModelParams:
     if type(entries) is not list or len(entries) != arch.layers:
         found = len(entries) if type(entries) is list else "no list of"
         raise CheckpointError(f"checkpoint declares {arch.layers} layers but holds {found} layer entries")
-    gate_order = GRU_GATE_ORDER if arch.cell_kind == "gru" else LSTM_GATE_ORDER
     hidden = arch.hidden_units
     parts = []  # (document value, size, where) of every array, in vector order
     for li, (inp, entry) in enumerate(zip(arch.layer_input_sizes(), entries)):
@@ -527,7 +515,7 @@ def model_from_dict(data: dict) -> ModelParams:
             parts += [
                 (cell.get(f"{name}_{gate}"), size, f"{at}.{name}_{gate}")
                 for name, size in (("w", hidden * inp), ("u", hidden * hidden), ("b", hidden))
-                for gate in gate_order
+                for gate in arch.gate_order
             ]
     dense = data.get("dense")
     if type(dense) is not dict:

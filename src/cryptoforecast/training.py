@@ -17,7 +17,7 @@ import numpy as np
 from .cells import _HOIST_BYTES
 from .errors import DivergenceError, ForecastError, InsufficientDataError, PoisonedUpdateError
 from .metrics import mse_loss
-from .network import ModelParams, ParamGrads, backward_batch, forward_batch
+from .network import ModelParams, backward_batch, forward_batch
 from .preprocess import SequenceBatch
 
 log = logging.getLogger(__name__)
@@ -80,7 +80,7 @@ class TrainReport:
 
 def adam_step(
     params: ModelParams,
-    grads: ParamGrads,
+    grads: ModelParams,
     state: OptimizerState,
     config: TrainConfig,
     *,

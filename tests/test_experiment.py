@@ -569,6 +569,15 @@ class TestCli:
         assert main(["prepare", "--config", str(config_path)]) == 2
         assert "cannot read dataset for TST: 'utf-8' codec can't decode" in capsys.readouterr().err
 
+    def test_prepare_quotes_a_runaway_date_cell_short(self, tmp_path, capsys):
+        csv_path = tiny_csv(tmp_path, n=28)
+        csv_path.write_text(csv_path.read_text().replace("\n2022-01-05", '\n"2022-01-05', 1))  # the cell runs to EOF
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(f"lookback = 10\n[asset.TST]\ncsv = {csv_path}\n")
+        assert main(["prepare", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert "row 6: date '2022-01-05," in err and len(err) <= 200  # was the rest of the file, 1166 characters
+
     @pytest.mark.parametrize("problem", ["no_asset_section", "missing_config", "dataset_not_utf8"])
     def test_file_level_config_errors_name_no_line(self, tmp_path, capsys, problem):
         """A problem with a whole file has no line to name: stderr shows the message alone."""
@@ -701,14 +710,14 @@ class TestCli:
         assert "unrecognized arguments: --out ignored" in capsys.readouterr().err
 
     def test_gradcheck_failure_names_the_element(self, capsys, monkeypatch):
-        real_backward = network.backward
+        real_backward = network.backward_batch
 
         def corrupted(model_, tape_, d_pred):
             grads = real_backward(model_, tape_, d_pred)
             grads.dense_b[0] *= 2.0
             return grads
 
-        monkeypatch.setattr(network, "backward", corrupted)
+        monkeypatch.setattr(network, "backward_batch", corrupted)
         argv = ["gradcheck", "--trials", "2", "--cell", "gru", "--max-hidden", "2", "--max-window", "3"]
         assert main(argv) == 1
         lines = capsys.readouterr().out.splitlines()

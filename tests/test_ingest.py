@@ -30,7 +30,7 @@ class TestParseOhlcv:
         text = make_csv([("2019-01-01", 3843.52), ("2019-01-02", 3943.41)])
         series = parse_ohlcv(text, "Close")
         assert len(series) == 2
-        assert series.is_complete
+        assert series.missing_count == 0
         assert series.values.tolist() == [3843.52, 3943.41]
         assert series.dates == (date(2019, 1, 1), date(2019, 1, 2))
 
@@ -82,6 +82,26 @@ class TestParseOhlcv:
     def test_bad_date_rejected(self):
         with pytest.raises(DataError, match="YYYY-MM-DD"):
             parse_ohlcv("Date,Close\n01/02/2019,5.0\n", "Close")
+
+    @pytest.mark.parametrize("text, line", [
+        ("Date,Close\n2020-01-01,1\r2\n", 2),  # a lone carriage return inside a cell
+        ("Date,Close\n2020-01-01,1\n2020-01-02,3\r4\n", 3),
+        ("Da\rte,Close\n2020-01-01,1\n", 1),
+    ], ids=["first_row", "second_row", "header"])
+    def test_malformed_csv_is_data_error_naming_the_line(self, text, line):
+        with pytest.raises(DataError, match=f"^line {line}: malformed CSV: "):  # was a bare csv.Error
+            parse_ohlcv(text, "Close")
+
+    @pytest.mark.parametrize("text, error, cell", [
+        # an unbalanced quote makes a Date cell, or a header cell, the whole rest of the file
+        (make_csv([("2019-01-01", 10.0), ('"2019-01-02', 11.0)] + [("2019-01-03", 12.0)] * 26), DataError, "date"),
+        ('Date,"Close\n' + "2019-01-01,10.0\n" * 27, SchemaError, "header"),
+        (make_csv([("2019-01-01", "-0." + "0" * 80 + "1")]), DataError, "price"),
+    ], ids=["date", "header", "price"])
+    def test_diagnostics_quote_at_most_40_characters_of_a_cell(self, text, error, cell):
+        with pytest.raises(error) as info:
+            parse_ohlcv(text, "Close")
+        assert len(str(info.value)) <= 100 and "'..." in str(info.value), cell
 
     def test_extra_columns_tolerated_and_column_selectable(self):
         text = "Date,Open,Close,Extra\n2019-01-01,9.0,10.0,x\n2019-01-02,9.5,10.5,y\n"

@@ -10,8 +10,7 @@ from cryptoforecast.network import (
     ArchSpec,
     ModelParams,
     ModelTape,
-    backward,
-    forward,
+    backward_batch,
     forward_batch,
     grad_check,
     grad_check_worst,
@@ -39,6 +38,16 @@ class TestArchSpec:
             ArchSpec("lstm", layers=0)
         with pytest.raises(ValueError):
             ArchSpec("lstm", output_dim=2)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("layers", True, "layers must be an integer, got bool"),  # was a one-layer arch
+        ("hidden_units", 4.0, "hidden_units must be an integer, got float"),  # failed later, in numpy
+        ("cell_kind", None, "cell_kind must be a string, got NoneType"),  # was an AttributeError
+        ("layers", np.int64(2), "layers must be an integer, got int64"),  # json cannot write it to a checkpoint
+    ])
+    def test_field_types_rejected(self, field, value, message):
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            ArchSpec(**{"cell_kind": "lstm", field: value})
 
     def test_dense_width_doubles_for_bidirectional(self):
         assert ArchSpec("lstm", hidden_units=7).dense_input_size == 7
@@ -85,24 +94,24 @@ class TestForward:
     def test_zero_model_predicts_dense_bias(self, rng):
         for kind in ("lstm", "gru", "bilstm"):
             model = ModelParams.zeros(ArchSpec(kind, hidden_units=3), seed=0)
-            pred, _ = forward(model, rng.uniform(size=9))
-            assert pred == 0.0
+            preds, _ = forward_batch(model, rng.uniform(size=9))
+            assert preds.tolist() == [0.0]
             model.dense_b[0] = 0.625
-            pred, _ = forward(model, rng.uniform(size=9))
-            assert pred == 0.625
+            preds, _ = forward_batch(model, rng.uniform(size=9))
+            assert preds.tolist() == [0.625]
 
     def test_matches_loop_oracle_all_kinds(self, rng):
         window = rng.uniform(0.0, 1.0, size=5)
         for kind in ("lstm", "gru", "bilstm"):
             model = init_params(ArchSpec(kind, hidden_units=4), seed=11)
-            pred, _ = forward(model, window)
+            (pred,), _ = forward_batch(model, window)
             oracle = predict_loop(model_to_dict(model), window.tolist())
             assert abs(pred - oracle) <= 1e-12
 
     def test_empty_window_rejected(self):
         model = init_params(ArchSpec("lstm", hidden_units=2), seed=0)
         with pytest.raises(ValueError):
-            forward(model, np.empty(0))
+            forward_batch(model, np.empty(0))
 
     @pytest.mark.parametrize("store_tape", [True, False])
     def test_empty_batch_rejected(self, store_tape):
@@ -113,8 +122,8 @@ class TestForward:
     def test_deterministic_bit_for_bit(self, rng):
         model = init_params(ArchSpec("bilstm", hidden_units=5), seed=4)
         window = rng.uniform(size=12)
-        p1, _ = forward(model, window)
-        p2, _ = forward(model, window)
+        (p1,), _ = forward_batch(model, window)
+        (p2,), _ = forward_batch(model, window)
         assert p1 == p2
 
     def test_tape_free_path_matches(self, rng):
@@ -133,7 +142,7 @@ class TestBidirectionalStructure:
         model = init_params(ArchSpec("bilstm", layers=1, hidden_units=4), seed=8)
         model.layers[0] = (model.layers[0][0], model.layers[0][0])
         window = np.array([0.1, 0.7, 0.3, 0.7, 0.1])
-        _, tape = forward(model, window)
+        _, tape = forward_batch(model, window)
         h = model.arch.hidden_units
         np.testing.assert_array_equal(tape.final[:, :h], tape.final[:, h:])
 
@@ -148,23 +157,23 @@ class TestBidirectionalStructure:
         uni.dense_b = bi.dense_b
 
         window = rng.uniform(size=15)
-        pred_bi, _ = forward(bi, window)
-        pred_uni, _ = forward(uni, window)
+        (pred_bi,), _ = forward_batch(bi, window)
+        (pred_uni,), _ = forward_batch(uni, window)
         assert abs(pred_bi - pred_uni) <= 1e-12
 
 
 class TestBackward:
     def test_zero_upstream_gradient_gives_zero_grads(self, rng):
         model = init_params(ArchSpec("lstm", hidden_units=4), seed=5)
-        _, tape = forward(model, rng.uniform(size=7))
-        grads = backward(model, tape, 0.0)
+        _, tape = forward_batch(model, rng.uniform(size=7))
+        grads = backward_batch(model, tape, [0.0])
         assert all(np.all(g == 0.0) for g in grads.flat())
 
     def test_dense_bias_gradient_is_upstream(self, rng):
         for kind in ("lstm", "gru", "bilstm"):
             model = init_params(ArchSpec(kind, hidden_units=4), seed=5)
-            _, tape = forward(model, rng.uniform(size=7))
-            grads = backward(model, tape, 1.75)
+            _, tape = forward_batch(model, rng.uniform(size=7))
+            grads = backward_batch(model, tape, [1.75])
             assert grads.dense_b[0] == 1.75
 
     def test_matches_finite_differences(self, rng):
@@ -174,8 +183,8 @@ class TestBackward:
             model = init_params(ArchSpec(kind, hidden_units=4), seed=6)
             window = rng.uniform(size=5)
             target = 0.4
-            pred, tape = forward(model, window)
-            grads = backward(model, tape, 2.0 * (pred - target))
+            (pred,), tape = forward_batch(model, window)
+            grads = backward_batch(model, tape, [2.0 * (pred - target)])
 
             work = model.copy()
             for arr, garr in zip(work.flat(), grads.flat()):
@@ -195,18 +204,18 @@ class TestBackward:
     def test_tape_model_mismatch_rejected(self, rng):
         lstm = init_params(ArchSpec("lstm", hidden_units=4), seed=1)
         other = init_params(ArchSpec("lstm", hidden_units=5), seed=1)
-        _, tape = forward(lstm, rng.uniform(size=6))
+        _, tape = forward_batch(lstm, rng.uniform(size=6))
         with pytest.raises(ValueError):
-            backward(other, tape, 1.0)
+            backward_batch(other, tape, [1.0])
         with pytest.raises(ValueError, match="tape produced by forward"):  # no gradient vector to write
-            backward(lstm, ModelTape(x=tape.x, layer_tapes=tape.layer_tapes, final=tape.final), 1.0)
+            backward_batch(lstm, ModelTape(x=tape.x, layer_tapes=tape.layer_tapes, final=tape.final), [1.0])
 
     def test_deterministic_bit_for_bit(self, rng):
         model = init_params(ArchSpec("gru", hidden_units=5), seed=9)
         window = rng.uniform(size=8)
-        _, tape = forward(model, window)
-        g1 = backward(model, tape, 0.37).vector.copy()  # the second call writes into the same vector
-        g2 = backward(model, tape, 0.37)
+        _, tape = forward_batch(model, window)
+        g1 = backward_batch(model, tape, [0.37]).vector.copy()  # the second call writes into the same vector
+        g2 = backward_batch(model, tape, [0.37])
         assert np.array_equal(g1, g2.vector)
 
 
@@ -226,27 +235,27 @@ class TestGradCheck:
 
     def test_corrupted_gradient_detected(self, rng, monkeypatch):
         model = init_params(ArchSpec("gru", hidden_units=4), seed=14)
-        real_backward = network.backward
+        real_backward = network.backward_batch
 
         def doubled(model_, tape_, d_pred):
             grads = real_backward(model_, tape_, d_pred)
             grads.dense_b[0] *= 2.0
             return grads
 
-        monkeypatch.setattr(network, "backward", doubled)
+        monkeypatch.setattr(network, "backward_batch", doubled)
         err = grad_check(model, rng.uniform(size=6), target=0.1)
         assert err > 0.3
 
     def test_worst_names_array_index_and_values(self, rng, monkeypatch):
         model = init_params(ArchSpec("bilstm", hidden_units=2), seed=14)
-        real_backward = network.backward
+        real_backward = network.backward_batch
 
         def corrupted(model_, tape_, d_pred):
             grads = real_backward(model_, tape_, d_pred)
             grads.layers[1][1].u[3, 1] += 0.5
             return grads
 
-        monkeypatch.setattr(network, "backward", corrupted)
+        monkeypatch.setattr(network, "backward_batch", corrupted)
         window = rng.uniform(size=4)
         worst = grad_check_worst(model, window, target=0.3)
         assert worst.location() == "layers[1].bwd.u[3, 1]"
@@ -260,6 +269,11 @@ class TestGradCheck:
             assert len(names) == len(model.flat())
             assert names[-2:] == ["dense_w", "dense_b"]
         assert names[:4] == ["layers[0].fwd.w", "layers[0].fwd.u", "layers[0].fwd.b", "layers[0].bwd.w"]
+
+    def test_rejects_more_than_one_window(self, rng):
+        model = init_params(ArchSpec("lstm", hidden_units=2), seed=15)
+        with pytest.raises(ValueError, match="exactly one window"):
+            grad_check_worst(model, rng.uniform(size=(2, 4)), 0.0)
 
     def test_epsilon_bounds(self, rng):
         model = init_params(ArchSpec("lstm", hidden_units=2), seed=15)
@@ -281,9 +295,9 @@ class TestCheckpoint:
             assert loaded.seed == 33
             for a, b in zip(model.flat(), loaded.flat()):
                 assert np.array_equal(a, b)
-            p1, _ = forward(model, window)
-            p2, _ = forward(loaded, window)
-            assert p1 == p2
+            p1, _ = forward_batch(model, window)
+            p2, _ = forward_batch(loaded, window)
+            assert p1.tolist() == p2.tolist()
 
     def test_document_is_plain_json(self, tmp_path):
         model = init_params(ArchSpec("lstm", hidden_units=2, layers=1), seed=1)
