@@ -73,12 +73,6 @@ class CellParams:
     def input_size(self) -> int:
         return self.w.shape[1]
 
-    def gate_block(self, index: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Views of (w, u, b) for one gate, by position in the stacked order."""
-        h = self.hidden_size
-        rows = slice(index * h, (index + 1) * h)
-        return self.w[rows], self.u[rows], self.b[rows]
-
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.w, self.u, self.b
 

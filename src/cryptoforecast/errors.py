@@ -1,5 +1,12 @@
 """Exception types shared across the forecasting pipeline."""
 
+QUOTE_CHARS = 40  # most of an input a diagnostic quotes: one bad cell or line can hold a whole file
+
+
+def quoted(text: str, show=repr) -> str:
+    """``show`` of the first :data:`QUOTE_CHARS` characters of ``text``, then ``...`` if it was longer."""
+    return show(text[:QUOTE_CHARS]) + ("..." if len(text) > QUOTE_CHARS else "")
+
 
 class ForecastError(Exception):
     """Base class for all domain errors raised by this package."""

@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ForecastError
+from .errors import ConfigError, ForecastError, quoted
 from .ingest import SplitSpec, chronological_split, impute_locf, parse_ohlcv
 from .metrics import EvalReport, evaluate
 from .network import ArchSpec, CELL_KINDS, ModelParams, init_params, save_checkpoint
@@ -90,7 +90,7 @@ def _number(kind: type):
         try:
             return kind(raw)
         except ValueError:
-            raise ValueError(f"{key} expects {article} {kind.__name__}, got {raw!r}") from None
+            raise ValueError(f"{key} expects {article} {kind.__name__}, got {quoted(raw)}") from None
 
     return parse
 
@@ -108,8 +108,8 @@ def _path(key: str, raw: str) -> Path:
 def _architectures(key: str, raw: str) -> tuple[str, ...]:
     kinds = tuple(k.strip().lower() for k in raw.split(",") if k.strip())
     unknown = [k for k in kinds if k not in CELL_KINDS]
-    errors = [f"unknown architecture {k!r}; expected one of {CELL_KINDS}" for k in unknown]
-    errors += [f"duplicate architecture {k!r}" for k, n in Counter(kinds).items() if n > 1]
+    errors = [f"unknown architecture {quoted(k)}; expected one of {CELL_KINDS}" for k in unknown]
+    errors += [f"duplicate architecture {quoted(k)}" for k, n in Counter(kinds).items() if n > 1]
     if not kinds:
         errors.append(f"{key} must name at least one of {', '.join(CELL_KINDS)}")
     if errors:
@@ -168,25 +168,25 @@ def validate_config(config_text: str) -> ExperimentConfig:
             name = line[1:-1].strip()
             symbol = name[len("asset.") :].strip()
             if not line.endswith("]"):
-                diags.append((lineno, f"unterminated section header {line!r}"))
+                diags.append((lineno, f"unterminated section header {quoted(line)}"))
             elif not name.startswith("asset."):
-                diags.append((lineno, f"unknown section [{name}]; only [asset.<SYMBOL>] is allowed"))
+                diags.append((lineno, f"unknown section [{quoted(name, str)}]; only [asset.<SYMBOL>] is allowed"))
             elif not symbol:
                 diags.append((lineno, "asset section needs a symbol: [asset.<SYMBOL>]"))
             elif any(sym == symbol for _, sym, _ in assets):
-                diags.append((lineno, f"duplicate asset symbol {symbol!r}"))
+                diags.append((lineno, f"duplicate asset symbol {quoted(symbol)}"))
             else:
                 section = {}
                 assets.append((lineno, symbol, section))
             continue
         if "=" not in line:
-            diags.append((lineno, f"expected key = value, got {line!r}"))
+            diags.append((lineno, f"expected key = value, got {quoted(line)}"))
             continue
         key, _, value = line.partition("=")
         key = key.strip()
         known, kind, seen = (_KEYS, "key", top) if section is None else ({"csv"}, "asset key", section)
         if key not in known:
-            diags.append((lineno, f"unknown {kind} {key!r}"))
+            diags.append((lineno, f"unknown {kind} {quoted(key)}"))
         elif key in seen:
             diags.append((lineno, f"duplicate {kind} {key!r}"))
         else:
@@ -201,16 +201,16 @@ def validate_config(config_text: str) -> ExperimentConfig:
             diags.extend((line, message) for message in exc.args)
             continue
         if row.ok is not None and not row.ok(value):
-            diags.append((line, f"{key} must be {row.expect}, got {value}"))
+            diags.append((line, f"{key} must be {row.expect}, got {quoted(str(value), str)}"))
         elif isinstance(value, float) and not math.isfinite(value):
-            diags.append((line, f"{key} must be a finite float, got {raw!r}"))
+            diags.append((line, f"{key} must be a finite float, got {quoted(raw)}"))
         else:
             fields[row.field] = value
 
     asset_specs = []
     for line, symbol, keys in assets:
         if "csv" not in keys:
-            diags.append((line, f"asset {symbol!r} is missing its csv path"))
+            diags.append((line, f"asset {quoted(symbol)} is missing its csv path"))
             continue
         csv_line, raw = keys["csv"]
         try:

@@ -15,11 +15,10 @@ from datetime import date
 
 import numpy as np
 
-from .errors import DataError, InsufficientDataError, SchemaError, UnimputableError
+from .errors import DataError, InsufficientDataError, SchemaError, UnimputableError, quoted
 
 DATE_COLUMN = "Date"
 DEFAULT_PRICE_COLUMN = "Close"
-_QUOTE_CHARS = 40  # most of a cell a diagnostic quotes: an unbalanced '"' can swallow the rest of the file
 
 
 @dataclass(frozen=True)
@@ -73,10 +72,6 @@ class SplitSpec:
             raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
 
 
-def _quoted(cell: str) -> str:
-    return repr(cell[:_QUOTE_CHARS]) + ("..." if len(cell) > _QUOTE_CHARS else "")
-
-
 def _parse_price_cell(cell: str, lineno: int):
     """Empty or non-numeric cells are missing markers; bad numerics are errors."""
     text = cell.strip()
@@ -89,9 +84,9 @@ def _parse_price_cell(cell: str, lineno: int):
     if math.isnan(value):
         return math.nan
     if math.isinf(value):
-        raise DataError(f"row {lineno}: non-finite price {_quoted(text)}")
+        raise DataError(f"row {lineno}: non-finite price {quoted(text)}")
     if value <= 0.0:
-        raise DataError(f"row {lineno}: non-positive price {_quoted(text)}")
+        raise DataError(f"row {lineno}: non-positive price {quoted(text)}")
     return value
 
 
@@ -109,7 +104,7 @@ def parse_ohlcv(csv_text: str, price_column: str = DEFAULT_PRICE_COLUMN, symbol:
         header = reader.fieldnames
         if header is None:
             raise SchemaError("CSV has no header row")
-        shown = "[" + ", ".join(map(_quoted, header)) + "]"
+        shown = "[" + ", ".join(map(quoted, header)) + "]"
         if DATE_COLUMN not in header:
             raise SchemaError(f"CSV header lacks a {DATE_COLUMN!r} column: {shown}")
         if price_column not in header:
@@ -121,7 +116,7 @@ def parse_ohlcv(csv_text: str, price_column: str = DEFAULT_PRICE_COLUMN, symbol:
             try:
                 day = date.fromisoformat(raw_date)
             except ValueError:
-                raise DataError(f"row {lineno}: date {_quoted(raw_date)} is not YYYY-MM-DD") from None
+                raise DataError(f"row {lineno}: date {quoted(raw_date)} is not YYYY-MM-DD") from None
             rows.append((day, _parse_price_cell(row.get(price_column) or "", lineno)))
     except csv.Error as exc:  # e.g. a lone carriage return inside a cell; the csv reader counts physical lines
         raise DataError(f"line {reader.reader.line_num}: malformed CSV: {exc}") from None

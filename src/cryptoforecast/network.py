@@ -35,7 +35,7 @@ from .cells import (
     lstm_backward,
     lstm_forward,
 )
-from .errors import CheckpointError
+from .errors import CheckpointError, quoted
 
 CELL_KINDS = ("lstm", "gru", "bilstm")
 
@@ -63,7 +63,7 @@ class ArchSpec:
         kind = self.cell_kind.lower()
         object.__setattr__(self, "cell_kind", kind)
         if kind not in CELL_KINDS:
-            raise ValueError(f"unknown cell kind {self.cell_kind!r}; expected one of {CELL_KINDS}")
+            raise ValueError(f"unknown cell kind {quoted(self.cell_kind)}; expected one of {CELL_KINDS}")
         for name in ("layers", "hidden_units", "input_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -152,20 +152,25 @@ class ModelParams:
         return ModelParams(self.arch, self.vector.copy(), self.seed)
 
 
+def _gate_arrays(arch: ArchSpec):
+    """``(layer, direction key or None, key, span)`` of every per-gate array, e.g. ``(1, "forward", "u_f", span)``.
+
+    A gate's rows of a cell's row-major ``w``, ``u`` or ``b`` are one span of
+    the parameter vector; walked in vector order (per cell ``w`` gates, ``u``
+    gates, ``b`` gates) the spans tile it up to the dense head.  Init,
+    checkpoint save and checkpoint load all split cells into gates here.
+    """
+    keys, gates = (None,) if arch.directions == 1 else _DIRECTION_KEYS, arch.gate_order
+    for i, (_, _, span) in enumerate(arch.param_layout[:-2]):
+        cell, size = i // 3, (span.stop - span.start) // len(gates)
+        for g, gate in enumerate(gates):
+            start = span.start + g * size
+            yield cell // len(keys), keys[cell % len(keys)], f"{'wub'[i % 3]}_{gate}", slice(start, start + size)
+
+
 def _glorot(rng: np.random.Generator, rows: int, cols: int, fan_in: int, fan_out: int) -> np.ndarray:
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=(rows, cols))
-
-
-def _init_cell(rng: np.random.Generator, cell: CellParams) -> None:
-    hidden, input_size = cell.hidden_size, cell.input_size
-    gates = cell.u.shape[0] // hidden
-    for g in range(gates):
-        cell.w[g * hidden : (g + 1) * hidden] = _glorot(rng, hidden, input_size, input_size, hidden)
-    for g in range(gates):
-        cell.u[g * hidden : (g + 1) * hidden] = _glorot(rng, hidden, hidden, hidden, hidden)
-    if gates == 4:
-        cell.b[hidden : 2 * hidden] = 1.0  # forget gate opens fully at step one
 
 
 def init_params(arch: ArchSpec, seed: int) -> ModelParams:
@@ -177,8 +182,13 @@ def init_params(arch: ArchSpec, seed: int) -> ModelParams:
     """
     rng = np.random.default_rng(seed)
     model = ModelParams.zeros(arch, seed)
-    for cell in itertools.chain.from_iterable(model.layers):
-        _init_cell(rng, cell)
+    hsize = arch.hidden_units
+    for _, _, key, span in _gate_arrays(arch):
+        cols = (span.stop - span.start) // hsize
+        if key[0] != "b":
+            model.vector[span] = _glorot(rng, hsize, cols, cols, hsize).ravel()
+        elif key == "b_f":
+            model.vector[span] = 1.0  # the LSTM forget gate opens fully at step one
     k = arch.dense_input_size
     model.dense_w[:] = _glorot(rng, 1, k, k, 1)[0]
     return model
@@ -424,16 +434,13 @@ def grad_check(model: ModelParams, window, target: float, epsilon: float = 1e-5)
     return grad_check_worst(model, window, target, epsilon).rel_error
 
 
-def _cell_to_dict(cell: CellParams, gate_order: tuple[str, ...], leaf) -> dict:
-    return {f"{p}_{name}": leaf(a) for idx, name in enumerate(gate_order) for p, a in zip("wub", cell.gate_block(idx))}
-
-
 def _as_list(array: np.ndarray) -> list:
     return array.ravel().tolist()
 
 
-def _checked_array(value, size: int, where: str) -> np.ndarray:
-    """``value``, a flat list of ``size`` finite numbers, as a float64 array."""
+def _checked_array(value, span: slice, where: str) -> np.ndarray:
+    """``value``, a flat list of finite numbers as long as ``span``, as a float64 array."""
+    size = span.stop - span.start
     try:
         arr = np.asarray(value)
     except (ValueError, OverflowError):  # ragged nesting
@@ -452,10 +459,9 @@ def _document(model: ModelParams, leaf) -> dict:
 
     A two-direction layer nests its cells' entries under ``forward`` and ``backward``."""
     arch = model.arch
-    layers = []
-    for layer in model.layers:
-        cells = [_cell_to_dict(cell, arch.gate_order, leaf) for cell in layer]
-        layers.append(cells[0] if len(cells) == 1 else dict(zip(_DIRECTION_KEYS, cells)))
+    layers = [{} for _ in range(arch.layers)]
+    for li, key, name, span in _gate_arrays(arch):
+        (layers[li] if key is None else layers[li].setdefault(key, {}))[name] = leaf(model.vector[span])
     return {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -490,7 +496,7 @@ def model_from_dict(data: dict) -> ModelParams:
     if type(data) is not dict or data.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"not a {CHECKPOINT_FORMAT} document")
     if data.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {data.get('version')!r}")
+        raise CheckpointError(f"unsupported checkpoint version {quoted(repr(data.get('version')), str)}")
     try:
         arch = ArchSpec(**data["arch"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -499,36 +505,27 @@ def model_from_dict(data: dict) -> ModelParams:
     if type(entries) is not list or len(entries) != arch.layers:
         found = len(entries) if type(entries) is list else "no list of"
         raise CheckpointError(f"checkpoint declares {arch.layers} layers but holds {found} layer entries")
-    hidden = arch.hidden_units
-    parts = []  # (document value, size, where) of every array, in vector order
-    for li, (inp, entry) in enumerate(zip(arch.layer_input_sizes(), entries)):
-        where = f"layers[{li}]"
-        if arch.directions == 1:
-            cells = [(entry, where)]
-        elif type(entry) is not dict or not set(_DIRECTION_KEYS) <= entry.keys():
-            raise CheckpointError(f"checkpoint {where}: needs 'forward' and 'backward' cells")
-        else:
-            cells = [(entry[key], f"{where}.{key}") for key in _DIRECTION_KEYS]
-        for cell, at in cells:
-            if type(cell) is not dict:
-                raise CheckpointError(f"checkpoint {at}: expected an object of gate arrays")
-            parts += [
-                (cell.get(f"{name}_{gate}"), size, f"{at}.{name}_{gate}")
-                for name, size in (("w", hidden * inp), ("u", hidden * hidden), ("b", hidden))
-                for gate in arch.gate_order
-            ]
+    parts = []  # (document value, span, where) of every array, in vector order
+    for li, key, name, span in _gate_arrays(arch):
+        cell, at = entries[li], f"layers[{li}]"
+        if key is not None:
+            if type(cell) is not dict or not set(_DIRECTION_KEYS) <= cell.keys():
+                raise CheckpointError(f"checkpoint {at}: needs 'forward' and 'backward' cells")
+            cell, at = cell[key], f"{at}.{key}"
+        if type(cell) is not dict:
+            raise CheckpointError(f"checkpoint {at}: expected an object of gate arrays")
+        parts.append((cell.get(name), span, f"{at}.{name}"))
     dense = data.get("dense")
     if type(dense) is not dict:
         raise CheckpointError("checkpoint dense: expected an object with 'w' and 'b'")
-    parts += [(dense.get("w"), arch.dense_input_size, "dense.w"), ([dense.get("b")], 1, "dense.b")]
-    for value, size, where in parts:  # lengths first: a document short of the declared model allocates none of it
-        if type(value) is not list or len(value) != size:
-            _checked_array(value, size, where)  # raises
+    (_, _, w_span), (_, _, b_span) = arch.param_layout[-2:]
+    parts += [(dense.get("w"), w_span, "dense.w"), ([dense.get("b")], b_span, "dense.b")]
+    for value, span, where in parts:  # lengths first: a document short of the declared model allocates none of it
+        if type(value) is not list or len(value) != span.stop - span.start:
+            _checked_array(value, span, where)  # raises
     model = ModelParams.zeros(arch, data.get("seed"))
-    start = 0
-    for value, size, where in parts:
-        model.vector[start : start + size] = _checked_array(value, size, where)
-        start += size
+    for value, span, where in parts:
+        model.vector[span] = _checked_array(value, span, where)
     return model
 
 

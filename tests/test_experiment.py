@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cryptoforecast import ConfigError, experiment, network, validate_config
+from cryptoforecast import ConfigError, ForecastError, experiment, network, validate_config
 from cryptoforecast.cli import main
 from cryptoforecast.network import ArchSpec, init_params, model_to_dict
 from cryptoforecast.experiment import (
@@ -272,6 +272,36 @@ class TestValidateConfig:
     def test_comments_and_blanks_ignored(self):
         text = "\n# full line comment\n; alt comment\nepochs = 5\n[asset.X]\ncsv = x.csv\n"
         assert validate_config(text).epochs == 5
+
+
+LONG = "z" * 5000  # one bad line or value as long as a file
+
+# calls that quote a 5000-character input in their diagnostic
+LONG_INPUT_CALLS = {
+    "no equals sign": lambda: validate_config(f"{LONG}\n[asset.BTC]\ncsv = x.csv\n"),
+    "unterminated section": lambda: validate_config(f"[{LONG}\n[asset.BTC]\ncsv = x.csv\n"),
+    "unknown section": lambda: validate_config(f"[{LONG}]\n[asset.BTC]\ncsv = x.csv\n"),
+    "unknown key": lambda: validate_config(f"{LONG} = 1\n[asset.BTC]\ncsv = x.csv\n"),
+    "unknown asset key": lambda: validate_config(f"[asset.BTC]\ncsv = x.csv\n{LONG} = 1\n"),
+    "not an int": lambda: validate_config(f"lookback = {LONG}\n[asset.BTC]\ncsv = x.csv\n"),
+    "out of range": lambda: validate_config(f"lookback = -{'9' * 4000}\n[asset.BTC]\ncsv = x.csv\n"),
+    "not finite": lambda: validate_config(f"learning_rate = {'9' * 5000}\n[asset.BTC]\ncsv = x.csv\n"),
+    "architecture": lambda: validate_config(f"architectures = {LONG}\n[asset.BTC]\ncsv = x.csv\n"),
+    "missing csv": lambda: validate_config(f"[asset.{LONG}]\n"),
+    "duplicate symbol": lambda: validate_config(f"[asset.{LONG}]\ncsv = a\n[asset.{LONG}]\ncsv = b\n"),
+    "cell kind": lambda: ArchSpec(LONG),
+    "checkpoint cell kind": lambda: network.model_from_dict(
+        {**model_to_dict(init_params(ArchSpec("gru", 1, 1), 1)), "arch": {"cell_kind": LONG}}
+    ),
+    "checkpoint version": lambda: network.model_from_dict({"format": network.CHECKPOINT_FORMAT, "version": LONG}),
+}
+
+
+@pytest.mark.parametrize("case", LONG_INPUT_CALLS)
+def test_diagnostics_cut_long_input(case):
+    with pytest.raises(ValueError if case == "cell kind" else ForecastError) as exc_info:
+        LONG_INPUT_CALLS[case]()
+    assert "..." in str(exc_info.value) and len(str(exc_info.value)) < 200
 
 
 class TestSeedDerivation:

@@ -1,0 +1,68 @@
+"""Property-based fuzzing of the input boundaries.
+
+Bad input at a boundary must fail with a ``ForecastError`` subclass, never
+another exception.  Examples are derandomized and bounded, so every run
+checks the same inputs.
+"""
+
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cryptoforecast import CheckpointError
+from cryptoforecast.network import ArchSpec, ModelParams, init_params, model_from_dict, model_to_dict
+
+DOCUMENTS = {
+    kind: json.dumps(model_to_dict(init_params(ArchSpec(kind, layers=2, hidden_units=2), seed=1)))
+    for kind in ("lstm", "gru", "bilstm")
+}
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+def node_paths(node, path=()):
+    """``(path, is a number in an array)`` of every node below the root, the root itself included."""
+    yield path, False
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from node_paths(value, (*path, key))
+    elif isinstance(node, list):
+        for k, value in enumerate(node):
+            if isinstance(value, (dict, list)):
+                yield from node_paths(value, (*path, k))
+            else:
+                yield (*path, k), True
+
+
+@st.composite
+def junk_documents(draw):
+    """A small v1 document with one node replaced by a JSON value of another type."""
+    doc = json.loads(DOCUMENTS[draw(st.sampled_from(sorted(DOCUMENTS)))])
+    paths = list(node_paths(doc))
+    structure = [path for path, element in paths if not element]
+    elements = [path for path, element in paths if element]
+    path = draw(st.sampled_from(structure) | st.sampled_from(elements))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    old = parent[path[-1]] if path else doc
+    junk = draw(JSON_VALUES.filter(lambda value: type(value) is not type(old)))
+    if not path:
+        return junk
+    parent[path[-1]] = junk
+    return doc
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(junk_documents())
+def test_checkpoint_with_one_junk_node_loads_or_raises_checkpoint_error(doc):
+    try:
+        model = model_from_dict(doc)
+    except CheckpointError:
+        return
+    assert isinstance(model, ModelParams)

@@ -102,7 +102,7 @@ def traced_peak(call):
 
 def test_save_peak_holds_one_gate_array_encoding(tmp_path):
     model = init_params(ArchSpec("bilstm", layers=2, hidden_units=100), seed=3)
-    largest = model.layers[1][0].gate_block(0)[0]  # a (100, 200) input-weight gate, the largest array
+    largest = model.layers[1][0].w[:100]  # a (100, 200) input-weight gate, the largest array
     text_bytes = len(json.dumps(largest.ravel().tolist()))  # 0.43 MB
     # encoding one array holds its float list, one string per value and the joined text: about 6.5x
     # its text (2.8 MB); the whole document's list and text copies peaked at 24.2 MB

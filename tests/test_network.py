@@ -1,6 +1,7 @@
 """Stacked model: initialization, forward pass, backward pass, checkpoints."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,10 +66,8 @@ class TestInitParams:
     def test_forget_gate_bias_is_one(self):
         model = init_params(ArchSpec("lstm", hidden_units=4, layers=1), seed=0)
         (cell,) = model.layers[0]
-        _, _, b_f = cell.gate_block(1)  # stacked order: i, f, o, c
-        assert b_f.tolist() == [1.0, 1.0, 1.0, 1.0]
-        _, _, b_i = cell.gate_block(0)
-        assert b_i.tolist() == [0.0, 0.0, 0.0, 0.0]
+        assert cell.b[4:8].tolist() == [1.0, 1.0, 1.0, 1.0]  # stacked order: i, f, o, c
+        assert cell.b[0:4].tolist() == [0.0, 0.0, 0.0, 0.0]
 
     def test_weights_within_glorot_bound(self):
         hidden = 16
@@ -327,6 +326,25 @@ class TestCheckpoint:
         assert path.read_bytes() == (json.dumps(model_to_dict(model), sort_keys=True) + "\n").encode()
         loaded = load_checkpoint(path)
         assert loaded.seed == seed and loaded.vector.tobytes() == model.vector.tobytes()
+
+    @pytest.mark.parametrize("kind", ["lstm", "gru", "bilstm"])
+    @pytest.mark.parametrize("layers", [1, 3])
+    def test_gate_arrays_tile_the_vector_up_to_the_head(self, kind, layers):
+        arch = ArchSpec(kind, layers=layers, hidden_units=3)
+        spans = [span for *_, span in network._gate_arrays(arch)]
+        assert spans[0].start == 0 and spans[-1].stop == arch.param_layout[-2][2].start
+        assert all(a.stop == b.start for a, b in zip(spans, spans[1:]))
+        assert all(span.stop > span.start for span in spans)
+        assert len(spans) == 3 * len(arch.gate_order) * layers * arch.directions
+
+    @pytest.mark.parametrize("kind", ["lstm", "gru", "bilstm"])
+    def test_golden_v1_file_loads_and_resaves_byte_for_byte(self, tmp_path, kind):
+        """A version 1 file written before the one gate table: the same init draws, the same document."""
+        golden = Path(__file__).parent / "data" / f"checkpoint_v1_{kind}.json"
+        loaded = load_checkpoint(golden)
+        assert loaded.vector.tobytes() == init_params(ArchSpec(kind, layers=2, hidden_units=2), seed=7).vector.tobytes()
+        save_checkpoint(loaded, tmp_path / "resaved.json")
+        assert (tmp_path / "resaved.json").read_bytes() == golden.read_bytes()
 
     def test_save_is_deterministic(self, tmp_path):
         model = init_params(ArchSpec("gru", hidden_units=3), seed=2)

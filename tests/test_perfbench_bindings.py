@@ -4,8 +4,9 @@
 their callers look up (``network.lstm_backward``, ``training.forward_batch``
 and so on).  A refactor that calls a kernel or a batch function by another
 name makes the traced benchmark record nothing there; this test runs a tiny
-``run`` under the benchmark's own bindings and self-checks to catch that
-without a benchmark run.  The perfbench modules are imported, not changed.
+``run``, then ``evaluate`` of its checkpoints, under the benchmark's own
+bindings and self-checks to catch that without a benchmark run.  The
+perfbench modules are imported, not changed.
 """
 
 import dataclasses
@@ -37,12 +38,20 @@ def test_tiny_run_records_every_binding_and_kernel_call(tmp_path, monkeypatch):
     recorder = tracer.Tracer(modules)
     recorder.pass_id = 0
     recorder.install(tracer.E2E_BINDINGS + tracer.LAYER_BINDINGS)
+    codes = []
     try:
         with recorder.span("cli.main"):
-            code = cli.main(["run", "--config", str(config), "--seed", "1", "--out", str(tmp_path / "out")])
+            codes.append(cli.main(["run", "--config", str(config), "--seed", "1", "--out", str(tmp_path / "out")]))
+        recorder.pass_id = 1  # the score_ckpt leg: evaluate re-scores the run's checkpoints
+        for kind in workloads.ARCHS:
+            checkpoint = tmp_path / "out" / f"BTC_{kind}" / "checkpoint.json"
+            with recorder.span("cli.main"):
+                codes.append(cli.main(["evaluate", "--config", str(config), "--asset", "BTC",
+                                       "--checkpoint", str(checkpoint), "--out", str(tmp_path / "eval")]))
     finally:
         recorder.uninstall()
-    assert code == 0
-    summary = tracer.Summary(recorder.spans, [0])
-    assert tracer.binding_problems(summary, train_small.required, train_small.forbidden) == []
-    assert tracer.kernel_count_problems(summary, 2) == []
+    assert codes == [0] * (1 + len(workloads.ARCHS))
+    for pass_id, workload in enumerate((train_small, workloads.WORKLOADS["score_ckpt"])):
+        summary = tracer.Summary(recorder.spans, [pass_id])
+        assert tracer.binding_problems(summary, workload.required, workload.forbidden) == [], workload.name
+        assert tracer.kernel_count_problems(summary, 2) == [], workload.name
