@@ -134,7 +134,8 @@ def gru_step(params: CellParams, x_t, h_prev) -> np.ndarray:
 
 # Kernels work on blocks of steps: forward passes compute the input
 # projection ``x @ W.T + b`` of a block at once, backward passes the factors
-# that depend only on the tape (``1 - s``, ``1 - tanh(c)**2``, ...).  A
+# that depend only on the tape (``1 - s``, ``1 - tanh(c)**2``, ...), the
+# gate factors gate-major so that each step's gate math is contiguous.  A
 # block holds as many steps as fit this many bytes of such temporaries, so
 # they stay cache resident: the whole window at quick.cfg shapes, a single
 # step at paper and scoring shapes.
@@ -194,6 +195,12 @@ def _block_input(x: np.ndarray, rows: slice, flip) -> np.ndarray:
     return x[rows] if flip is None else flip
 
 
+def _gate_major(a: np.ndarray, gates: int) -> np.ndarray:
+    """A view of a ``(..., B, G*H)`` array gate-major: ``(..., G, B, H)``."""
+    *lead, batch, width = a.shape
+    return a.reshape(*lead, batch, gates, width // gates).swapaxes(-3, -2)
+
+
 def _check_walk(store_tape: bool, out, reverse: bool) -> None:
     if store_tape and (out is not None or reverse):
         raise ValueError("out and reverse are for tape-free workspaces; the backward pass reads a tape in time order")
@@ -229,7 +236,11 @@ class LstmWork:
     one after another may share, as nothing in it is read once the kernel
     call that uses it returns: ``ut`` (``u.T``, refilled by every forward
     call), ``dh_seq`` (filled right before the backward call that reads
-    it), ``da``, the hoisted factors and the carries.
+    it), ``da``, ``gates`` (one step's ``da`` gate-major, (4, B, H)), the
+    hoisted factors (gate-major ``num`` and ``den``, and ``otc``) and the
+    carries.  ``da`` stays row-major, (T, B, 4H): the recurrent and
+    weight-gradient products read it, and their rounding can depend on
+    operand layout.
     """
 
     def __init__(self, steps: int, batch: int, inp: int, hidden: int, store_tape: bool = True, alloc=_fresh,
@@ -264,24 +275,24 @@ class LstmWork:
 
         dh_seq = self.dh_seq = shared("dh_seq", (steps, batch, hidden))
         da = shared("da", (steps, batch, 4 * hidden))
-        da_s, da_g = da[:, :, : 3 * hidden], da[:, :, 3 * hidden :]
-        da_i, da_f, da_o = da[:, :, :hidden], da[:, :, hidden : 2 * hidden], da[:, :, 2 * hidden : 3 * hidden]
         self.dh, self.dc = shared("dh", (batch, hidden)), shared("dc", (batch, hidden))
         self.dh_carry, self.dc_carry = shared("dh_carry", (batch, hidden)), shared("dc_carry", (batch, hidden))
-        block = _block_len(steps, batch * 5 * hidden)
-        oms_buf = shared("oms", (block, batch, 3 * hidden))  # 1 - sigmoid gates
+        self.gates = shared("gates", (4, batch, hidden))  # one step's da, gate-major
+        block = _block_len(steps, batch * 8 * hidden)
+        num_buf = shared("num", (block, 4, batch, hidden))  # i|f|o|1 - g**2
+        den_buf = shared("den", (block, 3, batch, hidden))  # 1-i|1-f|1-o
         otc_buf = shared("otc", (block, batch, hidden))  # 1 - tanh(c)**2
-        og_buf = shared("og", (block, batch, hidden))  # 1 - g**2
         self.back_blocks = []
         for end in range(steps, 0, -block):
             start = max(0, end - block)
-            oms, otc, og = oms_buf[: end - start], otc_buf[: end - start], og_buf[: end - start]
+            num, den, otc = num_buf[: end - start], den_buf[: end - start], otc_buf[: end - start]
             views = [
-                (dh_seq[t], o[t], otc[t - start], g[t], da_i[t], c[t - 1] if t else zero, da_f[t],
-                 tc[t], da_o[t], da_s[t], s[t], oms[t - start], da_g[t], i[t], og[t - start], da[t], f[t])
-                for t in range(end - 1, start - 1, -1)
+                (dh_seq[t], num[k, 2], otc[k], g[t], c[t - 1] if t else zero, tc[t], num[k, 0], num[k], den[k],
+                 _gate_major(da[t], 4), da[t], num[k, 1])
+                for t, k in ((t, t - start) for t in range(end - 1, start - 1, -1))
             ]
-            self.back_blocks.append(((s[start:end], oms, tc[start:end], otc, g[start:end], og), views))
+            ifo = _gate_major(s[start:end], 3)
+            self.back_blocks.append(((ifo, num[:, :3], den, tc[start:end], otc, g[start:end], num[:, 3]), views))
 
         self.flat = da.reshape(steps * batch, 4 * hidden)
         # h_prev is zero at t=0, so the recurrent gradient only sums t >= 1
@@ -344,13 +355,17 @@ def lstm_backward(params: CellParams, tape: LstmWork, dh_seq: np.ndarray):
     dh, dc, dh_carry, dc_carry = tape.dh, tape.dc, tape.dh_carry, tape.dc_carry
     dh_carry.fill(0.0)
     dc_carry.fill(0.0)
-    for (s_b, oms, tc_b, otc, g_b, og), views in tape.back_blocks:
-        np.subtract(1.0, s_b, out=oms)
+    gates = tape.gates
+    da_i, da_f, da_o, da_g = gates
+    da_s = gates[:3]
+    for (ifo_b, ifo, den, tc_b, otc, g_b, og), views in tape.back_blocks:
+        np.copyto(ifo, ifo_b)
+        np.subtract(1.0, ifo, out=den)
         np.multiply(tc_b, tc_b, out=otc)
         np.subtract(1.0, otc, out=otc)
         np.multiply(g_b, g_b, out=og)
         np.subtract(1.0, og, out=og)
-        for dh_t, o_t, otc_t, g_t, da_i, c_prev, da_f, tc_t, da_o, da_s, s_t, oms_t, da_g, i_t, og_t, da_t, f_t in views:
+        for dh_t, o_t, otc_t, g_t, c_prev, tc_t, i_t, num_t, den_t, da_gm, da_t, f_t in views:
             np.add(dh_t, dh_carry, out=dh)
             np.multiply(dh, o_t, out=dc)
             dc *= otc_t
@@ -358,10 +373,10 @@ def lstm_backward(params: CellParams, tape: LstmWork, dh_seq: np.ndarray):
             np.multiply(dc, g_t, out=da_i)
             np.multiply(dc, c_prev, out=da_f)
             np.multiply(dh, tc_t, out=da_o)
-            da_s *= s_t
-            da_s *= oms_t
             np.multiply(dc, i_t, out=da_g)
-            da_g *= og_t
+            gates *= num_t
+            da_s *= den_t
+            np.copyto(da_gm, gates)
             np.matmul(da_t, u, out=dh_carry)
             np.multiply(dc, f_t, out=dc_carry)
 
@@ -380,7 +395,10 @@ class GruWork:
     The tape: ``x``, ``s`` the sigmoid gates u|r (T, B, 2H), ``n`` the
     candidate tanh, ``rh`` the reset-scaled previous hidden state and ``h``
     the hidden sequence (T, B, H).  ``shared`` hands out ``u_ur_t`` and
-    ``u_c_t`` (``u.T`` by gate group) in place of ``ut``.
+    ``u_c_t`` (``u.T`` by gate group) in place of ``ut``, and ``da_ur``
+    and ``da_c`` in place of ``da``, with ``gates`` (one step's ``da_ur``
+    gate-major, (2, B, H)) and the hoisted ``num``, ``den``, ``onn`` and
+    ``nmh``.
     """
 
     def __init__(self, steps: int, batch: int, inp: int, hidden: int, store_tape: bool = True, alloc=_fresh,
@@ -416,29 +434,29 @@ class GruWork:
 
         dh_seq = self.dh_seq = shared("dh_seq", (steps, batch, hidden))
         da_ur = shared("da_ur", (steps, batch, 2 * hidden))
-        da_u, da_r = da_ur[:, :, :hidden], da_ur[:, :, hidden:]
         da_c = shared("da_c", (steps, batch, hidden))
         self.dh, self.drh = shared("dh", (batch, hidden)), shared("drh", (batch, hidden))
         self.tmp, self.dh_carry = shared("tmp", (batch, hidden)), shared("dh_carry", (batch, hidden))
-        block = _block_len(steps, batch * 4 * hidden)
-        oms_buf = shared("oms", (block, batch, 2 * hidden))  # 1 - sigmoid gates
+        self.gates = shared("gates", (2, batch, hidden))  # one step's da_ur, gate-major
+        block = _block_len(steps, batch * 6 * hidden)
+        num_buf = shared("num", (block, 2, batch, hidden))  # u|r
+        den_buf = shared("den", (block, 2, batch, hidden))  # 1-u|1-r
         onn_buf = shared("onn", (block, batch, hidden))  # 1 - n**2
         nmh_buf = shared("nmh", (block, batch, hidden))  # n - h_prev
         self.back_blocks = []
         for end in range(steps, 0, -block):
             start = max(0, end - block)
-            oms, onn, nmh = oms_buf[: end - start], onn_buf[: end - start], nmh_buf[: end - start]
-            omu = oms[:, :, :hidden]
+            num, den, onn, nmh = (buf[: end - start] for buf in (num_buf, den_buf, onn_buf, nmh_buf))
             if start:
                 differences = [(n[start:end], h[start - 1 : end - 1], nmh)]
             else:  # with a zero h_prev at step 0
                 differences = [(n[0], zero, nmh[0]), (n[1:end], h[: end - 1], nmh[1:])]
             views = [
-                (dh_seq[t], u[t], da_c[t], onn[t - start], nmh[t - start], da_u[t], h[t - 1] if t else zero,
-                 da_r[t], da_ur[t], s[t], oms[t - start], omu[t - start], r[t])
-                for t in range(end - 1, start - 1, -1)
+                (dh_seq[t], num[k, 0], da_c[t], onn[k], nmh[k], h[t - 1] if t else zero, num[k], den[k],
+                 _gate_major(da_ur[t], 2), da_ur[t], den[k, 0], num[k, 1])
+                for t, k in ((t, t - start) for t in range(end - 1, start - 1, -1))
             ]
-            self.back_blocks.append(((s[start:end], oms, n[start:end], onn, differences), views))
+            self.back_blocks.append(((_gate_major(s[start:end], 2), num, den, n[start:end], onn, differences), views))
 
         self.flat_ur = da_ur.reshape(steps * batch, 2 * hidden)
         self.flat_c = da_c.reshape(steps * batch, hidden)
@@ -503,21 +521,25 @@ def gru_backward(params: CellParams, tape: GruWork, dh_seq: np.ndarray):
     u_c = params.u[2 * hsize :]
     dh, drh, tmp, dh_carry = tape.dh, tape.drh, tape.tmp, tape.dh_carry
     dh_carry.fill(0.0)
-    for (s_b, oms, n_b, onn, differences), views in tape.back_blocks:
-        np.subtract(1.0, s_b, out=oms)
+    gates = tape.gates
+    da_u, da_r = gates
+    for (ur_b, num, den, n_b, onn, differences), views in tape.back_blocks:
+        np.copyto(num, ur_b)
+        np.subtract(1.0, num, out=den)
         np.multiply(n_b, n_b, out=onn)
         np.subtract(1.0, onn, out=onn)
         for a, b, out in differences:
             np.subtract(a, b, out=out)
-        for dh_t, u_t, da_c, onn_t, nmh_t, da_u, h_prev, da_r, da_ur, s_t, oms_t, omu_t, r_t in views:
+        for dh_t, u_t, da_c, onn_t, nmh_t, h_prev, num_t, den_t, da_gm, da_ur, omu_t, r_t in views:
             np.add(dh_t, dh_carry, out=dh)
             np.multiply(dh, u_t, out=da_c)
             da_c *= onn_t
             np.matmul(da_c, u_c, out=drh)
             np.multiply(dh, nmh_t, out=da_u)
             np.multiply(drh, h_prev, out=da_r)
-            da_ur *= s_t
-            da_ur *= oms_t
+            gates *= num_t
+            gates *= den_t
+            np.copyto(da_gm, gates)
             np.multiply(dh, omu_t, out=dh_carry)
             dh_carry += np.multiply(drh, r_t, out=tmp)
             dh_carry += np.matmul(da_ur, u_ur, out=tmp)

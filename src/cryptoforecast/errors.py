@@ -8,6 +8,20 @@ def quoted(text: str, show=repr) -> str:
     return show(text[:QUOTE_CHARS]) + ("..." if len(text) > QUOTE_CHARS else "")
 
 
+PATH_CHARS = 120  # most of a path a diagnostic shows: its tail, which keeps the file name
+
+
+def cannot_read(what: str, path, exc: Exception) -> str:
+    """``cannot read WHAT PATH: REASON``, the path shown once and cut to its last :data:`PATH_CHARS` characters.
+
+    An OS error's reason is its ``strerror`` alone, as its text repeats the whole path.
+    """
+    text = str(path)
+    shown = text if len(text) <= PATH_CHARS else "..." + text[-PATH_CHARS:]
+    reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+    return f"cannot read {what} {shown}: {reason}"
+
+
 class ForecastError(Exception):
     """Base class for all domain errors raised by this package."""
 

@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ForecastError, quoted
+from .errors import ConfigError, ForecastError, cannot_read, quoted
 from .ingest import SplitSpec, chronological_split, impute_locf, parse_ohlcv
 from .metrics import EvalReport, evaluate
 from .network import ArchSpec, CELL_KINDS, ModelParams, init_params, save_checkpoint
@@ -231,7 +231,7 @@ def load_config(path, seed: int | None = None, out_dir=None) -> ExperimentConfig
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError([(0, f"cannot read config {path}: {exc}")]) from exc
+        raise ConfigError([(0, cannot_read("config", path, exc))]) from exc
     config = validate_config(text)
     # config-relative dataset paths make configs relocatable; an absolute path stays as it is
     assets = tuple(AssetSpec(a.symbol, path.parent / a.csv_path) for a in config.assets)
@@ -270,7 +270,7 @@ def prepare_asset(config: ExperimentConfig, asset: AssetSpec) -> PreparedAsset:
     try:
         text = asset.csv_path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError([(0, f"cannot read dataset for {asset.symbol}: {exc}")]) from exc
+        raise ConfigError([(0, cannot_read(f"{asset.symbol} dataset", asset.csv_path, exc))]) from exc
     series = parse_ohlcv(text, price_column=config.price_column, symbol=asset.symbol)
     imputed = impute_locf(series)
     train_part, test_part = chronological_split(imputed, SplitSpec(config.train_fraction))

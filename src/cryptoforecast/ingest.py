@@ -84,9 +84,9 @@ def _parse_price_cell(cell: str, lineno: int):
     if math.isnan(value):
         return math.nan
     if math.isinf(value):
-        raise DataError(f"row {lineno}: non-finite price {quoted(text)}")
+        raise DataError(f"line {lineno}: non-finite price {quoted(text)}")
     if value <= 0.0:
-        raise DataError(f"row {lineno}: non-positive price {quoted(text)}")
+        raise DataError(f"line {lineno}: non-positive price {quoted(text)}")
     return value
 
 
@@ -109,14 +109,15 @@ def parse_ohlcv(csv_text: str, price_column: str = DEFAULT_PRICE_COLUMN, symbol:
             raise SchemaError(f"CSV header lacks a {DATE_COLUMN!r} column: {shown}")
         if price_column not in header:
             raise SchemaError(f"CSV header lacks price column {price_column!r}: {shown}")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num  # the physical line the record ends on, blank lines counted
             raw_date = (row.get(DATE_COLUMN) or "").strip()
             if not raw_date:
-                raise DataError(f"row {lineno}: empty Date cell")
+                raise DataError(f"line {lineno}: empty Date cell")
             try:
                 day = date.fromisoformat(raw_date)
             except ValueError:
-                raise DataError(f"row {lineno}: date {quoted(raw_date)} is not YYYY-MM-DD") from None
+                raise DataError(f"line {lineno}: date {quoted(raw_date)} is not YYYY-MM-DD") from None
             rows.append((day, _parse_price_cell(row.get(price_column) or "", lineno)))
     except csv.Error as exc:  # e.g. a lone carriage return inside a cell; the csv reader counts physical lines
         raise DataError(f"line {reader.reader.line_num}: malformed CSV: {exc}") from None

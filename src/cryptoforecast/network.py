@@ -35,7 +35,7 @@ from .cells import (
     lstm_backward,
     lstm_forward,
 )
-from .errors import CheckpointError, quoted
+from .errors import CheckpointError, cannot_read, quoted
 
 CELL_KINDS = ("lstm", "gru", "bilstm")
 
@@ -488,7 +488,8 @@ def model_from_dict(data: dict) -> ModelParams:
 
     Raises :class:`CheckpointError` unless the document describes the
     whole declared model: one entry per layer, every gate array with the
-    element count its shape needs, a full dense head, all values finite.
+    element count its shape needs, a full dense head, all values finite,
+    and an integer or null seed.
     Every array's length is checked before the model is allocated, so a
     document that declares an architecture larger than it holds allocates
     nothing of the declared size.
@@ -501,6 +502,9 @@ def model_from_dict(data: dict) -> ModelParams:
         arch = ArchSpec(**data["arch"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint arch: {exc}") from None
+    seed = data.get("seed")
+    if seed is not None and type(seed) is not int:
+        raise CheckpointError(f"checkpoint seed must be an integer or null, got {quoted(repr(seed), str)}")
     entries = data.get("layers")
     if type(entries) is not list or len(entries) != arch.layers:
         found = len(entries) if type(entries) is list else "no list of"
@@ -523,7 +527,7 @@ def model_from_dict(data: dict) -> ModelParams:
     for value, span, where in parts:  # lengths first: a document short of the declared model allocates none of it
         if type(value) is not list or len(value) != span.stop - span.start:
             _checked_array(value, span, where)  # raises
-    model = ModelParams.zeros(arch, data.get("seed"))
+    model = ModelParams.zeros(arch, seed)
     for value, span, where in parts:
         model.vector[span] = _checked_array(value, span, where)
     return model
@@ -555,5 +559,5 @@ def load_checkpoint(path) -> ModelParams:
     try:
         data = json.loads(Path(path).read_text())
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from None
+        raise CheckpointError(cannot_read("checkpoint", path, exc)) from None
     return model_from_dict(data)

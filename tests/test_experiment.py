@@ -597,7 +597,7 @@ class TestCli:
         config_path = tmp_path / "exp.cfg"
         config_path.write_text(f"lookback = 10\n[asset.TST]\ncsv = {csv_path}\n")
         assert main(["prepare", "--config", str(config_path)]) == 2
-        assert "cannot read dataset for TST: 'utf-8' codec can't decode" in capsys.readouterr().err
+        assert f"cannot read TST dataset {csv_path}: 'utf-8' codec can't decode" in capsys.readouterr().err
 
     def test_prepare_quotes_a_runaway_date_cell_short(self, tmp_path, capsys):
         csv_path = tiny_csv(tmp_path, n=28)
@@ -606,7 +606,8 @@ class TestCli:
         config_path.write_text(f"lookback = 10\n[asset.TST]\ncsv = {csv_path}\n")
         assert main(["prepare", "--config", str(config_path)]) == 2
         err = capsys.readouterr().err
-        assert "row 6: date '2022-01-05," in err and len(err) <= 200  # was the rest of the file, 1166 characters
+        # the record runs from line 6 to the last line, 29, which the csv reader reports
+        assert "line 29: date '2022-01-05," in err and len(err) <= 200  # was the rest of the file, 1166 characters
 
     @pytest.mark.parametrize("problem", ["no_asset_section", "missing_config", "dataset_not_utf8"])
     def test_file_level_config_errors_name_no_line(self, tmp_path, capsys, problem):
@@ -619,13 +620,33 @@ class TestCli:
             expected = "error: config declares no [asset.<SYMBOL>] sections\n"
         elif problem == "missing_config":
             config_path.unlink()
-            expected = f"error: cannot read config {config_path}: "
+            expected = f"error: cannot read config {config_path}: No such file or directory\n"
         else:
             csv_path.write_bytes(csv_path.read_bytes().replace(b"1000\n", b"1000\xff\n", 1))
-            expected = "error: cannot read dataset for TST: 'utf-8' codec can't decode"
+            expected = f"error: cannot read TST dataset {csv_path}: 'utf-8' codec can't decode"
         assert main(["prepare", "--config", str(config_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(expected) and "line 0" not in err
+
+    @pytest.mark.parametrize("target", ["config", "dataset", "checkpoint"])
+    def test_unreadable_long_path_is_shown_once_and_cut(self, tmp_path, capsys, target):
+        """The path is shown once, cut to a tail that keeps the file name; the OS error adds only its reason."""
+        csv_path = tiny_csv(tmp_path)
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(f"lookback = 10\nhidden_units = 4\n[asset.TST]\ncsv = {csv_path}\n")
+        long_path = tmp_path / ("d" * 4990) / f"{target}.file"  # a name too long for the file system
+        if target == "config":
+            argv = ["prepare", "--config", str(long_path)]
+        elif target == "dataset":
+            config_path.write_text(f"lookback = 10\n[asset.TST]\ncsv = {long_path}\n")
+            argv = ["prepare", "--config", str(config_path)]
+        else:
+            argv = ["evaluate", "--config", str(config_path), "--asset", "TST", "--checkpoint", str(long_path)]
+        assert len(str(long_path)) > 5000
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        # were 10064 (config) and 5075 (dataset) characters: the path in full, and again inside the OS error
+        assert len(err) < 300 and err.count(f"{target}.file") == 1 and "File name too long" in err, err
 
     def test_prepare_prints_report(self, tmp_path, capsys):
         csv_path = tiny_csv(tmp_path)

@@ -7,7 +7,7 @@ checks the same inputs.
 
 import json
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cryptoforecast import CheckpointError
@@ -58,11 +58,22 @@ def junk_documents(draw):
     return doc
 
 
+def with_seed(seed):
+    doc = json.loads(DOCUMENTS["lstm"])
+    doc["seed"] = seed
+    return doc
+
+
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(junk_documents())
+@example(with_seed([1]))  # each of these seeds was loaded into the model as is
+@example(with_seed({"": 1}))
+@example(with_seed(True))
+@example(with_seed(1.0))
 def test_checkpoint_with_one_junk_node_loads_or_raises_checkpoint_error(doc):
     try:
         model = model_from_dict(doc)
     except CheckpointError:
         return
     assert isinstance(model, ModelParams)
+    assert model.seed is None or type(model.seed) is int

@@ -92,6 +92,15 @@ class TestParseOhlcv:
         with pytest.raises(DataError, match=f"^line {line}: malformed CSV: "):  # was a bare csv.Error
             parse_ohlcv(text, "Close")
 
+    @pytest.mark.parametrize("text, message", [
+        ("Date,Close\n\n2020-01-01,1\n\n2020-13-01,1\n", "date '2020-13-01' is not YYYY-MM-DD"),  # was row 3
+        ("Date,Close\n\n2020-01-01,1\n\n2020-01-02,-1\n", "non-positive price '-1'"),
+        ('Date,Close,Note\n2020-01-01,1,"two\nlines"\n\n,1,x\n', "empty Date cell"),
+    ], ids=["date", "price", "empty_date"])
+    def test_data_errors_name_the_physical_line(self, text, message):
+        with pytest.raises(DataError, match=f"^line 5: {message}$"):
+            parse_ohlcv(text, "Close")
+
     @pytest.mark.parametrize("text, error, cell", [
         # an unbalanced quote makes a Date cell, or a header cell, the whole rest of the file
         (make_csv([("2019-01-01", 10.0), ('"2019-01-02', 11.0)] + [("2019-01-03", 12.0)] * 26), DataError, "date"),

@@ -445,6 +445,19 @@ class TestCheckpointValidation:
         with pytest.raises(CheckpointError, match="layers"):
             model_from_dict(doc)
 
+    @pytest.mark.parametrize("seed", [[4], {"s": 4}, True, 4.0, "4"])
+    def test_seed_that_is_not_an_integer_rejected(self, seed):
+        doc = self.doc()
+        doc["seed"] = seed  # was loaded into ModelParams.seed as is and written back on the next save
+        with pytest.raises(CheckpointError, match="seed must be an integer or null"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("seed", [None, 0, -3, 2**70])
+    def test_integer_or_null_seed_loads(self, seed):
+        doc = self.doc()
+        doc["seed"] = seed
+        assert model_from_dict(doc).seed == seed
+
     def test_unreadable_files_rejected(self, tmp_path):
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "missing.json")
