@@ -11,11 +11,9 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import math
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -52,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="evaluate a checkpoint on an asset's test set")
     _add_common(p)
     p.add_argument("--asset", required=True, help="asset symbol from the config")
-    p.add_argument("--checkpoint", required=True, help="checkpoint.json path")
+    p.add_argument("--checkpoint", required=True, help="path of a checkpoint that train or run wrote")
 
     p = sub.add_parser("run", help="full experiment over every asset and architecture")
     _add_common(p)
@@ -87,23 +85,25 @@ def _find_asset(config: experiment.ExperimentConfig, symbol: str) -> experiment.
     raise ForecastError(f"asset {symbol!r} is not in the config (known: {known})")
 
 
+def _print_report(payload: dict, out: str | None, write) -> int:
+    """Print ``payload``'s report text or, with ``--out``, the path that ``write()`` wrote it to."""
+    if out is None:
+        print(experiment.report_text(payload), end="")
+    else:
+        print(write())
+    return 0
+
+
 def cmd_prepare(args) -> int:
     config = experiment.load_config(args.config, seed=args.seed, out_dir=args.out)
     report = experiment.prepare_report(config)
-    if args.out is not None:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        experiment.write_json(out_dir / "prepare_report.json", report)
-        print(out_dir / "prepare_report.json")
-    else:
-        print(json.dumps(report, sort_keys=True, indent=2))
-    return 0
+    return _print_report(report, args.out, lambda: experiment.write_prepare_report(config.out_dir, report))
 
 
 def cmd_train(args) -> int:
     config = experiment.load_config(args.config, seed=args.seed, out_dir=args.out)
     asset = _find_asset(config, args.asset)
-    run_dir = Path(config.out_dir) / f"{asset.symbol}_{args.arch}"
+    run_dir = config.out_dir / experiment.run_dir_name(asset.symbol, args.arch)
     experiment.run_single(config, asset, args.arch, run_dir=run_dir)
     print(run_dir)
     return 0
@@ -116,13 +116,7 @@ def cmd_evaluate(args) -> int:
     model = load_checkpoint(args.checkpoint)
     report = evaluate(model, prepared.test_windows, prepared.scaler, prepared.test_dates)
     payload = experiment.eval_report_dict(report, asset.symbol, model.arch.cell_kind, prepared.scaler)
-    if args.out is not None:
-        out_dir = Path(args.out)
-        experiment.write_eval_artifacts(out_dir, payload, report)
-        print(out_dir / "eval_report.json")
-    else:
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    return 0
+    return _print_report(payload, args.out, lambda: experiment.write_eval_artifacts(config.out_dir, payload, report))
 
 
 def cmd_run(args) -> int:

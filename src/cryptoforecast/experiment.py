@@ -292,6 +292,11 @@ def prepare_asset(config: ExperimentConfig, asset: AssetSpec) -> PreparedAsset:
     )
 
 
+def _span(dates: tuple) -> dict:
+    """The ``rows``, ``start`` and ``end`` of a date-aligned segment."""
+    return {"rows": len(dates), "start": dates[0].isoformat(), "end": dates[-1].isoformat()}
+
+
 def prepare_report(config: ExperimentConfig) -> dict:
     """Ingest + split summary for every configured asset."""
     out = []
@@ -300,25 +305,18 @@ def prepare_report(config: ExperimentConfig) -> dict:
         out.append(
             {
                 "symbol": prepared.symbol,
-                "rows": len(prepared.dates),
+                **_span(prepared.dates),
                 "missing_imputed": prepared.imputed_count,
-                "start": prepared.dates[0].isoformat(),
-                "end": prepared.dates[-1].isoformat(),
-                "train": {
-                    "rows": int(prepared.train_series.shape[0]),
-                    "start": prepared.train_dates[0].isoformat(),
-                    "end": prepared.train_dates[-1].isoformat(),
-                    "windows": len(prepared.train_windows),
-                },
-                "test": {
-                    "rows": int(prepared.test_series.shape[0]),
-                    "start": prepared.test_dates[0].isoformat(),
-                    "end": prepared.test_dates[-1].isoformat(),
-                    "windows": len(prepared.test_windows),
-                },
+                "train": {**_span(prepared.train_dates), "windows": len(prepared.train_windows)},
+                "test": {**_span(prepared.test_dates), "windows": len(prepared.test_windows)},
             }
         )
     return {"assets": out}
+
+
+def write_prepare_report(out_dir: Path, report: dict) -> Path:
+    """Write ``prepare_report.json`` into ``out_dir``; returns its path."""
+    return write_json(out_dir / "prepare_report.json", report)
 
 
 @dataclass
@@ -364,9 +362,8 @@ def run_single(
     except ForecastError as exc:
         if run_dir is not None:
             partial = getattr(exc, "report", None)
-            echo = _config_echo(config, asset.symbol, cell_kind)
             epochs = partial.epochs_log() if partial else []
-            _write_train_report(run_dir, echo, epochs=epochs, error=str(exc))
+            _write_train_report(run_dir, config, asset.symbol, cell_kind, epochs=epochs, error=str(exc))
         raise
     result = RunResult(
         asset=asset.symbol,
@@ -404,39 +401,47 @@ def _config_echo(config: ExperimentConfig, asset: str, cell_kind: str) -> dict:
     }
 
 
-def write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+def report_text(payload: dict) -> str:
+    """A JSON report's text, as every report file holds it and the CLI prints it."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _write_train_report(run_dir: Path, echo: dict, **entries) -> None:
+def write_json(path: Path, payload: dict) -> Path:
+    """Write ``payload``'s report text to ``path``, making its directory; returns ``path``."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(report_text(payload))
+    return path
+
+
+def run_dir_name(asset: str, cell_kind: str) -> str:
+    """The directory of one (asset, architecture) run under the output directory."""
+    return f"{asset}_{cell_kind}"
+
+
+def _write_train_report(run_dir: Path, config: ExperimentConfig, asset: str, cell_kind: str, **entries) -> None:
     """Write ``train_report.json``: the run's config echo and ``entries``."""
-    run_dir.mkdir(parents=True, exist_ok=True)
-    write_json(run_dir / "train_report.json", {"config": echo, **entries})
+    write_json(run_dir / "train_report.json", {"config": _config_echo(config, asset, cell_kind), **entries})
 
 
 def write_run_artifacts(config: ExperimentConfig, result: RunResult, run_dir: Path) -> None:
     """Persist one trained run: checkpoint and train report."""
     run_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(result.model, run_dir / "checkpoint.json")
-    echo = _config_echo(config, result.asset, result.cell_kind)
     epochs = result.train_report.epochs_log()
-    _write_train_report(run_dir, echo, checkpoint="checkpoint.json", epochs=epochs)
+    _write_train_report(run_dir, config, result.asset, result.cell_kind, checkpoint="checkpoint.json", epochs=epochs)
 
 
 def eval_report_dict(report: EvalReport, asset: str, cell_kind: str, scaler: ScalerParams) -> dict:
     """The ``eval_report.json`` document, for a run or a re-scored checkpoint."""
-    payload = report.to_dict()
-    payload["asset"] = asset
-    payload["cell_kind"] = cell_kind
-    payload["scaler"] = {"min": scaler.min_value, "max": scaler.max_value}
-    return payload
+    scaler_range = {"min": scaler.min_value, "max": scaler.max_value}
+    return {**report.to_dict(), "asset": asset, "cell_kind": cell_kind, "scaler": scaler_range}
 
 
-def write_eval_artifacts(out_dir: Path, payload: dict, report: EvalReport) -> None:
-    """Write ``eval_report.json`` (``payload``) and ``predictions.csv`` into ``out_dir``."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(out_dir / "eval_report.json", payload)
+def write_eval_artifacts(out_dir: Path, payload: dict, report: EvalReport) -> Path:
+    """Write ``eval_report.json`` (``payload``) and ``predictions.csv`` into ``out_dir``; returns the report's path."""
+    path = write_json(out_dir / "eval_report.json", payload)
     (out_dir / "predictions.csv").write_text(report.pairs_csv())
+    return path
 
 
 @dataclass
@@ -463,7 +468,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     failures: list[tuple[str, str, str]] = []
     for asset in config.assets:
         for cell_kind in config.architectures:
-            run_dir = out_dir / f"{asset.symbol}_{cell_kind}"
+            run_dir = out_dir / run_dir_name(asset.symbol, cell_kind)
             try:
                 result = run_single(config, asset, cell_kind, prepared[asset.symbol], run_dir)
                 results.append(result)
@@ -488,7 +493,7 @@ def comparison_dict(results: list[RunResult], failures) -> dict:
             {
                 "asset": result.asset,
                 "cell_kind": result.cell_kind,
-                "run_dir": f"{result.asset}_{result.cell_kind}",
+                "run_dir": run_dir_name(result.asset, result.cell_kind),
                 "normalized": result.eval_report.normalized.to_dict(),
                 "price": result.eval_report.price.to_dict(),
                 "best": best[result.asset] is result,

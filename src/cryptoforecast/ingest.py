@@ -98,10 +98,10 @@ def parse_ohlcv(csv_text: str, price_column: str = DEFAULT_PRICE_COLUMN, symbol:
     accepted.  Blank, ``null``, or otherwise non-numeric price cells become
     missing markers to be repaired by :func:`impute_locf`.
     """
-    reader = csv.DictReader(io.StringIO(csv_text))
+    reader = csv.reader(io.StringIO(csv_text))
     rows: list[tuple[date, float]] = []
     try:
-        header = reader.fieldnames
+        header = next(reader, None)
         if header is None:
             raise SchemaError("CSV has no header row")
         shown = "[" + ", ".join(map(quoted, header)) + "]"
@@ -109,8 +109,12 @@ def parse_ohlcv(csv_text: str, price_column: str = DEFAULT_PRICE_COLUMN, symbol:
             raise SchemaError(f"CSV header lacks a {DATE_COLUMN!r} column: {shown}")
         if price_column not in header:
             raise SchemaError(f"CSV header lacks price column {price_column!r}: {shown}")
-        for row in reader:
-            lineno = reader.line_num  # the physical line the record ends on, blank lines counted
+        read = reader.line_num  # physical lines read so far, blank lines counted
+        for record in reader:
+            lineno, read = read + 1, reader.line_num  # the physical line the record starts on
+            if not record:  # a blank line
+                continue
+            row = dict(zip(header, record))  # as csv.DictReader: a repeated header name reads its last column
             raw_date = (row.get(DATE_COLUMN) or "").strip()
             if not raw_date:
                 raise DataError(f"line {lineno}: empty Date cell")
@@ -120,7 +124,7 @@ def parse_ohlcv(csv_text: str, price_column: str = DEFAULT_PRICE_COLUMN, symbol:
                 raise DataError(f"line {lineno}: date {quoted(raw_date)} is not YYYY-MM-DD") from None
             rows.append((day, _parse_price_cell(row.get(price_column) or "", lineno)))
     except csv.Error as exc:  # e.g. a lone carriage return inside a cell; the csv reader counts physical lines
-        raise DataError(f"line {reader.reader.line_num}: malformed CSV: {exc}") from None
+        raise DataError(f"line {reader.line_num}: malformed CSV: {exc}") from None
 
     rows.sort(key=lambda item: item[0])
     dates = tuple(day for day, _ in rows)

@@ -78,12 +78,8 @@ class MetricSet:
 
     @classmethod
     def compute(cls, actual, predicted) -> "MetricSet":
-        return cls(
-            mse=mse_loss(predicted, actual),
-            mae=mae(actual, predicted),
-            rmse=rmse(actual, predicted),
-            mape=mape(actual, predicted),
-        )
+        mse = mse_loss(predicted, actual)
+        return cls(mse=mse, mae=mae(actual, predicted), rmse=math.sqrt(mse), mape=mape(actual, predicted))
 
     def to_dict(self) -> dict:
         return {"mse": self.mse, "mae": self.mae, "rmse": self.rmse, "mape": self.mape}

@@ -606,8 +606,8 @@ class TestCli:
         config_path.write_text(f"lookback = 10\n[asset.TST]\ncsv = {csv_path}\n")
         assert main(["prepare", "--config", str(config_path)]) == 2
         err = capsys.readouterr().err
-        # the record runs from line 6 to the last line, 29, which the csv reader reports
-        assert "line 29: date '2022-01-05," in err and len(err) <= 200  # was the rest of the file, 1166 characters
+        # the record runs from line 6 to the last line, 29, and is named by the line it starts on
+        assert "line 6: date '2022-01-05," in err and len(err) <= 200  # was the rest of the file, 1166 characters
 
     @pytest.mark.parametrize("problem", ["no_asset_section", "missing_config", "dataset_not_utf8"])
     def test_file_level_config_errors_name_no_line(self, tmp_path, capsys, problem):
@@ -657,6 +657,23 @@ class TestCli:
         asset = doc["assets"][0]
         assert asset["symbol"] == "TST"
         assert asset["train"]["rows"] + asset["test"]["rows"] == asset["rows"]
+
+    @pytest.mark.parametrize("command, report", [("prepare", "prepare_report.json"), ("evaluate", "eval_report.json")])
+    def test_report_printed_without_out_is_the_file_written_with_it(self, tmp_path, capsys, command, report):
+        csv_path = tiny_csv(tmp_path)
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(f"lookback = 10\nhidden_units = 4\n[asset.TST]\ncsv = {csv_path}\n")
+        checkpoint = tmp_path / "checkpoint.json"
+        network.save_checkpoint(init_params(ArchSpec("gru", hidden_units=4), seed=1), checkpoint)
+        argv = [command, "--config", str(config_path)]
+        if command == "evaluate":
+            argv += ["--asset", "TST", "--checkpoint", str(checkpoint)]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        out_dir = tmp_path / "out"
+        assert main([*argv, "--out", str(out_dir)]) == 0
+        assert capsys.readouterr().out == f"{out_dir / report}\n"  # with --out, the path written
+        assert printed.encode() == (out_dir / report).read_bytes()
 
     def test_train_single_run(self, tmp_path):
         csv_path = tiny_csv(tmp_path)

@@ -92,13 +92,15 @@ class TestParseOhlcv:
         with pytest.raises(DataError, match=f"^line {line}: malformed CSV: "):  # was a bare csv.Error
             parse_ohlcv(text, "Close")
 
-    @pytest.mark.parametrize("text, message", [
-        ("Date,Close\n\n2020-01-01,1\n\n2020-13-01,1\n", "date '2020-13-01' is not YYYY-MM-DD"),  # was row 3
-        ("Date,Close\n\n2020-01-01,1\n\n2020-01-02,-1\n", "non-positive price '-1'"),
-        ('Date,Close,Note\n2020-01-01,1,"two\nlines"\n\n,1,x\n', "empty Date cell"),
-    ], ids=["date", "price", "empty_date"])
-    def test_data_errors_name_the_physical_line(self, text, message):
-        with pytest.raises(DataError, match=f"^line 5: {message}$"):
+    @pytest.mark.parametrize("text, line, message", [
+        ("Date,Close\n\n2020-01-01,1\n\n2020-13-01,1\n", 5, "date '2020-13-01' is not YYYY-MM-DD"),  # was row 3
+        ("Date,Close\n\n2020-01-01,1\n\n2020-01-02,-1\n", 5, "non-positive price '-1'"),
+        ('Date,Close,Note\n2020-01-01,1,"two\nlines"\n\n,1,x\n', 5, "empty Date cell"),
+        # a record that spans lines is named by the line it starts on, after a blank line (was line 4)
+        ('Date,Close\n\n"2020-\n13-01",1\n', 3, r"date '2020-\\n13-01' is not YYYY-MM-DD"),
+    ], ids=["date", "price", "empty_date", "record_spanning_lines"])
+    def test_data_errors_name_the_physical_line(self, text, line, message):
+        with pytest.raises(DataError, match=f"^line {line}: {message}$"):
             parse_ohlcv(text, "Close")
 
     @pytest.mark.parametrize("text, error, cell", [

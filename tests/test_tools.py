@@ -239,6 +239,17 @@ def test_gate_set_configs_are_valid_and_cover_the_gate_shapes():
     assert all(str(a.csv_path).startswith("full/") for a in configs["all_paper_full"].assets)
 
 
+def test_gate_set_covers_every_report_path_of_the_cli():
+    """Each command that prints or writes a report runs with ``--out`` and, for the reports, without it."""
+    steps = dict(gate_set.gate_steps(Path("checkout"), Path("inputs")))
+    assert len(steps) == 18 and steps["prepare"][-2:] == ("--out", "prepare")
+    assert "--out" not in steps["prepare_no_out"] and steps["prepare_no_out"][:3] == steps["prepare"][:3]
+    assert steps["train"] == ("train", "--config", str(Path("inputs", "all_quick.cfg")), "--asset", "BTC",
+                              "--arch", "gru", "--out", "train")
+    assert steps["evaluate_BTC_bilstm_no_out"] == steps["evaluate_BTC_bilstm"][:-2]
+    assert all(argv[-2] == "--out" for name, argv in steps.items() if not name.endswith("_no_out"))
+
+
 def test_gate_set_rejects_bad_arguments(tmp_path, capsys):
     assert gate_set.main([]) == 2
     assert gate_set.main([str(tmp_path), str(tmp_path / "out")]) == 2  # no src/cryptoforecast

@@ -19,20 +19,27 @@ not exist yet:
   last batch of 1);
 * ``evaluate/<ASSET>_<arch>/``: ``evaluate`` of each of the nine
   ``all_paper`` checkpoints on the whole fixture of its asset;
+* ``prepare/``: ``prepare`` of the 385-row paper-shape config with
+  ``--out``;
+* ``train/BTC_gru/``: ``train --asset BTC --arch gru`` of the 385-row
+  quick-shape config with ``--out``;
+* ``stdout/<step>.txt``: what each step above printed, and the reports
+  that ``prepare`` of that config and ``evaluate`` of the ``all_paper``
+  BTC Bi-LSTM checkpoint print without ``--out`` (steps
+  ``prepare_no_out`` and ``evaluate_BTC_bilstm_no_out``);
 * ``gradcheck/``: ``gradcheck --trials 5`` stdout and exit code.
 
 Two checkouts' trees are then compared in one call::
 
     python tools/compare_artifacts.py OUT_PARENT OUT_CHANGE
 
-Exit status is 0 when every ``run`` and ``evaluate`` step exited 0, 1
-when one did not (its stderr is printed), 2 on bad arguments.
+Exit status is 0 when every step but ``gradcheck`` exited 0, 1 when
+one did not (its stderr is printed), 2 on bad arguments.
 """
 
 from __future__ import annotations
 
 import os
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -78,6 +85,29 @@ def write_inputs(checkout: Path, inputs: Path) -> None:
         (inputs / f"{name}.cfg").write_text(text)
 
 
+def gate_steps(checkout: Path, inputs: Path) -> list[tuple[str, tuple]]:
+    """Every ``(name, cli argv)`` step of the gate set but ``gradcheck``, run from OUT in this order."""
+    paper, quick = str(inputs / "all_paper.cfg"), str(inputs / "all_quick.cfg")
+
+    def evaluate(symbol: str, arch: str, *out: str) -> tuple:
+        return ("evaluate", "--config", str(inputs / f"{EVALUATE}.cfg"), "--asset", symbol,
+                "--checkpoint", f"all_paper/{symbol}_{arch}/checkpoint.json", *out)
+
+    steps = [("quick", ("run", "--config", str(checkout / "configs" / "quick.cfg"), "--out", "quick"))]
+    steps += [(name, ("run", "--config", str(inputs / f"{name}.cfg"), "--out", name)) for name in SHAPES]
+    steps += [
+        (f"evaluate_{symbol}_{arch}", evaluate(symbol, arch, "--out", f"evaluate/{symbol}_{arch}"))
+        for symbol, _ in ASSETS
+        for arch in ARCHS
+    ]
+    return steps + [
+        ("evaluate_BTC_bilstm_no_out", evaluate("BTC", "bilstm")),
+        ("prepare", ("prepare", "--config", paper, "--out", "prepare")),
+        ("prepare_no_out", ("prepare", "--config", paper)),
+        ("train", ("train", "--config", quick, "--asset", "BTC", "--arch", "gru", "--out", "train")),
+    ]
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
@@ -105,18 +135,11 @@ def main(argv=None) -> int:
 
     inputs = out / "inputs"
     write_inputs(checkout, inputs)
-    steps = [("quick", ("run", "--config", str(checkout / "configs" / "quick.cfg"), "--out", "quick"))]
-    steps += [(name, ("run", "--config", str(inputs / f"{name}.cfg"), "--out", name)) for name in SHAPES]
-    steps += [
-        (f"evaluate {symbol}_{arch}", ("evaluate", "--config", str(inputs / f"{EVALUATE}.cfg"), "--asset", symbol,
-                                       "--checkpoint", f"all_paper/{symbol}_{arch}/checkpoint.json",
-                                       "--out", f"evaluate/{symbol}_{arch}"))
-        for symbol, _ in ASSETS
-        for arch in ARCHS
-    ]
+    (out / "stdout").mkdir()
     failed = 0
-    for name, argv in steps:
+    for name, argv in gate_steps(checkout, inputs):
         result = cli(*argv)
+        (out / "stdout" / f"{name}.txt").write_text(result.stdout)
         print(f"{name}: exit {result.returncode}", flush=True)
         if result.returncode != 0:
             failed += 1
