@@ -16,6 +16,7 @@ from .errors import (
     DivergenceError,
     ForecastError,
     InsufficientDataError,
+    OutputError,
     PoisonedUpdateError,
     SchemaError,
     UndefinedMetricError,
@@ -62,6 +63,7 @@ __all__ = [
     "MetricSet",
     "ModelParams",
     "OptimizerState",
+    "OutputError",
     "PoisonedUpdateError",
     "PriceSeries",
     "ScalerParams",

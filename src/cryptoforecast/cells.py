@@ -156,10 +156,18 @@ def _projection_block_len(steps: int, batch: int, width: int) -> int:
     return steps if batch == 1 else _block_len(steps, batch * width)
 
 
-def _sigmoid_into(a: np.ndarray, out: np.ndarray) -> None:
-    """``out = 1.0 / (1.0 + exp(-a))``, the same operations as :func:`sigmoid`."""
-    np.negative(a, out=out)
-    np.exp(out, out=out)
+def _sigmoid_into(neg_a: np.ndarray, out: np.ndarray) -> None:
+    """``out = 1.0 / (1.0 + exp(neg_a))``: :func:`sigmoid` of ``a`` given ``neg_a``, the negated pre-activation.
+
+    The forward kernels hand the sigmoid gates ``-a`` with no step spent
+    on negating ``a``: once per call they negate the sigmoid rows of ``w``,
+    ``b`` and ``u`` into copies of the same memory layout, and each step
+    sums ``h @ (-U.T) + (x @ (-W.T) + (-b))``.  Negation is exact and
+    round-to-nearest is symmetric, so that sum has the bits of
+    ``-(h @ U.T + (x @ W.T + b))``, and the operations after it are those
+    of :func:`sigmoid`.
+    """
+    np.exp(neg_a, out=out)
     out += 1.0
     np.divide(1.0, out, out=out)
 
@@ -234,7 +242,8 @@ class LstmWork:
     :class:`CellParams`, fresh arrays unless given) and the input gradient
     in ``dx`` when ``need_dx``.  ``shared`` hands out what cells that run
     one after another may share, as nothing in it is read once the kernel
-    call that uses it returns: ``ut`` (``u.T``, refilled by every forward
+    call that uses it returns: ``ut`` (``u.T`` times ``sign``, the -1/1
+    vector that negates the sigmoid columns; refilled by every forward
     call), ``dh_seq`` (filled right before the backward call that reads
     it), ``da``, ``gates`` (one step's ``da`` gate-major, (4, B, H)), the
     hoisted factors (gate-major ``num`` and ``den``, and ``otc``) and the
@@ -256,6 +265,8 @@ class LstmWork:
         h = self.h = alloc("h", (steps, batch, hidden)) if out is None else out
         i, f, o = s[:, :, :hidden], s[:, :, hidden : 2 * hidden], s[:, :, 2 * hidden :]
         self.ut = shared("ut", (hidden, 4 * hidden))
+        sign = self.sign = alloc("sign", (4 * hidden,))  # -1 on the sigmoid rows i|f|o, 1 on c
+        sign[: 3 * hidden], sign[3 * hidden :] = -1.0, 1.0
         a = self.a = alloc("a", (batch, 4 * hidden))
         self.a_s, self.a_g = a[:, : 3 * hidden], a[:, 3 * hidden :]
         self.ig = alloc("ig", (batch, hidden))
@@ -320,15 +331,16 @@ def lstm_forward(params: CellParams, x: np.ndarray, store_tape: bool = True, *, 
     steps, batch, inp = x.shape
     work = workspace or LstmWork(steps, batch, inp, params.hidden_size, store_tape)
     _check_forward_work(work, x, store_tape)
-    wt, b = params.w.T, params.b
-    ut = work.ut
-    np.copyto(ut, params.u.T)
+    # the sigmoid rows i|f|o of w, b and u run negated, so a_s holds -a (see _sigmoid_into)
+    sign, ut = work.sign, work.ut
+    wt, b = (params.w * sign[:, None]).T, params.b * sign
+    np.multiply(params.u.T, sign, out=ut)
     a, a_s, a_g, ig = work.a, work.a_s, work.a_g, work.ig
     for rows_x, flip, xp_m, views in work.blocks:
         np.matmul(_block_input(x, rows_x, flip).reshape(-1, inp), wt, out=xp_m)
         xp_m += b
         for h_prev, xp_t, s_t, g_t, c_prev, c_t, tc_t, i_t, f_t, o_t, h_t in views:
-            np.matmul(h_prev, ut, out=a)
+            np.dot(h_prev, ut, out=a)
             a += xp_t
             _sigmoid_into(a_s, s_t)
             np.tanh(a_g, out=g_t)
@@ -377,7 +389,7 @@ def lstm_backward(params: CellParams, tape: LstmWork, dh_seq: np.ndarray):
             gates *= num_t
             da_s *= den_t
             np.copyto(da_gm, gates)
-            np.matmul(da_t, u, out=dh_carry)
+            np.dot(da_t, u, out=dh_carry)
             np.multiply(dc, f_t, out=dc_carry)
 
     flat, grad = tape.flat, tape.grad
@@ -395,10 +407,10 @@ class GruWork:
     The tape: ``x``, ``s`` the sigmoid gates u|r (T, B, 2H), ``n`` the
     candidate tanh, ``rh`` the reset-scaled previous hidden state and ``h``
     the hidden sequence (T, B, H).  ``shared`` hands out ``u_ur_t`` and
-    ``u_c_t`` (``u.T`` by gate group) in place of ``ut``, and ``da_ur``
-    and ``da_c`` in place of ``da``, with ``gates`` (one step's ``da_ur``
-    gate-major, (2, B, H)) and the hoisted ``num``, ``den``, ``onn`` and
-    ``nmh``.
+    ``u_c_t`` (``u.T`` by gate group, the sigmoid group u|r negated) in
+    place of ``ut``, and ``da_ur`` and ``da_c`` in place of ``da``, with
+    ``gates`` (one step's ``da_ur`` gate-major, (2, B, H)) and the hoisted
+    ``num``, ``den``, ``onn`` and ``nmh``.
     """
 
     def __init__(self, steps: int, batch: int, inp: int, hidden: int, store_tape: bool = True, alloc=_fresh,
@@ -484,11 +496,12 @@ def gru_forward(params: CellParams, x: np.ndarray, store_tape: bool = True, *, w
     work = workspace or GruWork(steps, batch, inp, hsize, store_tape)
     _check_forward_work(work, x, store_tape)
     # One input product per gate group, like the recurrent products: a
-    # single product over all 3H columns rounds differently.
-    w_ur_t, b_ur = params.w[: 2 * hsize].T, params.b[: 2 * hsize]
+    # single product over all 3H columns rounds differently.  The sigmoid
+    # group u|r runs negated, so a_ur holds -a (see _sigmoid_into).
+    w_ur_t, b_ur = np.negative(params.w[: 2 * hsize]).T, np.negative(params.b[: 2 * hsize])
     w_c_t, b_c = params.w[2 * hsize :].T, params.b[2 * hsize :]
     u_ur_t, u_c_t = work.u_ur_t, work.u_c_t
-    np.copyto(u_ur_t, params.u[: 2 * hsize].T)
+    np.negative(params.u[: 2 * hsize].T, out=u_ur_t)
     np.copyto(u_c_t, params.u[2 * hsize :].T)
     a_ur, a_c, keep = work.a_ur, work.a_c, work.keep
     for rows_x, flip, xp_ur_m, xp_c_m, views in work.blocks:
@@ -498,10 +511,10 @@ def gru_forward(params: CellParams, x: np.ndarray, store_tape: bool = True, *, w
         np.matmul(x_m, w_c_t, out=xp_c_m)
         xp_c_m += b_c
         for h_prev, xp_ur_t, s_t, r_t, rh_t, xp_c_t, n_t, u_t, h_t in views:
-            np.matmul(h_prev, u_ur_t, out=a_ur)
+            np.dot(h_prev, u_ur_t, out=a_ur)
             a_ur += xp_ur_t
             _sigmoid_into(a_ur, s_t)
-            np.matmul(np.multiply(r_t, h_prev, out=rh_t), u_c_t, out=a_c)
+            np.dot(np.multiply(r_t, h_prev, out=rh_t), u_c_t, out=a_c)
             a_c += xp_c_t
             np.tanh(a_c, out=n_t)
             np.subtract(1.0, u_t, out=keep)
@@ -534,7 +547,7 @@ def gru_backward(params: CellParams, tape: GruWork, dh_seq: np.ndarray):
             np.add(dh_t, dh_carry, out=dh)
             np.multiply(dh, u_t, out=da_c)
             da_c *= onn_t
-            np.matmul(da_c, u_c, out=drh)
+            np.dot(da_c, u_c, out=drh)
             np.multiply(dh, nmh_t, out=da_u)
             np.multiply(drh, h_prev, out=da_r)
             gates *= num_t
@@ -542,7 +555,7 @@ def gru_backward(params: CellParams, tape: GruWork, dh_seq: np.ndarray):
             np.copyto(da_gm, gates)
             np.multiply(dh, omu_t, out=dh_carry)
             dh_carry += np.multiply(drh, r_t, out=tmp)
-            dh_carry += np.matmul(da_ur, u_ur, out=tmp)
+            dh_carry += np.dot(da_ur, u_ur, out=tmp)
 
     flat_ur, flat_c, grad = tape.flat_ur, tape.flat_c, tape.grad
     flat_x = tape.x.reshape(flat_ur.shape[0], -1)

@@ -94,8 +94,16 @@ def _print_report(payload: dict, out: str | None, write) -> int:
     return 0
 
 
-def cmd_prepare(args) -> int:
+def _load_config(args) -> experiment.ExperimentConfig:
+    """The command's config; with ``--out``, whose report goes there, its directory is made first."""
     config = experiment.load_config(args.config, seed=args.seed, out_dir=args.out)
+    if args.out is not None:
+        experiment.make_out_dir(config.out_dir)
+    return config
+
+
+def cmd_prepare(args) -> int:
+    config = _load_config(args)
     report = experiment.prepare_report(config)
     return _print_report(report, args.out, lambda: experiment.write_prepare_report(config.out_dir, report))
 
@@ -103,14 +111,14 @@ def cmd_prepare(args) -> int:
 def cmd_train(args) -> int:
     config = experiment.load_config(args.config, seed=args.seed, out_dir=args.out)
     asset = _find_asset(config, args.asset)
-    run_dir = config.out_dir / experiment.run_dir_name(asset.symbol, args.arch)
+    run_dir = experiment.make_out_dir(config.out_dir / experiment.run_dir_name(asset.symbol, args.arch))
     experiment.run_single(config, asset, args.arch, run_dir=run_dir)
     print(run_dir)
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    config = experiment.load_config(args.config, seed=args.seed, out_dir=args.out)
+    config = _load_config(args)
     asset = _find_asset(config, args.asset)
     prepared = experiment.prepare_asset(config, asset)
     model = load_checkpoint(args.checkpoint)

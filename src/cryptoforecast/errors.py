@@ -11,15 +11,15 @@ def quoted(text: str, show=repr) -> str:
 PATH_CHARS = 120  # most of a path a diagnostic shows: its tail, which keeps the file name
 
 
-def cannot_read(what: str, path, exc: Exception) -> str:
-    """``cannot read WHAT PATH: REASON``, the path shown once and cut to its last :data:`PATH_CHARS` characters.
+def cannot(verb: str, what: str, path, exc: Exception) -> str:
+    """``cannot VERB WHAT PATH: REASON``, the path shown once and cut to its last :data:`PATH_CHARS` characters.
 
     An OS error's reason is its ``strerror`` alone, as its text repeats the whole path.
     """
     text = str(path)
     shown = text if len(text) <= PATH_CHARS else "..." + text[-PATH_CHARS:]
     reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
-    return f"cannot read {what} {shown}: {reason}"
+    return f"cannot {verb} {what} {shown}: {reason}"
 
 
 class ForecastError(Exception):
@@ -73,6 +73,10 @@ class DivergenceError(ForecastError):
         self.epoch = epoch
         self.loss = loss
         super().__init__(f"non-finite {'training' if loss == 'train' else loss} loss at epoch {epoch}")
+
+
+class OutputError(ForecastError):
+    """An output directory cannot be made, such as one whose path names a regular file."""
 
 
 class CheckpointError(ForecastError, ValueError):

@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ForecastError, cannot_read, quoted
+from .errors import ConfigError, ForecastError, OutputError, cannot, quoted
 from .ingest import SplitSpec, chronological_split, impute_locf, parse_ohlcv
 from .metrics import EvalReport, evaluate
 from .network import ArchSpec, CELL_KINDS, ModelParams, init_params, save_checkpoint
@@ -231,7 +231,7 @@ def load_config(path, seed: int | None = None, out_dir=None) -> ExperimentConfig
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError([(0, cannot_read("config", path, exc))]) from exc
+        raise ConfigError([(0, cannot("read", "config", path, exc))]) from exc
     config = validate_config(text)
     # config-relative dataset paths make configs relocatable; an absolute path stays as it is
     assets = tuple(AssetSpec(a.symbol, path.parent / a.csv_path) for a in config.assets)
@@ -270,7 +270,7 @@ def prepare_asset(config: ExperimentConfig, asset: AssetSpec) -> PreparedAsset:
     try:
         text = asset.csv_path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError([(0, cannot_read(f"{asset.symbol} dataset", asset.csv_path, exc))]) from exc
+        raise ConfigError([(0, cannot("read", f"{asset.symbol} dataset", asset.csv_path, exc))]) from exc
     series = parse_ohlcv(text, price_column=config.price_column, symbol=asset.symbol)
     imputed = impute_locf(series)
     train_part, test_part = chronological_split(imputed, SplitSpec(config.train_fraction))
@@ -406,9 +406,22 @@ def report_text(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def make_out_dir(path: Path) -> Path:
+    """Make the output directory ``path`` and its parents; returns ``path``.
+
+    The commands call it before any work, so an unusable ``--out`` (a
+    regular file, say) fails at once with an :class:`OutputError`.
+    """
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OutputError(cannot("make", "output directory", path, exc)) from None
+    return path
+
+
 def write_json(path: Path, payload: dict) -> Path:
     """Write ``payload``'s report text to ``path``, making its directory; returns ``path``."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+    make_out_dir(path.parent)
     path.write_text(report_text(payload))
     return path
 
@@ -425,8 +438,7 @@ def _write_train_report(run_dir: Path, config: ExperimentConfig, asset: str, cel
 
 def write_run_artifacts(config: ExperimentConfig, result: RunResult, run_dir: Path) -> None:
     """Persist one trained run: checkpoint and train report."""
-    run_dir.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(result.model, run_dir / "checkpoint.json")
+    save_checkpoint(result.model, make_out_dir(run_dir) / "checkpoint.json")
     epochs = result.train_report.epochs_log()
     _write_train_report(run_dir, config, result.asset, result.cell_kind, checkpoint="checkpoint.json", epochs=epochs)
 
@@ -458,8 +470,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     failing run is recorded as a failure without aborting its siblings; one
     whose evaluation fails keeps its checkpoint and train report.
     """
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_out_dir(Path(config.out_dir))
 
     # fail fast on unreadable/invalid datasets before burning training time
     prepared = {asset.symbol: prepare_asset(config, asset) for asset in config.assets}

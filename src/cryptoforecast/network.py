@@ -35,7 +35,7 @@ from .cells import (
     lstm_backward,
     lstm_forward,
 )
-from .errors import CheckpointError, cannot_read, quoted
+from .errors import CheckpointError, cannot, quoted
 
 CELL_KINDS = ("lstm", "gru", "bilstm")
 
@@ -398,15 +398,14 @@ def grad_check_worst(model: ModelParams, window, target: float, epsilon: float =
         raise ValueError(f"epsilon must be within [1e-7, 1e-3], got {epsilon}")
     target = float(target)
 
-    preds, tape = forward_batch(model, window)
+    work = model.copy()
+    preds, tape = forward_batch(work, window)
     if preds.shape[0] != 1:
         raise ValueError(f"grad_check_worst takes exactly one window, got {preds.shape[0]}")
-    analytic = backward_batch(model, tape, 2.0 * (preds - target))
+    analytic = backward_batch(work, tape, 2.0 * (preds - target))
 
-    work = model.copy()
-
-    def loss() -> float:
-        preds, _ = forward_batch(work, window, store_tape=False)
+    def loss() -> float:  # every forward reruns on the one tape; only backward writes its gradients
+        preds, _ = forward_batch(work, window, workspace=tape)
         return float((preds[0] - target) ** 2)
 
     worst = None
@@ -559,5 +558,5 @@ def load_checkpoint(path) -> ModelParams:
     try:
         data = json.loads(Path(path).read_text())
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(cannot_read("checkpoint", path, exc)) from None
+        raise CheckpointError(cannot("read", "checkpoint", path, exc)) from None
     return model_from_dict(data)

@@ -9,6 +9,7 @@ is held out as a validation split that never contributes a gradient.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass
 
@@ -35,14 +36,27 @@ class TrainConfig:
     validation_fraction: float = 0.1
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-        if not (0.0 <= self.validation_fraction < 0.5):
-            raise ValueError("validation_fraction must be in [0, 0.5)")
+        for name, (kind, is_kind), ok, expect in _CHECKED:
+            value = getattr(self, name)
+            if not is_kind(value):
+                raise TypeError(f"{name} must be {kind}, got {type(value).__name__}")
+            if not ok(value):
+                raise ValueError(f"{name} must be {expect}, got {value}")
+
+
+_INTEGER = ("an integer", lambda v: type(v) is int)  # bool is not an int here
+_NUMBER = ("a number", lambda v: type(v) is int or isinstance(v, float))
+# (field, type, range check, the range as errors state it)
+_CHECKED = (
+    ("batch_size", _INTEGER, lambda v: v >= 1, ">= 1"),
+    ("epochs", _INTEGER, lambda v: v >= 1, ">= 1"),
+    ("learning_rate", _NUMBER, lambda v: 0.0 < v < math.inf, "finite and > 0"),
+    ("adam_beta1", _NUMBER, lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+    ("adam_beta2", _NUMBER, lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+    ("adam_epsilon", _NUMBER, lambda v: 0.0 < v < math.inf, "finite and > 0"),
+    ("shuffle_seed", _INTEGER, lambda v: v >= 0, ">= 0"),
+    ("validation_fraction", _NUMBER, lambda v: 0.0 <= v < 0.5, "in [0, 0.5)"),
+)
 
 
 @dataclass(eq=False)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cryptoforecast import cells
 from cryptoforecast.cells import (
     GRU_GATE_ORDER,
     LSTM_GATE_ORDER,
@@ -179,3 +180,24 @@ class TestBoundednessProperties:
             for t in range(30):
                 h = gru_step(params, rng.normal(size=1), h)
                 assert np.all(np.abs(h) <= 1.0)
+
+
+@pytest.mark.parametrize("kind, gates", [("lstm", 4), ("gru", 3)])
+def test_kernels_never_write_into_params(kind, gates, rng):
+    # the forward kernels negate the sigmoid gates in their own buffers, never in the caller's weights
+    forward, backward = getattr(cells, f"{kind}_forward"), getattr(cells, f"{kind}_backward")
+    work = {"lstm": cells.LstmWork, "gru": cells.GruWork}[kind]
+    hidden, dim, steps, batch = 3, 2, 6, 4
+    params = CellParams(
+        w=rng.normal(size=(gates * hidden, dim)),
+        u=rng.normal(size=(gates * hidden, hidden)),
+        b=rng.normal(size=gates * hidden),
+    )
+    params.b[0] = -0.0  # a negated copy written back would flip its sign bit
+    before = [array.tobytes() for array in params.arrays()]
+    x = rng.normal(size=(steps, batch, dim))
+    _, tape = forward(params, x)
+    forward(params, x, store_tape=False)
+    forward(params, x, False, workspace=work(steps, batch, dim, hidden, False, reverse=True))
+    backward(params, tape, rng.normal(size=(steps, batch, hidden)))
+    assert [array.tobytes() for array in params.arrays()] == before

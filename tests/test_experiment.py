@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cryptoforecast import ConfigError, ForecastError, experiment, network, validate_config
+from cryptoforecast import ConfigError, ForecastError, cli, experiment, network, validate_config
 from cryptoforecast.cli import main
 from cryptoforecast.network import ArchSpec, init_params, model_to_dict
 from cryptoforecast.experiment import (
@@ -409,6 +409,18 @@ class TestRunExperiment:
         assert len(doc["failures"]) == 1
         assert len(doc["rows"]) == 1
 
+    def test_unwritable_run_directory_recorded_without_aborting_siblings(self, tmp_path):
+        # was a FileExistsError traceback after training, with no comparison.json
+        config = tiny_config(tmp_path, architectures=("lstm", "gru"))
+        (config.out_dir / "TST_lstm").parent.mkdir(parents=True)
+        (config.out_dir / "TST_lstm").write_text("kept\n")
+        outcome = run_experiment(config)
+        assert outcome.failures == [
+            ("TST", "lstm", f"cannot make output directory {config.out_dir / 'TST_lstm'}: File exists")
+        ]
+        assert [r.cell_kind for r in outcome.results] == ["gru"]
+        assert len(json.loads((config.out_dir / "comparison.json").read_text())["failures"]) == 1
+
     def test_failed_training_leaves_train_report(self, tmp_path, monkeypatch):
         from cryptoforecast import training
 
@@ -770,6 +782,30 @@ class TestCli:
         assert captured.err == "error: --out must not be empty\n"
         assert list(cwd.iterdir()) == []
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["prepare", "train", "evaluate", "run"])
+    def test_out_naming_a_file_fails_before_any_work(self, tmp_path, capsys, monkeypatch, command):
+        # was a FileExistsError traceback and exit 1; train raised NotADirectoryError only after training
+        csv_path = tiny_csv(tmp_path)
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(f"lookback = 10\nhidden_units = 4\nepochs = 1\n[asset.TST]\ncsv = {csv_path}\n")
+        ckpt = tmp_path / "checkpoint.json"
+        network.save_checkpoint(init_params(ArchSpec("lstm", hidden_units=4), seed=3), ckpt)
+        extra = {"train": ["--asset", "TST", "--arch", "lstm"], "evaluate": ["--asset", "TST", "--checkpoint", str(ckpt)]}
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the output directory was made")
+
+        for module, name in ((experiment, "prepare_asset"), (experiment, "train"), (cli, "load_checkpoint")):
+            monkeypatch.setattr(module, name, no_work)
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        assert main([command, "--config", str(config_path), "--out", str(afile), *extra.get(command, [])]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        path, reason = (afile / "TST_lstm", "Not a directory") if command == "train" else (afile, "File exists")
+        assert captured.err == f"error: cannot make output directory {path}: {reason}\n"
+        assert afile.read_text() == "kept\n"
 
     def test_gradcheck_has_no_out_option(self, capsys):
         with pytest.raises(SystemExit) as exc_info:

@@ -269,6 +269,29 @@ class TestGradCheck:
             assert names[-2:] == ["dense_w", "dense_b"]
         assert names[:4] == ["layers[0].fwd.w", "layers[0].fwd.u", "layers[0].fwd.b", "layers[0].bwd.w"]
 
+    @pytest.mark.parametrize("kind", ["lstm", "gru", "bilstm"])
+    def test_a_rerun_tape_predicts_one_window_like_the_tape_free_pass(self, kind, rng):
+        # grad_check_worst's finite differences rerun one tape; they must see the scoring pass's bits
+        model = init_params(ArchSpec(kind, hidden_units=3), seed=9)
+        _, tape = forward_batch(model, rng.uniform(size=5))
+        for _ in range(3):
+            model.vector += rng.normal(scale=1e-3, size=model.vector.size)
+            window = rng.uniform(size=5)
+            again, _ = forward_batch(model, window, workspace=tape)
+            tape_free, _ = forward_batch(model, window, store_tape=False)
+            assert again.tobytes() == tape_free.tobytes()
+
+    @pytest.mark.parametrize("kind", ["lstm", "gru", "bilstm"])
+    def test_builds_its_cell_workspaces_once(self, kind, rng, monkeypatch):
+        built = []
+        for name in ("LstmWork", "GruWork"):
+            real = getattr(network, name)
+            monkeypatch.setattr(network, name, lambda *args, real=real, **kwargs: built.append(1) or real(*args, **kwargs))
+        model = init_params(ArchSpec(kind, hidden_units=2), seed=16)
+        assert grad_check_worst(model, rng.uniform(size=4), target=0.3).rel_error < 1e-4
+        # one tape of 2 layers x directions cells; a fresh tape-free pass per loss built 2 per parameter
+        assert len(built) == 2 * model.arch.directions
+
     def test_rejects_more_than_one_window(self, rng):
         model = init_params(ArchSpec("lstm", hidden_units=2), seed=15)
         with pytest.raises(ValueError, match="exactly one window"):

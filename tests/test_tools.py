@@ -155,7 +155,7 @@ def test_bench_record_from_canned_lines():
 
     assert record["label"] == "pr6" and record["seed"] == 1 and record["run_seconds"] == 30
     assert record["environment"] == env
-    assert record["tier1"] == {"wall_s": 127.31, "summary": "1 failed, 329 passed, 2 deselected"}
+    assert record["tier1"] == {"wall_s": 127.31, "summary": "1 failed, 329 passed, 2 deselected", "durations": {}}
     small = record["workloads"]["train_small"]
     assert (small["runs"], small["runs_reported"], small["failed_ratio"]) == (6, 5, 0.0)
     cal = small["end_to_end"]["run_wall_cal"]
@@ -174,7 +174,30 @@ def test_bench_record_without_results():
     score = record["workloads"]["score_ckpt"]
     assert (score["runs_reported"], score["failed_ratio"], score["per_layer"]) == (0, None, None)
     assert score["end_to_end"]["setup_s"]["median"] is None
-    assert bench.parse_pytest(["== 3 passed in 1.50s =="]) == {"wall_s": 1.5, "summary": "3 passed"}
+    assert bench.parse_pytest(["== 3 passed in 1.50s =="]) == {"wall_s": 1.5, "summary": "3 passed", "durations": {}}
+
+
+def test_parse_pytest_reads_the_slowest_durations():
+    lines = [
+        "........",
+        "============================= slowest 5 durations ==============================",
+        "51.70s call     tests/test_acceptance.py::test_criterion_6_training_converges[lstm]",
+        "15.40s call     tests/test_acceptance.py::test_criterion_1_gradcheck",
+        "1.25s setup    tests/test_acceptance.py::test_criterion_6_training_converges[lstm]",
+        "0.90s teardown tests/test_fuzz.py::test_checkpoint_documents",
+        "(2 durations < 0.005s hidden.  Use -vv to show these durations.)",
+        "559 passed, 2 deselected in 99.83s (0:01:39)",
+    ]
+    assert bench.parse_pytest(lines) == {
+        "wall_s": 99.83,
+        "summary": "559 passed, 2 deselected",
+        "durations": {
+            "tests/test_acceptance.py::test_criterion_6_training_converges[lstm]": 52.95,
+            "tests/test_acceptance.py::test_criterion_1_gradcheck": 15.4,
+            "tests/test_fuzz.py::test_checkpoint_documents": 0.9,
+        },
+    }
+    assert bench.TIER1[-1] == "--durations=5"
 
 
 def printed_run(wall_s: float, projected: float, rss: float) -> list[str]:

@@ -1,5 +1,7 @@
 """Loss, Adam updates, and the training loop's contracts."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,34 @@ class TestTrainConfig:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(validation_fraction=0.5)
+
+    @pytest.mark.parametrize(
+        "field, value, error, message",
+        [
+            # inf and nan reached training, which blamed the gradient: PoisonedUpdateError at batch 2
+            ("learning_rate", float("inf"), ValueError, "learning_rate must be finite and > 0, got inf"),
+            ("learning_rate", float("nan"), ValueError, "learning_rate must be finite and > 0, got nan"),
+            ("learning_rate", True, TypeError, "learning_rate must be a number, got bool"),
+            ("batch_size", 2.5, TypeError, "batch_size must be an integer, got float"),  # a bare TypeError in train
+            ("epochs", True, TypeError, "epochs must be an integer, got bool"),  # was accepted as one epoch
+            ("epochs", 0, ValueError, "epochs must be >= 1, got 0"),
+            ("validation_fraction", float("nan"), ValueError, "validation_fraction must be in [0, 0.5), got nan"),
+            ("validation_fraction", "0.1", TypeError, "validation_fraction must be a number, got str"),
+            # beta 1.0 or nan also ended in PoisonedUpdateError at batch 2; a negative epsilon trained silently
+            ("adam_beta1", 1.0, ValueError, "adam_beta1 must be in [0, 1), got 1.0"),
+            ("adam_beta1", True, TypeError, "adam_beta1 must be a number, got bool"),
+            ("adam_beta2", float("nan"), ValueError, "adam_beta2 must be in [0, 1), got nan"),
+            ("adam_epsilon", -1.0, ValueError, "adam_epsilon must be finite and > 0, got -1.0"),
+            ("shuffle_seed", -3, ValueError, "shuffle_seed must be >= 0, got -3"),  # numpy's own message in train
+        ],
+    )
+    def test_rejects_what_a_library_caller_can_pass(self, field, value, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            TrainConfig(**{field: value})
+
+    def test_accepts_ints_and_numpy_floats_as_numbers(self):
+        config = TrainConfig(learning_rate=np.float64(0.01), validation_fraction=0)
+        assert (config.learning_rate, config.validation_fraction) == (0.01, 0)
 
 
 class TestAdamStep:

@@ -17,7 +17,8 @@ current directory) holding:
   untraced run prints under ``end-to-end``, to six significant digits), and
   the failed share of operations over all runs;
 * per workload, the per-layer metrics of the traced run;
-* the Tier-1 wall time as pytest reports it, with its pass/fail summary;
+* the Tier-1 wall time as pytest reports it, with its pass/fail summary
+  and the seconds of its five slowest tests (``--durations=5``);
 * the environment block the benchmark prints (the first traced run's).
 
 It reads only the lines the benchmark and pytest print and adds no timer of
@@ -37,9 +38,11 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_ab import quartiles, run_lines  # noqa: E402
 
-TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=5"]
 # pytest's closing line, e.g. "329 passed, 2 deselected in 127.31s (0:02:07)"
 _PYTEST_SUMMARY = re.compile(r"^=*\s*(?P<summary>.*?) in (?P<seconds>[0-9.]+)s\b")
+# a --durations line, e.g. "51.70s call     tests/test_acceptance.py::test_criterion_6"
+_PYTEST_DURATION = re.compile(r"^(?P<seconds>[0-9.]+)s (?:setup|call|teardown) +(?P<test>\S+)$")
 # a printed metric, e.g. "  run_wall_s                      12.3457 s"
 _METRIC_LINE = re.compile(r"^  (?P<name>\S+) +(?P<value>\S+) (?P<unit>\S+)$")
 
@@ -71,11 +74,17 @@ def printed_end_to_end(lines: list[str]) -> dict[str, tuple[float, str]]:
 
 
 def parse_pytest(lines: list[str]) -> dict | None:
-    """``{"wall_s", "summary"}`` from pytest's closing line, or None when it printed none."""
+    """``{"wall_s", "summary", "durations"}`` from pytest's output, or None when it printed no closing line.
+
+    ``durations`` maps each test that ``--durations`` listed to its seconds, its phases summed.
+    """
+    durations = {}
+    for match in filter(None, map(_PYTEST_DURATION.match, lines)):
+        durations[match["test"]] = round(durations.get(match["test"], 0.0) + float(match["seconds"]), 2)
     for line in reversed(lines):
         match = _PYTEST_SUMMARY.match(line.strip().strip("="))
         if match:
-            return {"wall_s": float(match["seconds"]), "summary": match["summary"].strip()}
+            return {"wall_s": float(match["seconds"]), "summary": match["summary"].strip(), "durations": durations}
     return None
 
 
