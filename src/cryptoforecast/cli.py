@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import argparse
 import logging
-import math
 import sys
 
 import numpy as np
 
 from . import experiment
-from .errors import ForecastError
+from .errors import AT_LEAST_ONE, FINITE_POSITIVE, NON_NEGATIVE, ForecastError, check
 from .metrics import evaluate
-from .network import ArchSpec, CELL_KINDS, grad_check_worst, init_params, load_checkpoint
+from .network import EPSILON_RULE, ArchSpec, CELL_KINDS, grad_check_worst, init_params, load_checkpoint
 
 log = logging.getLogger(__name__)
 
@@ -66,14 +65,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# (flag destination, check, allowed range); the --epsilon range is the one grad_check_worst enforces
 _GRADCHECK_FLAGS = (
-    ("seed", lambda v: v >= 0, ">= 0"),
-    ("trials", lambda v: v >= 1, ">= 1"),
-    ("max_hidden", lambda v: v >= 2, ">= 2"),
-    ("max_window", lambda v: v >= 3, ">= 3"),
-    ("epsilon", lambda v: 1e-7 <= v <= 1e-3, "within [1e-7, 1e-3]"),
-    ("threshold", lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
+    ("seed", NON_NEGATIVE),
+    ("trials", AT_LEAST_ONE),
+    ("max_hidden", (int, lambda v: v >= 2, ">= 2")),
+    ("max_window", (int, lambda v: v >= 3, ">= 3")),
+    ("epsilon", EPSILON_RULE),
+    ("threshold", FINITE_POSITIVE),
 )
 
 
@@ -139,10 +137,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    for dest, ok, expect in _GRADCHECK_FLAGS:
-        value = getattr(args, dest)
-        if not ok(value):
-            raise ForecastError(f"--{dest.replace('_', '-')} must be {expect}, got {value}")
+    for dest, rule in _GRADCHECK_FLAGS:
+        try:
+            check(f"--{dest.replace('_', '-')}", getattr(args, dest), rule)
+        except ValueError as exc:
+            raise ForecastError(str(exc)) from None
     kinds = (args.cell,) if args.cell else CELL_KINDS
     rng = np.random.default_rng(args.seed)
     failed = False
@@ -187,8 +186,6 @@ def main(argv=None) -> int:
         format="%(asctime)s %(levelname)s %(name)s: %(message)s",
     )
     try:
-        if getattr(args, "out", None) == "":  # would otherwise write into the working directory
-            raise ForecastError("--out must not be empty")
         return _COMMANDS[args.command](args)
     except ForecastError as exc:
         print(f"error: {exc}", file=sys.stderr)

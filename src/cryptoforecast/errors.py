@@ -1,5 +1,7 @@
 """Exception types shared across the forecasting pipeline."""
 
+import math
+
 QUOTE_CHARS = 40  # most of an input a diagnostic quotes: one bad cell or line can hold a whole file
 
 
@@ -20,6 +22,23 @@ def cannot(verb: str, what: str, path, exc: Exception) -> str:
     shown = text if len(text) <= PATH_CHARS else "..." + text[-PATH_CHARS:]
     reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
     return f"cannot {verb} {what} {shown}: {reason}"
+
+
+def check(name: str, value, rule) -> None:
+    """Check ``value`` against ``rule``, a ``(kind, ok, expect)`` triple; raise ``TypeError`` or ``ValueError``.
+
+    ``kind`` is ``int`` (not bool or a numpy integer) or ``float`` (an int too); ``ok`` tests the range,
+    which ``expect`` states."""
+    kind, ok, expect = rule
+    if not (type(value) is int or kind is float and isinstance(value, float)):
+        raise TypeError(f"{name} must be {'an integer' if kind is int else 'a number'}, got {type(value).__name__}")
+    if not ok(value):
+        raise ValueError(f"{name} must be {expect}, got {quoted(str(value), str)}")
+
+
+AT_LEAST_ONE = (int, lambda v: v >= 1, ">= 1")
+NON_NEGATIVE = (int, lambda v: v >= 0, ">= 0")
+FINITE_POSITIVE = (float, lambda v: 0.0 < v < math.inf, "finite and > 0")
 
 
 class ForecastError(Exception):
@@ -76,7 +95,7 @@ class DivergenceError(ForecastError):
 
 
 class OutputError(ForecastError):
-    """An output directory cannot be made, such as one whose path names a regular file."""
+    """An output directory or file cannot be made: a regular file where a directory goes, say, or the reverse."""
 
 
 class CheckpointError(ForecastError, ValueError):

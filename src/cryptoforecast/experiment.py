@@ -23,7 +23,6 @@ import dataclasses
 import hashlib
 import json
 import logging
-import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,12 +30,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ForecastError, OutputError, cannot, quoted
-from .ingest import SplitSpec, chronological_split, impute_locf, parse_ohlcv
+from .errors import ConfigError, ForecastError, OutputError, cannot, check, quoted
+from .ingest import DEFAULT_PRICE_COLUMN, TRAIN_FRACTION_RULE, SplitSpec
+from .ingest import chronological_split, impute_locf, parse_ohlcv
 from .metrics import EvalReport, evaluate
-from .network import ArchSpec, CELL_KINDS, ModelParams, init_params, save_checkpoint
-from .preprocess import ScalerParams, SequenceBatch, fit_scaler, make_windows, transform
-from .training import TrainConfig, TrainReport, train
+from .network import ARCH_RULES, ArchSpec, CELL_KINDS, ModelParams, init_params, save_checkpoint
+from .preprocess import LOOKBACK_RULE, ScalerParams, SequenceBatch, fit_scaler, make_windows, transform
+from .training import TRAIN_RULES, TrainConfig, TrainReport, train
 
 log = logging.getLogger(__name__)
 
@@ -50,16 +50,16 @@ class AssetSpec:
 @dataclass(frozen=True)
 class ExperimentConfig:
     assets: tuple[AssetSpec, ...]
-    architectures: tuple[str, ...] = ("lstm", "gru", "bilstm")
-    price_column: str = "Close"
+    architectures: tuple[str, ...] = CELL_KINDS
+    price_column: str = DEFAULT_PRICE_COLUMN
     lookback: int = 60
-    train_fraction: float = 0.8
-    hidden_units: int = 100
-    layers: int = 2
-    batch_size: int = 32
-    epochs: int = 100
-    learning_rate: float = 0.001
-    validation_fraction: float = 0.1
+    train_fraction: float = SplitSpec.train_fraction
+    hidden_units: int = ArchSpec.hidden_units
+    layers: int = ArchSpec.layers
+    batch_size: int = TrainConfig.batch_size
+    epochs: int = TrainConfig.epochs
+    learning_rate: float = TrainConfig.learning_rate
+    validation_fraction: float = TrainConfig.validation_fraction
     master_seed: int = 1234
     out_dir: Path = Path("runs")
 
@@ -123,8 +123,7 @@ class _Key(NamedTuple):
     key: str
     # (key, raw value) -> value, or a ValueError whose args are the value's diagnostics
     parse: Callable[[str, str], object]
-    ok: Callable[[object], bool] | None = None  # range check on the parsed value
-    expect: str = ""  # the range, as diagnostics state it
+    rule: tuple | None = None  # the parsed value's rule (errors.check), the one its owner checks
     field: str | None = None  # the ExperimentConfig field; None: named like the key
     echo: bool = True  # part of every run's config echo in train_report.json
 
@@ -133,15 +132,15 @@ _KEYS = {
     row.key: row._replace(field=row.field or row.key)
     for row in (
         _Key("price_column", _text),
-        _Key("lookback", _number(int), lambda v: v >= 1, ">= 1"),
-        _Key("train_fraction", _number(float), lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+        _Key("lookback", _number(int), LOOKBACK_RULE),
+        _Key("train_fraction", _number(float), TRAIN_FRACTION_RULE),
         _Key("architectures", _architectures, echo=False),
-        _Key("hidden_units", _number(int), lambda v: v >= 1, ">= 1"),
-        _Key("layers", _number(int), lambda v: v >= 1, ">= 1"),
-        _Key("batch_size", _number(int), lambda v: v >= 1, ">= 1"),
-        _Key("epochs", _number(int), lambda v: v >= 1, ">= 1"),
-        _Key("learning_rate", _number(float), lambda v: v > 0.0, "> 0"),
-        _Key("validation_fraction", _number(float), lambda v: 0.0 <= v < 0.5, "in [0, 0.5)"),
+        _Key("hidden_units", _number(int), ARCH_RULES["hidden_units"]),
+        _Key("layers", _number(int), ARCH_RULES["layers"]),
+        _Key("batch_size", _number(int), TRAIN_RULES["batch_size"]),
+        _Key("epochs", _number(int), TRAIN_RULES["epochs"]),
+        _Key("learning_rate", _number(float), TRAIN_RULES["learning_rate"]),
+        _Key("validation_fraction", _number(float), TRAIN_RULES["validation_fraction"]),
         _Key("seed", _number(int), field="master_seed"),
         _Key("out_dir", _path, echo=False),
     )
@@ -197,13 +196,10 @@ def validate_config(config_text: str) -> ExperimentConfig:
         row = _KEYS[key]
         try:
             value = row.parse(key, raw)
+            if row.rule is not None:
+                check(key, value, row.rule)
         except ValueError as exc:
             diags.extend((line, message) for message in exc.args)
-            continue
-        if row.ok is not None and not row.ok(value):
-            diags.append((line, f"{key} must be {row.expect}, got {quoted(str(value), str)}"))
-        elif isinstance(value, float) and not math.isfinite(value):
-            diags.append((line, f"{key} must be a finite float, got {quoted(raw)}"))
         else:
             fields[row.field] = value
 
@@ -226,7 +222,12 @@ def validate_config(config_text: str) -> ExperimentConfig:
 
 
 def load_config(path, seed: int | None = None, out_dir=None) -> ExperimentConfig:
-    """Read a config file and apply CLI overrides."""
+    """Read a config file and apply CLI overrides; an empty ``out_dir`` is rejected as the ``out_dir`` key is."""
+    if out_dir is not None:
+        try:
+            out_dir = _path("--out", out_dir)
+        except ValueError as exc:
+            raise ConfigError([(0, message) for message in exc.args]) from None
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -239,7 +240,7 @@ def load_config(path, seed: int | None = None, out_dir=None) -> ExperimentConfig
     if seed is not None:
         config = dataclasses.replace(config, master_seed=seed)
     if out_dir is not None:
-        config = dataclasses.replace(config, out_dir=Path(out_dir))
+        config = dataclasses.replace(config, out_dir=out_dir)
     return config
 
 
@@ -419,11 +420,19 @@ def make_out_dir(path: Path) -> Path:
     return path
 
 
+def _write_file(path: Path, write) -> Path:
+    """Call ``write(path)``, turning an ``OSError`` (a directory in the way, say) into an :class:`OutputError`."""
+    try:
+        write(path)
+    except OSError as exc:
+        raise OutputError(cannot("write", "output file", path, exc)) from None
+    return path
+
+
 def write_json(path: Path, payload: dict) -> Path:
     """Write ``payload``'s report text to ``path``, making its directory; returns ``path``."""
     make_out_dir(path.parent)
-    path.write_text(report_text(payload))
-    return path
+    return _write_file(path, lambda p: p.write_text(report_text(payload)))
 
 
 def run_dir_name(asset: str, cell_kind: str) -> str:
@@ -438,7 +447,7 @@ def _write_train_report(run_dir: Path, config: ExperimentConfig, asset: str, cel
 
 def write_run_artifacts(config: ExperimentConfig, result: RunResult, run_dir: Path) -> None:
     """Persist one trained run: checkpoint and train report."""
-    save_checkpoint(result.model, make_out_dir(run_dir) / "checkpoint.json")
+    _write_file(make_out_dir(run_dir) / "checkpoint.json", lambda p: save_checkpoint(result.model, p))
     epochs = result.train_report.epochs_log()
     _write_train_report(run_dir, config, result.asset, result.cell_kind, checkpoint="checkpoint.json", epochs=epochs)
 
@@ -452,7 +461,7 @@ def eval_report_dict(report: EvalReport, asset: str, cell_kind: str, scaler: Sca
 def write_eval_artifacts(out_dir: Path, payload: dict, report: EvalReport) -> Path:
     """Write ``eval_report.json`` (``payload``) and ``predictions.csv`` into ``out_dir``; returns the report's path."""
     path = write_json(out_dir / "eval_report.json", payload)
-    (out_dir / "predictions.csv").write_text(report.pairs_csv())
+    _write_file(out_dir / "predictions.csv", lambda p: p.write_text(report.pairs_csv()))
     return path
 
 

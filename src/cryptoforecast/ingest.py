@@ -15,10 +15,11 @@ from datetime import date
 
 import numpy as np
 
-from .errors import DataError, InsufficientDataError, SchemaError, UnimputableError, quoted
+from .errors import DataError, InsufficientDataError, SchemaError, UnimputableError, check, quoted
 
 DATE_COLUMN = "Date"
 DEFAULT_PRICE_COLUMN = "Close"
+TRAIN_FRACTION_RULE = (float, lambda v: 0.0 < v < 1.0, "in (0, 1)")  # SplitSpec's train_fraction (errors.check)
 
 
 @dataclass(frozen=True)
@@ -68,8 +69,7 @@ class SplitSpec:
     train_fraction: float = 0.8
 
     def __post_init__(self):
-        if not (0.0 < self.train_fraction < 1.0):
-            raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
+        check("train_fraction", self.train_fraction, TRAIN_FRACTION_RULE)
 
 
 def _parse_price_cell(cell: str, lineno: int):

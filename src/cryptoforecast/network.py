@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -35,13 +35,20 @@ from .cells import (
     lstm_backward,
     lstm_forward,
 )
-from .errors import CheckpointError, cannot, quoted
+from .errors import AT_LEAST_ONE, CheckpointError, cannot, check, quoted
 
 CELL_KINDS = ("lstm", "gru", "bilstm")
 
 CHECKPOINT_FORMAT = "cryptoforecast-checkpoint"
 CHECKPOINT_VERSION = 1
 _DIRECTION_KEYS = ("forward", "backward")  # a two-direction layer's cells in a checkpoint
+ARCH_RULES = {  # the rule (errors.check) of each integer ArchSpec field
+    "layers": AT_LEAST_ONE,
+    "hidden_units": AT_LEAST_ONE,
+    "input_dim": AT_LEAST_ONE,
+    "output_dim": (int, lambda v: v == 1, "1 (a one-step-ahead scalar forecast)"),
+}
+EPSILON_RULE = (float, lambda v: 1e-7 <= v <= 1e-3, "within [1e-7, 1e-3]")  # grad_check_worst's epsilon
 
 
 @dataclass(frozen=True)
@@ -55,20 +62,14 @@ class ArchSpec:
     output_dim: int = 1
 
     def __post_init__(self):
-        for f in fields(self):  # bool and numpy integers are not int here
-            value = getattr(self, f.name)
-            if type(value) is not (str if f.name == "cell_kind" else int):
-                want = "a string" if f.name == "cell_kind" else "an integer"
-                raise TypeError(f"{f.name} must be {want}, got {type(value).__name__}")
+        if type(self.cell_kind) is not str:
+            raise TypeError(f"cell_kind must be a string, got {type(self.cell_kind).__name__}")
+        for name, rule in ARCH_RULES.items():
+            check(name, getattr(self, name), rule)
         kind = self.cell_kind.lower()
         object.__setattr__(self, "cell_kind", kind)
         if kind not in CELL_KINDS:
             raise ValueError(f"unknown cell kind {quoted(self.cell_kind)}; expected one of {CELL_KINDS}")
-        for name in ("layers", "hidden_units", "input_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.output_dim != 1:
-            raise ValueError("output_dim is fixed to 1 (one-step-ahead scalar forecast)")
 
     @property
     def directions(self) -> int:
@@ -394,8 +395,7 @@ def grad_check_worst(model: ModelParams, window, target: float, epsilon: float =
     central finite differences, with relative error
     ``|a - n| / max(|a|, |n|, 1e-8)``.
     """
-    if not (1e-7 <= epsilon <= 1e-3):
-        raise ValueError(f"epsilon must be within [1e-7, 1e-3], got {epsilon}")
+    check("epsilon", epsilon, EPSILON_RULE)
     target = float(target)
 
     work = model.copy()

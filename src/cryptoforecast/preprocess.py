@@ -6,7 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateScaleError, InsufficientDataError
+from .errors import AT_LEAST_ONE, DegenerateScaleError, InsufficientDataError, check
+
+LOOKBACK_RULE = AT_LEAST_ONE  # make_windows's lookback (errors.check)
 
 
 @dataclass(frozen=True)
@@ -91,8 +93,7 @@ def make_windows(values, lookback: int) -> SequenceBatch:
     Window k covers ``values[k .. k+lookback-1]`` and predicts
     ``values[k+lookback]``, giving ``len(values) - lookback`` windows.
     """
-    if lookback < 1:
-        raise ValueError(f"lookback must be >= 1, got {lookback}")
+    check("lookback", lookback, LOOKBACK_RULE)
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError("values must be 1-D")

@@ -9,19 +9,31 @@ is held out as a validation split that never contributes a gradient.
 from __future__ import annotations
 
 import logging
-import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cells import _HOIST_BYTES
+from .errors import AT_LEAST_ONE, FINITE_POSITIVE, NON_NEGATIVE, check
 from .errors import DivergenceError, ForecastError, InsufficientDataError, PoisonedUpdateError
 from .metrics import mse_loss
 from .network import ModelParams, backward_batch, forward_batch
 from .preprocess import SequenceBatch
 
 log = logging.getLogger(__name__)
+
+_BETA = (float, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
+TRAIN_RULES = {  # the rule (errors.check) of each TrainConfig field
+    "batch_size": AT_LEAST_ONE,
+    "epochs": AT_LEAST_ONE,
+    "learning_rate": FINITE_POSITIVE,
+    "adam_beta1": _BETA,
+    "adam_beta2": _BETA,
+    "adam_epsilon": FINITE_POSITIVE,
+    "shuffle_seed": NON_NEGATIVE,
+    "validation_fraction": (float, lambda v: 0.0 <= v < 0.5, "in [0, 0.5)"),
+}
 
 
 @dataclass(frozen=True)
@@ -36,27 +48,8 @@ class TrainConfig:
     validation_fraction: float = 0.1
 
     def __post_init__(self):
-        for name, (kind, is_kind), ok, expect in _CHECKED:
-            value = getattr(self, name)
-            if not is_kind(value):
-                raise TypeError(f"{name} must be {kind}, got {type(value).__name__}")
-            if not ok(value):
-                raise ValueError(f"{name} must be {expect}, got {value}")
-
-
-_INTEGER = ("an integer", lambda v: type(v) is int)  # bool is not an int here
-_NUMBER = ("a number", lambda v: type(v) is int or isinstance(v, float))
-# (field, type, range check, the range as errors state it)
-_CHECKED = (
-    ("batch_size", _INTEGER, lambda v: v >= 1, ">= 1"),
-    ("epochs", _INTEGER, lambda v: v >= 1, ">= 1"),
-    ("learning_rate", _NUMBER, lambda v: 0.0 < v < math.inf, "finite and > 0"),
-    ("adam_beta1", _NUMBER, lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
-    ("adam_beta2", _NUMBER, lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
-    ("adam_epsilon", _NUMBER, lambda v: 0.0 < v < math.inf, "finite and > 0"),
-    ("shuffle_seed", _INTEGER, lambda v: v >= 0, ">= 0"),
-    ("validation_fraction", _NUMBER, lambda v: 0.0 <= v < 0.5, "in [0, 0.5)"),
-)
+        for name, rule in TRAIN_RULES.items():
+            check(name, getattr(self, name), rule)
 
 
 @dataclass(eq=False)

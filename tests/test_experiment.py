@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cryptoforecast import ConfigError, ForecastError, cli, experiment, network, validate_config
+from cryptoforecast import ConfigError, ForecastError, SplitSpec, TrainConfig, cli, experiment, network
+from cryptoforecast import make_windows, validate_config
 from cryptoforecast.cli import main
 from cryptoforecast.network import ArchSpec, init_params, model_to_dict
 from cryptoforecast.experiment import (
@@ -127,9 +128,9 @@ BAD_VALUE_DIAGNOSTICS = [
     ("epochs =", "epochs expects an int, got ''"),
     ("epochs = 0", "epochs must be >= 1, got 0"),
     ("learning_rate = fast", "learning_rate expects a float, got 'fast'"),
-    ("learning_rate = 0", "learning_rate must be > 0, got 0.0"),
-    ("learning_rate = -inf", "learning_rate must be > 0, got -inf"),
-    ("learning_rate = nan", "learning_rate must be > 0, got nan"),
+    ("learning_rate = 0", "learning_rate must be finite and > 0, got 0.0"),
+    ("learning_rate = -inf", "learning_rate must be finite and > 0, got -inf"),
+    ("learning_rate = nan", "learning_rate must be finite and > 0, got nan"),
     ("validation_fraction = none", "validation_fraction expects a float, got 'none'"),
     ("validation_fraction = 0.5", "validation_fraction must be in [0, 0.5), got 0.5"),
     ("seed = 1e3", "seed expects an int, got '1e3'"),
@@ -158,8 +159,8 @@ NEW_GUARD_DIAGNOSTICS = [
         "architectures = gru, LSTM, gru, lstm, gru",
         ["duplicate architecture 'gru'", "duplicate architecture 'lstm'"],
     ),
-    ("learning_rate = inf", ["learning_rate must be a finite float, got 'inf'"]),
-    ("learning_rate = 1e400", ["learning_rate must be a finite float, got '1e400'"]),
+    ("learning_rate = inf", ["learning_rate must be finite and > 0, got inf"]),
+    ("learning_rate = 1e400", ["learning_rate must be finite and > 0, got inf"]),
     ("price_column =", ["price_column must not be empty"]),
     ("out_dir =", ["out_dir must not be empty"]),
 ]
@@ -211,14 +212,18 @@ class TestValidateConfig:
 
     def test_readme_config_table_matches_the_key_table(self):
         section = (REPO / "README.md").read_text().split("## Config format", 1)[1].split("\n## ", 1)[0]
-        rows = dict(re.findall(r"^\| `(\w+)`[^|]*\| (\S.*?) *\|", section, re.M))
+        cells = re.findall(r"^\| `(\w+)`[^|]*\| (\S.*?) *\| (\S.*?) *\|", section, re.M)
+        rows = {key: [default, allowed] for key, default, allowed in cells}
         defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
 
         def shown(value):
             return ", ".join(value) if isinstance(value, tuple) else str(value)
 
-        expected = {key: f"`{shown(defaults[row.field])}`" for key, row in experiment._KEYS.items()}
-        assert rows == {**expected, "csv": "—"}
+        expected = {
+            key: [f"`{shown(defaults[row.field])}`", f"`{row.rule[2]}`" if row.rule else "—"]
+            for key, row in experiment._KEYS.items()
+        }
+        assert rows == {**expected, "csv": ["—", "—"]}
         assert sorted(experiment._KEYS) == sorted(TOP_LEVEL_KEYS)
 
     def test_zero_lookback_is_range_diagnostic(self):
@@ -290,6 +295,9 @@ LONG_INPUT_CALLS = {
     "missing csv": lambda: validate_config(f"[asset.{LONG}]\n"),
     "duplicate symbol": lambda: validate_config(f"[asset.{LONG}]\ncsv = a\n[asset.{LONG}]\ncsv = b\n"),
     "cell kind": lambda: ArchSpec(LONG),
+    "train config": lambda: TrainConfig(epochs=-(10**400)),  # these three printed all 401 digits, or no value
+    "arch spec": lambda: ArchSpec("lstm", layers=-(10**400)),
+    "split spec": lambda: SplitSpec(10**400),
     "checkpoint cell kind": lambda: network.model_from_dict(
         {**model_to_dict(init_params(ArchSpec("gru", 1, 1), 1)), "arch": {"cell_kind": LONG}}
     ),
@@ -297,11 +305,59 @@ LONG_INPUT_CALLS = {
 }
 
 
+LIBRARY_CALLS = {"cell kind", "train config", "arch spec", "split spec"}  # a ValueError, not a ForecastError
+
+# a long input whose diagnostic quotes the parsed value, not the input: 5000 nines read as inf
+SHORT_DIAGNOSTICS = {"not finite": "line 1: learning_rate must be finite and > 0, got inf"}
+
+
 @pytest.mark.parametrize("case", LONG_INPUT_CALLS)
 def test_diagnostics_cut_long_input(case):
-    with pytest.raises(ValueError if case == "cell kind" else ForecastError) as exc_info:
+    with pytest.raises(ValueError if case in LIBRARY_CALLS else ForecastError) as exc_info:
         LONG_INPUT_CALLS[case]()
-    assert "..." in str(exc_info.value) and len(str(exc_info.value)) < 200
+    if case in SHORT_DIAGNOSTICS:
+        assert str(exc_info.value) == SHORT_DIAGNOSTICS[case]
+    else:
+        assert "..." in str(exc_info.value) and len(str(exc_info.value)) < 200
+
+
+# the library call that owns each ranged config key's rule, given the parsed value
+OWNER_CALLS = {
+    "lookback": lambda v: make_windows(np.arange(5.0), v),
+    "train_fraction": lambda v: SplitSpec(v),
+    "hidden_units": lambda v: ArchSpec("lstm", hidden_units=v),
+    "layers": lambda v: ArchSpec("lstm", layers=v),
+    "batch_size": lambda v: TrainConfig(batch_size=v),
+    "epochs": lambda v: TrainConfig(epochs=v),
+    "learning_rate": lambda v: TrainConfig(learning_rate=v),
+    "validation_fraction": lambda v: TrainConfig(validation_fraction=v),
+}
+
+
+def test_every_ranged_key_has_its_owner_call():
+    assert {key for key, row in experiment._KEYS.items() if row.rule is not None} == set(OWNER_CALLS)
+
+
+@pytest.mark.parametrize("line", [
+    "lookback = 0",
+    "train_fraction = 1",
+    "train_fraction = nan",
+    "hidden_units = 0",  # the library's message had no value
+    "layers = -1",
+    "batch_size = 0",
+    "epochs = 0",
+    "learning_rate = 0",  # the config said "> 0", the library "finite and > 0"
+    "learning_rate = inf",  # the config said "a finite float"
+    "validation_fraction = 0.5",
+    "validation_fraction = -0.1",
+])
+def test_config_diagnostic_is_the_owners_error(line):
+    key, _, raw = (part.strip() for part in line.partition("="))
+    with pytest.raises(ValueError) as owner:
+        OWNER_CALLS[key](experiment._KEYS[key].parse(key, raw))
+    with pytest.raises(ConfigError) as config:
+        validate_config(f"{line}\n[asset.BTC]\ncsv = x.csv\n")
+    assert config.value.diagnostics == [(1, str(owner.value))]
 
 
 class TestSeedDerivation:
@@ -418,6 +474,17 @@ class TestRunExperiment:
         assert outcome.failures == [
             ("TST", "lstm", f"cannot make output directory {config.out_dir / 'TST_lstm'}: File exists")
         ]
+        assert [r.cell_kind for r in outcome.results] == ["gru"]
+        assert len(json.loads((config.out_dir / "comparison.json").read_text())["failures"]) == 1
+
+    @pytest.mark.parametrize("blocked", ["checkpoint.json", "train_report.json", "predictions.csv"])
+    def test_unwritable_run_file_recorded_without_aborting_siblings(self, tmp_path, blocked):
+        # was an IsADirectoryError traceback that aborted the whole run, with no comparison.json
+        config = tiny_config(tmp_path, architectures=("lstm", "gru"))
+        (config.out_dir / "TST_lstm" / blocked).mkdir(parents=True)
+        outcome = run_experiment(config)
+        path = config.out_dir / "TST_lstm" / blocked
+        assert outcome.failures == [("TST", "lstm", f"cannot write output file {path}: Is a directory")]
         assert [r.cell_kind for r in outcome.results] == ["gru"]
         assert len(json.loads((config.out_dir / "comparison.json").read_text())["failures"]) == 1
 
@@ -806,6 +873,35 @@ class TestCli:
         path, reason = (afile / "TST_lstm", "Not a directory") if command == "train" else (afile, "File exists")
         assert captured.err == f"error: cannot make output directory {path}: {reason}\n"
         assert afile.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command, blocked", [
+        ("prepare", "prepare_report.json"),
+        ("evaluate", "eval_report.json"),
+        ("evaluate", "predictions.csv"),
+        ("train", "TST_lstm/checkpoint.json"),
+    ])
+    def test_unwritable_output_file_exits_2(self, tmp_path, capsys, command, blocked):
+        # was an IsADirectoryError traceback and exit 1
+        csv_path = tiny_csv(tmp_path)
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(f"lookback = 10\nhidden_units = 4\nepochs = 1\n[asset.TST]\ncsv = {csv_path}\n")
+        ckpt = tmp_path / "checkpoint.json"
+        network.save_checkpoint(init_params(ArchSpec("lstm", hidden_units=4), seed=3), ckpt)
+        extra = {"train": ["--asset", "TST", "--arch", "lstm"], "evaluate": ["--asset", "TST", "--checkpoint", str(ckpt)]}
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        assert main([command, "--config", str(config_path), "--out", str(out), *extra.get(command, [])]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write output file {out / blocked}: Is a directory\n"
+
+    def test_load_config_rejects_an_empty_out_dir_override(self, tmp_path):
+        # was out_dir=Path('.'): a library caller wrote into the working directory
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(f"out_dir = {tmp_path / 'out'}\n[asset.TST]\ncsv = x.csv\n")
+        with pytest.raises(ConfigError) as exc_info:
+            experiment.load_config(config_path, out_dir="")
+        assert exc_info.value.diagnostics == [(0, "--out must not be empty")]
 
     def test_gradcheck_has_no_out_option(self, capsys):
         with pytest.raises(SystemExit) as exc_info:

@@ -10,7 +10,7 @@ import json
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cryptoforecast import CheckpointError
+from cryptoforecast import CheckpointError, ConfigError, ExperimentConfig, experiment, validate_config
 from cryptoforecast.network import ArchSpec, ModelParams, init_params, model_from_dict, model_to_dict
 
 DOCUMENTS = {
@@ -77,3 +77,27 @@ def test_checkpoint_with_one_junk_node_loads_or_raises_checkpoint_error(doc):
         return
     assert isinstance(model, ModelParams)
     assert model.seed is None or type(model.seed) is int
+
+
+CONFIG_VALUES = st.sampled_from(
+    ["0", "1", "-1", "2.5", "0.5", "nan", "inf", "-inf", "1e400", "", "lstm, gru", "GRU", "x.csv", "9" * 60]
+) | st.text(max_size=8)
+
+CONFIG_LINES = st.one_of(
+    st.builds("{} = {}".format, st.sampled_from([*experiment._KEYS, "csv"]), CONFIG_VALUES),
+    st.builds("[asset.{}]".format, st.text(max_size=4)),
+    st.sampled_from(["[asset.BTC]", "csv = x.csv", "[assets]", "[", "=", "# comment"]),
+    st.text(max_size=12),
+)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.lists(CONFIG_LINES, max_size=8))
+def test_config_text_validates_or_raises_config_error(lines):
+    """Drawn known keys with drawn values, section headers and raw text: a rule whose type does not
+    match its key's parser would raise a ``TypeError`` here."""
+    try:
+        config = validate_config("\n".join(lines))
+    except ConfigError:
+        return
+    assert isinstance(config, ExperimentConfig)

@@ -205,6 +205,11 @@ class TestChronologicalSplit:
         with pytest.raises(ValueError):
             SplitSpec(1.0)
 
+    def test_fraction_of_the_wrong_type_rejected_by_name(self):
+        # was a bare comparison TypeError ("'<' not supported between ...")
+        with pytest.raises(TypeError, match="^train_fraction must be a number, got str$"):
+            SplitSpec("0.5")
+
 
 class TestPriceSeriesInvariants:
     def test_out_of_order_dates_rejected(self):

@@ -1,6 +1,7 @@
 """Stacked model: initialization, forward pass, backward pass, checkpoints."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,15 @@ class TestArchSpec:
         assert arch.layers == 2
         assert arch.hidden_units == 100
         assert arch.input_dim == 1
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("layers", 0, "layers must be >= 1, got 0"),  # the value was not shown
+        ("input_dim", -2, "input_dim must be >= 1, got -2"),
+        ("output_dim", 2, "output_dim must be 1 (a one-step-ahead scalar forecast), got 2"),
+    ])
+    def test_range_errors_show_the_value(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ArchSpec(**{"cell_kind": "lstm", field: value})
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -109,6 +109,12 @@ class TestMakeWindows:
         with pytest.raises(ValueError):
             make_windows([1.0, 2.0], 0)
 
+    @pytest.mark.parametrize("lookback, kind", [(True, "bool"), (2.0, "float"), (np.int64(2), "int64")])
+    def test_lookback_of_the_wrong_type_rejected_by_name(self, lookback, kind):
+        # True made one-value windows; 2.0 failed inside numpy
+        with pytest.raises(TypeError, match=f"^lookback must be an integer, got {kind}$"):
+            make_windows([1.0, 2.0, 3.0, 4.0], lookback)
+
     @settings(max_examples=100)
     @given(n=st.integers(min_value=2, max_value=400), w=st.integers(min_value=1, max_value=80))
     def test_window_count_property(self, n, w):
