@@ -31,8 +31,9 @@ A workspace that keeps a tape is the tape: a forward call that keeps
 one returns its workspace, which also holds the backward pass's buffers
 and views over its own tape arrays.  A forward call given no workspace
 (``workspace=``) builds a fresh one, so no two such calls share memory.
-A tape-free workspace can write into a caller's buffer and walk its
-input from the last step back, with no reversed copy of it.
+A tape-free workspace can write into a caller's buffer.  The kernels
+walk ``x`` from its first step and know no direction: run on a reversed
+view (``x[::-1]``, ``out=cols[::-1]``), a cell runs over reversed time.
 A workspace passed in is overwritten: every forward call overwrites its
 tape, and every backward call on a tape overwrites that tape's gradients
 and input gradient.
@@ -183,24 +184,11 @@ def _zeros(alloc, name: str, shape: tuple[int, ...]) -> np.ndarray:
     return buf
 
 
-def _walk(steps: int, block: int, batch: int, inp: int, reverse: bool, alloc):
-    """Per projection block, in walk order (from the last step back with ``reverse``): the slice of ``x``
-    it projects, the buffer it is copied into reversed first (None unless ``reverse`` and blocks of
-    several steps), and per step its time and the time of the step walked before it (None for the first)."""
-    flip = alloc("x_rev", (block, batch, inp)) if reverse and block > 1 else None
-    step = -1 if reverse else 1
-    order = range(steps)[::step]
-    for k0 in range(0, steps, block):
-        times = order[k0 : k0 + block]
-        walked = [(t, t - step if 0 <= t - step < steps else None) for t in times]
-        yield slice(min(times), max(times) + 1), None if flip is None else flip[: len(times)], walked
-
-
-def _block_input(x: np.ndarray, rows: slice, flip) -> np.ndarray:
-    """The steps of ``x`` a projection block reads, in walk order (copied into ``flip`` when given)."""
-    if flip is not None:
-        np.copyto(flip, x[rows][::-1])
-    return x[rows] if flip is None else flip
+def _walk(steps: int, block: int):
+    """Per projection block: the slice of ``x`` it projects and the times of its steps."""
+    for start in range(0, steps, block):
+        stop = min(start + block, steps)
+        yield slice(start, stop), range(start, stop)
 
 
 def _gate_major(a: np.ndarray, gates: int) -> np.ndarray:
@@ -209,9 +197,9 @@ def _gate_major(a: np.ndarray, gates: int) -> np.ndarray:
     return a.reshape(*lead, batch, gates, width // gates).swapaxes(-3, -2)
 
 
-def _check_walk(store_tape: bool, out, reverse: bool) -> None:
-    if store_tape and (out is not None or reverse):
-        raise ValueError("out and reverse are for tape-free workspaces; the backward pass reads a tape in time order")
+def _check_walk(store_tape: bool, out) -> None:
+    if store_tape and out is not None:
+        raise ValueError("out is for tape-free workspaces; a tape keeps its own h")
 
 
 def _check_forward_work(work, x: np.ndarray, store_tape: bool) -> None:
@@ -227,14 +215,15 @@ class LstmWork:
     ``c`` the cell state, ``tc`` its tanh and ``h`` the hidden sequence (T,
     B, H).  ``alloc(name, shape)`` hands out the cell's own buffers; the
     default allocates fresh ones.  ``blocks`` holds, per input-projection
-    block, the slice of ``x`` it reads and the buffer that slice is copied
-    into reversed (or None), the projection rows it fills, and one tuple
-    per step of the views that step reads and writes, so the time loop only
-    unpacks them.
+    block, the slice of ``x`` it reads, the projection rows it fills, and
+    one tuple per step of the views that step reads and writes, so the time
+    loop only unpacks them.  ``x`` may be any view, a reversed one too: the
+    products copy what they read of it C-contiguous (a no-op on a
+    contiguous ``x``), since their rounding can depend on operand layout.
 
     Without a tape, ``out`` may replace ``h``: (T, B, H), such as one
     direction's columns of a layer buffer, or (1, B, H) to keep only the
-    last walked step; ``reverse`` walks ``x`` from the last step back.
+    last step.
 
     With ``store_tape`` the workspace also holds the backward pass over its
     tape: ``dh_seq`` the output gradient, ``back_blocks`` the reversed-time
@@ -253,8 +242,8 @@ class LstmWork:
     """
 
     def __init__(self, steps: int, batch: int, inp: int, hidden: int, store_tape: bool = True, alloc=_fresh,
-                 grad=None, need_dx=True, shared=_fresh, out=None, reverse=False):
-        _check_walk(store_tape, out, reverse)
+                 grad=None, need_dx=True, shared=_fresh, out=None):
+        _check_walk(store_tape, out)
         self.shape, self.store_tape = (steps, batch, inp), bool(store_tape)
         self.x = None
         rows = steps if store_tape else 1  # without a tape every step reuses row 0
@@ -274,13 +263,13 @@ class LstmWork:
         block = _projection_block_len(steps, batch, 4 * hidden)
         xp = alloc("xp", (block, batch, 4 * hidden))
         self.blocks = []
-        for rows_x, flip, walked in _walk(steps, block, batch, inp, reverse, alloc):
+        for rows_x, times in _walk(steps, block):
             views = []
-            for j, (t, before) in enumerate(walked):
+            for j, t in enumerate(times):
                 k = t if store_tape else 0
-                h_prev, c_prev = (zero, zero) if before is None else (h[before % len(h)], c[max(k - 1, 0)])
+                h_prev, c_prev = (h[(t - 1) % len(h)], c[max(k - 1, 0)]) if t else (zero, zero)
                 views.append((h_prev, xp[j], s[k], g[k], c_prev, c[k], tc[k], i[k], f[k], o[k], h[t % len(h)]))
-            self.blocks.append((rows_x, flip, xp[: len(walked)].reshape(-1, 4 * hidden), views))
+            self.blocks.append((rows_x, xp[: len(times)].reshape(-1, 4 * hidden), views))
         if not store_tape:
             return
 
@@ -336,8 +325,8 @@ def lstm_forward(params: CellParams, x: np.ndarray, store_tape: bool = True, *, 
     wt, b = (params.w * sign[:, None]).T, params.b * sign
     np.multiply(params.u.T, sign, out=ut)
     a, a_s, a_g, ig = work.a, work.a_s, work.a_g, work.ig
-    for rows_x, flip, xp_m, views in work.blocks:
-        np.matmul(_block_input(x, rows_x, flip).reshape(-1, inp), wt, out=xp_m)
+    for rows_x, xp_m, views in work.blocks:
+        np.matmul(np.ascontiguousarray(x[rows_x]).reshape(-1, inp), wt, out=xp_m)
         xp_m += b
         for h_prev, xp_t, s_t, g_t, c_prev, c_t, tc_t, i_t, f_t, o_t, h_t in views:
             np.dot(h_prev, ut, out=a)
@@ -393,7 +382,7 @@ def lstm_backward(params: CellParams, tape: LstmWork, dh_seq: np.ndarray):
             np.multiply(dc, f_t, out=dc_carry)
 
     flat, grad = tape.flat, tape.grad
-    np.matmul(flat.T, tape.x.reshape(flat.shape[0], -1), out=grad.w)
+    np.matmul(flat.T, np.ascontiguousarray(tape.x).reshape(flat.shape[0], -1), out=grad.w)
     np.matmul(tape.da_after_0, tape.h_before_last, out=grad.u)
     np.sum(flat, axis=0, out=grad.b)
     if tape.dx is not None:
@@ -414,8 +403,8 @@ class GruWork:
     """
 
     def __init__(self, steps: int, batch: int, inp: int, hidden: int, store_tape: bool = True, alloc=_fresh,
-                 grad=None, need_dx=True, shared=_fresh, out=None, reverse=False):
-        _check_walk(store_tape, out, reverse)
+                 grad=None, need_dx=True, shared=_fresh, out=None):
+        _check_walk(store_tape, out)
         self.shape, self.store_tape = (steps, batch, inp), bool(store_tape)
         self.x = None
         rows = steps if store_tape else 1
@@ -433,14 +422,14 @@ class GruWork:
         xp_ur = alloc("xp_ur", (block, batch, 2 * hidden))
         xp_c = alloc("xp_c", (block, batch, hidden))
         self.blocks = []
-        for rows_x, flip, walked in _walk(steps, block, batch, inp, reverse, alloc):
+        for rows_x, times in _walk(steps, block):
             views = []
-            for j, (t, before) in enumerate(walked):
+            for j, t in enumerate(times):
                 k = t if store_tape else 0
-                h_prev = zero if before is None else h[before % len(h)]
+                h_prev = h[(t - 1) % len(h)] if t else zero
                 views.append((h_prev, xp_ur[j], s[k], r[k], rh[k], xp_c[j], n[k], u[k], h[t % len(h)]))
-            m = len(walked)
-            self.blocks.append((rows_x, flip, xp_ur[:m].reshape(-1, 2 * hidden), xp_c[:m].reshape(-1, hidden), views))
+            m = len(times)
+            self.blocks.append((rows_x, xp_ur[:m].reshape(-1, 2 * hidden), xp_c[:m].reshape(-1, hidden), views))
         if not store_tape:
             return
 
@@ -504,8 +493,8 @@ def gru_forward(params: CellParams, x: np.ndarray, store_tape: bool = True, *, w
     np.negative(params.u[: 2 * hsize].T, out=u_ur_t)
     np.copyto(u_c_t, params.u[2 * hsize :].T)
     a_ur, a_c, keep = work.a_ur, work.a_c, work.keep
-    for rows_x, flip, xp_ur_m, xp_c_m, views in work.blocks:
-        x_m = _block_input(x, rows_x, flip).reshape(-1, inp)
+    for rows_x, xp_ur_m, xp_c_m, views in work.blocks:
+        x_m = np.ascontiguousarray(x[rows_x]).reshape(-1, inp)
         np.matmul(x_m, w_ur_t, out=xp_ur_m)
         xp_ur_m += b_ur
         np.matmul(x_m, w_c_t, out=xp_c_m)
@@ -558,7 +547,7 @@ def gru_backward(params: CellParams, tape: GruWork, dh_seq: np.ndarray):
             dh_carry += np.dot(da_ur, u_ur, out=tmp)
 
     flat_ur, flat_c, grad = tape.flat_ur, tape.flat_c, tape.grad
-    flat_x = tape.x.reshape(flat_ur.shape[0], -1)
+    flat_x = np.ascontiguousarray(tape.x).reshape(flat_ur.shape[0], -1)
     ur, c = slice(0, 2 * hsize), slice(2 * hsize, 3 * hsize)
     np.matmul(flat_ur.T, flat_x, out=grad.w[ur])
     np.matmul(flat_c.T, flat_x, out=grad.w[c])

@@ -19,7 +19,7 @@ import numpy as np
 from . import experiment
 from .errors import AT_LEAST_ONE, FINITE_POSITIVE, NON_NEGATIVE, ForecastError, check
 from .metrics import evaluate
-from .network import EPSILON_RULE, ArchSpec, CELL_KINDS, grad_check_worst, init_params, load_checkpoint
+from .network import DEFAULT_EPSILON, EPSILON_RULE, ArchSpec, CELL_KINDS, grad_check_worst, init_params, load_checkpoint
 
 log = logging.getLogger(__name__)
 
@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=20, help="seeded trials per cell kind")
     p.add_argument("--max-hidden", type=int, default=8)
     p.add_argument("--max-window", type=int, default=10)
-    p.add_argument("--epsilon", type=float, default=1e-5)
+    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     p.add_argument("--threshold", type=float, default=1e-4)
     return parser
 

@@ -364,7 +364,10 @@ def run_single(
         if run_dir is not None:
             partial = getattr(exc, "report", None)
             epochs = partial.epochs_log() if partial else []
-            _write_train_report(run_dir, config, asset.symbol, cell_kind, epochs=epochs, error=str(exc))
+            try:
+                _write_train_report(run_dir, config, asset.symbol, cell_kind, epochs=epochs, error=str(exc))
+            except OutputError as write_error:  # the training error stays the one raised
+                log.error("%s", write_error)
         raise
     result = RunResult(
         asset=asset.symbol,

@@ -49,6 +49,7 @@ ARCH_RULES = {  # the rule (errors.check) of each integer ArchSpec field
     "output_dim": (int, lambda v: v == 1, "1 (a one-step-ahead scalar forecast)"),
 }
 EPSILON_RULE = (float, lambda v: 1e-7 <= v <= 1e-3, "within [1e-7, 1e-3]")  # grad_check_worst's epsilon
+DEFAULT_EPSILON = 1e-5  # grad_check_worst's, grad_check's and the gradcheck command's
 
 
 @dataclass(frozen=True)
@@ -288,12 +289,12 @@ def forward_batch(model: ModelParams, windows, store_tape: bool = True, *, works
     """Predict one scalar per window.  Returns (predictions, tape or None).
 
     Each layer runs its direction cells over the layer input, direction 1
-    over reversed time.  Without a tape the pass streams: a layer below the
-    top writes every direction into one (T, B, directions*H) buffer, and the
-    top layer keeps one step, the head's input.  A tape passed as
-    ``workspace`` (one this function returned for the same architecture;
-    ``store_tape`` true) is overwritten and returned; a tape kept without
-    one is a fresh :class:`ModelTape`.
+    over reversed time: on reversed views of its input and output.  Without
+    a tape the pass streams: a layer below the top writes every direction
+    into one (T, B, directions*H) buffer, and the top layer keeps one step,
+    the head's input.  A tape passed as ``workspace`` (one this function
+    returned for the same architecture; ``store_tape`` true) is overwritten
+    and returned; a tape kept without one is a fresh :class:`ModelTape`.
     """
     x = _as_batch(windows, model.arch.input_dim)
     run, _, kind = _kernels(model.arch)
@@ -310,8 +311,9 @@ def forward_batch(model: ModelParams, windows, store_tape: bool = True, *, works
         for li, layer in enumerate(model.layers):
             out = np.empty((steps if li < arch.layers - 1 else 1, batch, arch.dense_input_size))
             for d, cell in enumerate(layer):  # each workspace is freed when its kernel returns
-                cols = out[:, :, d * hsize : (d + 1) * hsize]
-                run(cell, seq, False, workspace=kind(steps, batch, seq.shape[2], hsize, False, out=cols, reverse=d > 0))
+                walk = slice(None, None, -1 if d else 1)
+                cols = out[:, :, d * hsize : (d + 1) * hsize][walk]
+                run(cell, seq[walk], False, workspace=kind(steps, batch, seq.shape[2], hsize, False, out=cols))
             seq = out
         final = seq[0]  # every direction's last walked step
     else:
@@ -319,7 +321,7 @@ def forward_batch(model: ModelParams, windows, store_tape: bool = True, *, works
         for li, layer in enumerate(model.layers):
             runs = []  # emptied before the kernels run, so the layer below's outputs are freed
             for d, cell in enumerate(layer):
-                runs.append(run(cell, np.ascontiguousarray(seq[::-1]) if d else seq, True, workspace=cells[li][d]))
+                runs.append(run(cell, seq[::-1] if d else seq, True, workspace=cells[li][d]))
             if li < len(model.layers) - 1:
                 seq = _side_by_side([h_seq[::-1] if d else h_seq for d, (h_seq, _) in enumerate(runs)], axis=2)
         # the head reads each direction's own last step
@@ -387,7 +389,7 @@ class GradCheckResult:
         return f"{self.array}[{', '.join(map(str, self.index))}]"
 
 
-def grad_check_worst(model: ModelParams, window, target: float, epsilon: float = 1e-5) -> GradCheckResult:
+def grad_check_worst(model: ModelParams, window, target: float, epsilon: float = DEFAULT_EPSILON) -> GradCheckResult:
     """Compare analytic and numeric gradients; report the worst element.
 
     Checks the gradient of the squared-error loss ``(prediction - target)**2``
@@ -425,7 +427,7 @@ def grad_check_worst(model: ModelParams, window, target: float, epsilon: float =
     return worst
 
 
-def grad_check(model: ModelParams, window, target: float, epsilon: float = 1e-5) -> float:
+def grad_check(model: ModelParams, window, target: float, epsilon: float = DEFAULT_EPSILON) -> float:
     """Worst relative disagreement between analytic and numeric gradients.
 
     The number :func:`grad_check_worst` reports as ``rel_error``.

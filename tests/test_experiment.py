@@ -775,6 +775,26 @@ class TestCli:
         assert doc["error"] == error
         assert doc["epochs"] == []
 
+    @pytest.mark.parametrize("command", ["train", "run"])
+    def test_failed_training_keeps_its_error_when_its_train_report_cannot_be_written(
+        self, tmp_path, capsys, caplog, command
+    ):
+        # was only "cannot write output file .../train_report.json: Is a directory", in both commands
+        config_path = diverging_btc_config(tmp_path)
+        report = tmp_path / "out" / "BTC_lstm" / "train_report.json"
+        report.mkdir(parents=True)
+        extra = ["--asset", "BTC", "--arch", "lstm"] if command == "train" else []
+        code = main([command, "--config", str(config_path), *extra])
+        error = "non-finite gradient in layers[0].w at epoch 1, batch 2; aborting update"
+        assert f"cannot write output file {report}: Is a directory" in caplog.text
+        err = capsys.readouterr().err
+        if command == "train":
+            assert (code, err) == (2, f"error: {error}\n")
+        else:
+            assert (code, err) == (1, f"FAILED BTC/lstm: {error}\n")
+            doc = json.loads((tmp_path / "out" / "comparison.json").read_text())
+            assert doc["failures"] == [{"asset": "BTC", "cell_kind": "lstm", "error": error}]
+
     def test_train_keeps_model_when_evaluation_fails(self, tmp_path, capsys, monkeypatch):
         from cryptoforecast import experiment as exp_mod
         from cryptoforecast.errors import UndefinedMetricError

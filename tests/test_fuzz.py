@@ -6,11 +6,14 @@ checks the same inputs.
 """
 
 import json
+from datetime import date, timedelta
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cryptoforecast import CheckpointError, ConfigError, ExperimentConfig, experiment, validate_config
+from cryptoforecast import CheckpointError, ConfigError, ExperimentConfig, ForecastError, experiment, validate_config
+from cryptoforecast.experiment import AssetSpec, PreparedAsset
 from cryptoforecast.network import ArchSpec, ModelParams, init_params, model_from_dict, model_to_dict
 
 DOCUMENTS = {
@@ -101,3 +104,57 @@ def test_config_text_validates_or_raises_config_error(lines):
     except ConfigError:
         return
     assert isinstance(config, ExperimentConfig)
+
+
+CSV_HEADERS = st.sampled_from(
+    [["Date", "Open", "Close"], ["Close", "Date"], ["Date", "Close", "Close"], ["date", "close"]]
+)
+JUNK_HEADERS = st.lists(st.sampled_from(["Date", "Close", ""]) | st.text(max_size=5), max_size=3)
+JUNK_DATES = st.text(max_size=6) | st.sampled_from(
+    ["", "2020-02-30", "2020/01/05", "20200105", " 2020-01-05 ", "2020-1-5"]
+)
+PRICES = st.sampled_from(["1", "2.5", "100", "1e6", " 3 ", '"4"']) | st.floats(0.01, 1e6).map(repr)
+JUNK_PRICES = st.sampled_from(["0", "-1", "", "null", "nan", "inf", "-inf", "1e400", "1e-320"]) | st.text(max_size=5)
+
+
+@st.composite
+def csv_files(draw):
+    """Bytes of a drawn price CSV.  Mostly a well-formed export of consecutive days, so that most draws
+    reach gap repair, the split and windowing; now and then a junk header, a repeated, skipped or
+    reversed day, a junk date or price cell, a raw line, an invalid UTF-8 tail."""
+
+    def rare(n):  # about one in n: not a bound of the range, which hypothesis draws more often
+        return draw(st.integers(0, n - 1)) == n // 2
+
+    header = draw(JUNK_HEADERS if rare(8) else st.just(["Date", "Close"]) if draw(st.booleans()) else CSV_HEADERS)
+    day, lines = date(2020, 1, 1), [",".join(header)]
+    for _ in range(draw(st.integers(0, 16))):
+        day += timedelta(days=draw(st.sampled_from([0, -1, 2])) if rare(20) else 1)
+        day_cell = draw(JUNK_DATES) if rare(40) else day.isoformat()
+        cells = (day_cell if name == "Date" else draw(JUNK_PRICES if rare(10) else PRICES) for name in header)
+        lines.append(",".join(cells))
+    if rare(4):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.text(max_size=12)))  # a raw line, blank ones too
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = end.join(lines) + draw(st.sampled_from(["", end]))
+    return text.encode() + (draw(st.sampled_from([b"\xff", b"\xc3"])) if rare(10) else b"")
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "prices.csv"
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(data=csv_files(), lookback=st.integers(1, 4))
+def test_csv_text_prepares_or_raises_forecast_error(csv_path, data, lookback):
+    """Drawn headers, dates, price cells and line endings through ``prepare_asset``: ingest, gap repair,
+    split, scaling and windowing either prepare the asset or raise a ``ForecastError``."""
+    csv_path.write_bytes(data)
+    config = ExperimentConfig(assets=(AssetSpec("TST", csv_path),), lookback=lookback, out_dir=csv_path.parent)
+    try:
+        prepared = experiment.prepare_asset(config, config.assets[0])
+    except ForecastError:
+        return
+    assert isinstance(prepared, PreparedAsset)
+    assert len(prepared.train_windows) >= 1 and len(prepared.test_windows) >= 1

@@ -209,40 +209,51 @@ def work_class(kind):
     "steps,batch,inp,hidden",
     [
         (1, 1, 1, 1),
-        (7, 1, 3, 2),  # B=1: one block of the whole window
-        (7, 8, 2, 64),  # blocks of 3-4 steps, copied reversed, remainder at the end of the walk
+        (7, 1, 1, 4),  # B=1: one block of the whole window, a reversed view that reshapes without a copy
+        (7, 1, 3, 2),  # B=1, D > 1
+        (7, 8, 2, 64),  # blocks of 3-4 steps, each copied contiguous from the view, remainder at the end of the walk
         (20, 8, 8, 8),  # quick.cfg second layer: one block of every step
         (60, 32, 100, 100),  # paper shapes: one step per block, no copy
     ],
 )
 def test_reversed_walk_matches_reference_on_reversed_input(rng, kind, steps, batch, inp, hidden):
-    """Direction 1 of a tape-free pass walks ``x`` from the last step: the reference kernel on ``x[::-1]``."""
+    """Direction 1 is the kernel run on reversed views: the reference kernel on a reversed copy, bit for bit."""
     params = make_params(rng, kind, inp, hidden)
     x = rng.normal(size=(steps, batch, inp))
     saved_x = x.copy()
-    forward, _ = kernels(cells, kind)
-    ref_forward, _ = kernels(ref, kind)
-    h_ref, _ = ref_forward(params, np.ascontiguousarray(x[::-1]), False)
+    forward, backward = kernels(cells, kind)
+    ref_forward, ref_backward = kernels(ref, kind)
+    h_ref, tape_ref = ref_forward(params, np.ascontiguousarray(x[::-1]))
 
-    # the hidden sequence in time order, written into one half of a wider layer buffer
+    # the hidden sequence in time order, written through a reversed view into one half of a wider layer buffer
     layer = np.full((steps, batch, 2 * hidden), np.nan)
-    work = work_class(kind)(steps, batch, inp, hidden, False, out=layer[:, :, hidden:], reverse=True)
-    h_seq, tape = forward(params, x, False, workspace=work)
+    work = work_class(kind)(steps, batch, inp, hidden, False, out=layer[:, :, hidden:][::-1])
+    h_seq, tape = forward(params, x[::-1], False, workspace=work)
     assert tape is None and np.shares_memory(h_seq, layer)
     assert_same_bits(layer[:, :, hidden:], h_ref[::-1])
     assert np.isnan(layer[:, :, :hidden]).all()
-    assert_same_bits(x, saved_x)
 
-    # one row keeps only the last walked step, in both walk directions
-    for reverse, expected in ((True, h_ref[-1]), (False, ref_forward(params, x, False)[0][-1])):
-        last = np.empty((1, batch, hidden))
-        work = work_class(kind)(steps, batch, inp, hidden, False, out=last, reverse=reverse)
-        forward(params, x, False, workspace=work)
-        assert_same_bits(last[0], expected)
+    # one row keeps only the last walked step
+    last = np.empty((1, batch, hidden))
+    forward(params, x[::-1], False, workspace=work_class(kind)(steps, batch, inp, hidden, False, out=last))
+    assert_same_bits(last[0], h_ref[-1])
+
+    # a tape in walk order over the view itself: the reference's tape arrays, gradients and dx
+    _, tape = forward(params, x[::-1])
+    assert np.shares_memory(tape.x, x)
+    for name in TAPE_FIELDS[kind]:
+        assert_same_bits(getattr(tape, name), getattr(tape_ref, name))
+    for dh_seq in dh_patterns(rng, steps, batch, hidden).values():
+        grads, dx = backward(params, tape, dh_seq)
+        grads_ref, dx_ref = ref_backward(params, tape_ref, dh_seq)
+        for got, want in zip(grads.arrays(), grads_ref.arrays()):
+            assert_same_bits(got, want)
+        assert_same_bits(dx, dx_ref)
+    assert_same_bits(x, saved_x)
 
 
 @pytest.mark.parametrize("kind", ["lstm", "gru"])
-@pytest.mark.parametrize("option", [{"reverse": True}, {"out": np.empty((3, 2, 4))}])
+@pytest.mark.parametrize("option", [pytest.param({"out": np.empty((3, 2, 4))}, id="option1")])
 def test_a_tape_is_not_walked_reversed_or_written_elsewhere(kind, option):
     with pytest.raises(ValueError, match="tape-free"):
         work_class(kind)(3, 2, 1, 4, True, **option)

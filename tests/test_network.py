@@ -1,5 +1,6 @@
 """Stacked model: initialization, forward pass, backward pass, checkpoints."""
 
+import inspect
 import json
 import re
 from pathlib import Path
@@ -154,6 +155,15 @@ class TestBidirectionalStructure:
         _, tape = forward_batch(model, window)
         h = model.arch.hidden_units
         np.testing.assert_array_equal(tape.final[:, :h], tape.final[:, h:])
+
+    @pytest.mark.parametrize("windows", [4, 1])
+    def test_backward_direction_tape_reads_its_layer_input_uncopied(self, windows, rng):
+        model = init_params(ArchSpec("bilstm", layers=2, hidden_units=3), seed=2)
+        _, tape = forward_batch(model, rng.uniform(size=(windows, 6)))
+        assert tape.layer_tapes[0][0].x is tape.x
+        for fwd, bwd in tape.layer_tapes:
+            assert np.shares_memory(bwd.x, fwd.x)
+            np.testing.assert_array_equal(bwd.x, fwd.x[::-1])
 
     def test_zeroed_backward_head_degenerates_to_lstm(self, rng):
         hidden = 6
@@ -313,6 +323,14 @@ class TestGradCheck:
             grad_check(model, rng.uniform(size=4), 0.0, epsilon=1e-2)
         with pytest.raises(ValueError):
             grad_check(model, rng.uniform(size=4), 0.0, epsilon=1e-8)
+
+    def test_one_default_epsilon(self):
+        from cryptoforecast.cli import build_parser
+
+        assert network.DEFAULT_EPSILON == 1e-5
+        assert build_parser().parse_args(["gradcheck"]).epsilon is network.DEFAULT_EPSILON
+        for check in (grad_check_worst, grad_check):
+            assert inspect.signature(check).parameters["epsilon"].default is network.DEFAULT_EPSILON
 
 
 class TestCheckpoint:
