@@ -22,7 +22,11 @@ gates come first so they can be activated in a single contiguous block:
 The sequence kernels run time-major (arrays shaped ``(time, batch,
 dim)``) so every per-step slice of their own arrays is contiguous, and
 they record the activations needed for an exact reverse-mode gradient.
-All arithmetic is float64.
+The gate activations are kept gate-major, one contiguous ``(batch,
+hidden)`` plane per gate and step (the LSTM's sigmoid gates ``s`` and
+candidate ``g`` in one ``(time, 4, batch, hidden)`` buffer, the GRU's
+``s`` as ``(time, 2, batch, hidden)``), so no step's elementwise math
+reads a column slice.  All arithmetic is float64.
 
 Each cell runs on one *workspace* (:class:`LstmWork`, :class:`GruWork`):
 its buffers plus, for every step, a tuple of the views that step reads
@@ -211,13 +215,16 @@ class LstmWork:
     """Buffers and per-step views of :func:`lstm_forward` and :func:`lstm_backward` for one cell and input shape.
 
     The tape, all time-major: ``x`` the last forward call's input (T, B,
-    D), ``s`` the sigmoid gates i|f|o (T, B, 3H), ``g`` the candidate tanh,
-    ``c`` the cell state, ``tc`` its tanh and ``h`` the hidden sequence (T,
-    B, H).  ``alloc(name, shape)`` hands out the cell's own buffers; the
-    default allocates fresh ones.  ``blocks`` holds, per input-projection
-    block, the slice of ``x`` it reads, the projection rows it fills, and
-    one tuple per step of the views that step reads and writes, so the time
-    loop only unpacks them.  ``x`` may be any view, a reversed one too: the
+    D), ``s`` the sigmoid gates i|f|o gate-major (T, 3, B, H) and ``g`` the
+    candidate tanh (T, B, H), views of one (T, 4, B, H) buffer i|f|o|g, so
+    each step's gate math runs on contiguous (B, H) planes, ``c`` the cell
+    state, ``tc`` its tanh and ``h`` the hidden sequence (T, B, H).  Each
+    step copies its pre-activations ``a`` (B, 4H) gate-major into its tape
+    row and activates them there.  ``alloc(name, shape)`` hands out the
+    cell's own buffers; the default allocates fresh ones.  ``blocks`` holds,
+    per input-projection block, the slice of ``x`` it reads, the projection
+    rows it fills, and one tuple per step of the views that step reads and
+    writes, so the time loop only unpacks them.  ``x`` may be any view, a reversed one too: the
     products copy what they read of it C-contiguous (a no-op on a
     contiguous ``x``), since their rounding can depend on operand layout.
 
@@ -247,17 +254,17 @@ class LstmWork:
         self.shape, self.store_tape = (steps, batch, inp), bool(store_tape)
         self.x = None
         rows = steps if store_tape else 1  # without a tape every step reuses row 0
-        s = self.s = alloc("s", (rows, batch, 3 * hidden))
-        g = self.g = alloc("g", (rows, batch, hidden))
+        sg = alloc("sg", (rows, 4, batch, hidden))  # i|f|o|g gate-major: each step's gates are contiguous planes
+        s, g = self.s, self.g = sg[:, :3], sg[:, 3]
         c = self.c = alloc("c", (rows, batch, hidden))
         tc = self.tc = alloc("tc", (rows, batch, hidden))
         h = self.h = alloc("h", (steps, batch, hidden)) if out is None else out
-        i, f, o = s[:, :, :hidden], s[:, :, hidden : 2 * hidden], s[:, :, 2 * hidden :]
+        i, f, o = s[:, 0], s[:, 1], s[:, 2]
         self.ut = shared("ut", (hidden, 4 * hidden))
         sign = self.sign = alloc("sign", (4 * hidden,))  # -1 on the sigmoid rows i|f|o, 1 on c
         sign[: 3 * hidden], sign[3 * hidden :] = -1.0, 1.0
         a = self.a = alloc("a", (batch, 4 * hidden))
-        self.a_s, self.a_g = a[:, : 3 * hidden], a[:, 3 * hidden :]
+        self.a_gm = _gate_major(a, 4)
         self.ig = alloc("ig", (batch, hidden))
         zero = _zeros(alloc, "zero", (batch, hidden))  # h and c before the first step
         block = _projection_block_len(steps, batch, 4 * hidden)
@@ -268,7 +275,7 @@ class LstmWork:
             for j, t in enumerate(times):
                 k = t if store_tape else 0
                 h_prev, c_prev = (h[(t - 1) % len(h)], c[max(k - 1, 0)]) if t else (zero, zero)
-                views.append((h_prev, xp[j], s[k], g[k], c_prev, c[k], tc[k], i[k], f[k], o[k], h[t % len(h)]))
+                views.append((h_prev, xp[j], sg[k], s[k], g[k], c_prev, c[k], tc[k], i[k], f[k], o[k], h[t % len(h)]))
             self.blocks.append((rows_x, xp[: len(times)].reshape(-1, 4 * hidden), views))
         if not store_tape:
             return
@@ -291,8 +298,8 @@ class LstmWork:
                  _gate_major(da[t], 4), da[t], num[k, 1])
                 for t, k in ((t, t - start) for t in range(end - 1, start - 1, -1))
             ]
-            ifo = _gate_major(s[start:end], 3)
-            self.back_blocks.append(((ifo, num[:, :3], den, tc[start:end], otc, g[start:end], num[:, 3]), views))
+            hoist = (s[start:end], num[:, :3], den, tc[start:end], otc, g[start:end], num[:, 3])
+            self.back_blocks.append((hoist, views))
 
         self.flat = da.reshape(steps * batch, 4 * hidden)
         # h_prev is zero at t=0, so the recurrent gradient only sums t >= 1
@@ -320,19 +327,20 @@ def lstm_forward(params: CellParams, x: np.ndarray, store_tape: bool = True, *, 
     steps, batch, inp = x.shape
     work = workspace or LstmWork(steps, batch, inp, params.hidden_size, store_tape)
     _check_forward_work(work, x, store_tape)
-    # the sigmoid rows i|f|o of w, b and u run negated, so a_s holds -a (see _sigmoid_into)
+    # the sigmoid rows i|f|o of w, b and u run negated, so a holds -a there (see _sigmoid_into)
     sign, ut = work.sign, work.ut
     wt, b = (params.w * sign[:, None]).T, params.b * sign
     np.multiply(params.u.T, sign, out=ut)
-    a, a_s, a_g, ig = work.a, work.a_s, work.a_g, work.ig
+    a, a_gm, ig = work.a, work.a_gm, work.ig
     for rows_x, xp_m, views in work.blocks:
         np.matmul(np.ascontiguousarray(x[rows_x]).reshape(-1, inp), wt, out=xp_m)
         xp_m += b
-        for h_prev, xp_t, s_t, g_t, c_prev, c_t, tc_t, i_t, f_t, o_t, h_t in views:
+        for h_prev, xp_t, sg_t, s_t, g_t, c_prev, c_t, tc_t, i_t, f_t, o_t, h_t in views:
             np.dot(h_prev, ut, out=a)
             a += xp_t
-            _sigmoid_into(a_s, s_t)
-            np.tanh(a_g, out=g_t)
+            np.copyto(sg_t, a_gm)
+            _sigmoid_into(s_t, s_t)
+            np.tanh(g_t, out=g_t)
             np.multiply(f_t, c_prev, out=c_t)
             np.multiply(i_t, g_t, out=ig)
             c_t += ig
@@ -393,9 +401,9 @@ def lstm_backward(params: CellParams, tape: LstmWork, dh_seq: np.ndarray):
 class GruWork:
     """Buffers and per-step views of :func:`gru_forward` and :func:`gru_backward`; see :class:`LstmWork`.
 
-    The tape: ``x``, ``s`` the sigmoid gates u|r (T, B, 2H), ``n`` the
-    candidate tanh, ``rh`` the reset-scaled previous hidden state and ``h``
-    the hidden sequence (T, B, H).  ``shared`` hands out ``u_ur_t`` and
+    The tape: ``x``, ``s`` the sigmoid gates u|r gate-major (T, 2, B, H),
+    ``n`` the candidate tanh, ``rh`` the reset-scaled previous hidden state
+    and ``h`` the hidden sequence (T, B, H).  ``shared`` hands out ``u_ur_t`` and
     ``u_c_t`` (``u.T`` by gate group, the sigmoid group u|r negated) in
     place of ``ut``, and ``da_ur`` and ``da_c`` in place of ``da``, with
     ``gates`` (one step's ``da_ur`` gate-major, (2, B, H)) and the hoisted
@@ -408,14 +416,15 @@ class GruWork:
         self.shape, self.store_tape = (steps, batch, inp), bool(store_tape)
         self.x = None
         rows = steps if store_tape else 1
-        s = self.s = alloc("s", (rows, batch, 2 * hidden))
+        s = self.s = alloc("s", (rows, 2, batch, hidden))  # u|r gate-major
         n = self.n = alloc("n", (rows, batch, hidden))
         rh = self.rh = alloc("rh", (rows, batch, hidden))
         h = self.h = alloc("h", (steps, batch, hidden)) if out is None else out
-        u, r = s[:, :, :hidden], s[:, :, hidden:]
+        u, r = s[:, 0], s[:, 1]
         self.u_ur_t = shared("u_ur_t", (hidden, 2 * hidden))
         self.u_c_t = shared("u_c_t", (hidden, hidden))
         self.a_ur, self.a_c = alloc("a_ur", (batch, 2 * hidden)), alloc("a_c", (batch, hidden))
+        self.a_ur_gm = _gate_major(self.a_ur, 2)
         self.keep = alloc("keep", (batch, hidden))
         zero = _zeros(alloc, "zero", (batch, hidden))  # h before the first step
         block = _projection_block_len(steps, batch, 3 * hidden)
@@ -457,7 +466,7 @@ class GruWork:
                  _gate_major(da_ur[t], 2), da_ur[t], den[k, 0], num[k, 1])
                 for t, k in ((t, t - start) for t in range(end - 1, start - 1, -1))
             ]
-            self.back_blocks.append(((_gate_major(s[start:end], 2), num, den, n[start:end], onn, differences), views))
+            self.back_blocks.append(((s[start:end], num, den, n[start:end], onn, differences), views))
 
         self.flat_ur = da_ur.reshape(steps * batch, 2 * hidden)
         self.flat_c = da_c.reshape(steps * batch, hidden)
@@ -492,7 +501,7 @@ def gru_forward(params: CellParams, x: np.ndarray, store_tape: bool = True, *, w
     u_ur_t, u_c_t = work.u_ur_t, work.u_c_t
     np.negative(params.u[: 2 * hsize].T, out=u_ur_t)
     np.copyto(u_c_t, params.u[2 * hsize :].T)
-    a_ur, a_c, keep = work.a_ur, work.a_c, work.keep
+    a_ur, a_ur_gm, a_c, keep = work.a_ur, work.a_ur_gm, work.a_c, work.keep
     for rows_x, xp_ur_m, xp_c_m, views in work.blocks:
         x_m = np.ascontiguousarray(x[rows_x]).reshape(-1, inp)
         np.matmul(x_m, w_ur_t, out=xp_ur_m)
@@ -502,7 +511,8 @@ def gru_forward(params: CellParams, x: np.ndarray, store_tape: bool = True, *, w
         for h_prev, xp_ur_t, s_t, r_t, rh_t, xp_c_t, n_t, u_t, h_t in views:
             np.dot(h_prev, u_ur_t, out=a_ur)
             a_ur += xp_ur_t
-            _sigmoid_into(a_ur, s_t)
+            np.copyto(s_t, a_ur_gm)
+            _sigmoid_into(s_t, s_t)
             np.dot(np.multiply(r_t, h_prev, out=rh_t), u_c_t, out=a_c)
             a_c += xp_c_t
             np.tanh(a_c, out=n_t)

@@ -19,10 +19,12 @@ the cell kind, so any single run can be reproduced in isolation.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
 import logging
+import os
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -424,10 +426,18 @@ def make_out_dir(path: Path) -> Path:
 
 
 def _write_file(path: Path, write) -> Path:
-    """Call ``write(path)``, turning an ``OSError`` (a directory in the way, say) into an :class:`OutputError`."""
+    """Call ``write`` on a sibling of ``path``, then move the file onto ``path``, so no write leaves it half written.
+
+    An ``OSError`` (a full disk or a directory in the way, say) removes the
+    sibling and becomes an :class:`OutputError`; ``path`` is left as it was.
+    """
+    part = path.with_name(f".{path.name}.part")
     try:
-        write(path)
+        write(part)
+        os.replace(part, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):  # not there, or not a file this call made
+            part.unlink()
         raise OutputError(cannot("write", "output file", path, exc)) from None
     return path
 

@@ -488,6 +488,24 @@ class TestRunExperiment:
         assert [r.cell_kind for r in outcome.results] == ["gru"]
         assert len(json.loads((config.out_dir / "comparison.json").read_text())["failures"]) == 1
 
+    def test_failed_checkpoint_write_leaves_the_previous_file_and_no_partial_one(self, tmp_path, monkeypatch):
+        # was a truncated checkpoint.json holding the half that was written
+        config = tiny_config(tmp_path)
+        run_experiment(config)
+        run_dir = config.out_dir / "TST_lstm"
+        path = run_dir / "checkpoint.json"
+        before, names = path.read_bytes(), sorted(p.name for p in run_dir.iterdir())
+
+        def half_written(model, target):
+            Path(target).write_text(path.read_text()[:100])
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(experiment, "save_checkpoint", half_written)
+        outcome = run_experiment(config)
+        assert outcome.failures == [("TST", "lstm", f"cannot write output file {path}: No space left on device")]
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in run_dir.iterdir()) == names
+
     def test_failed_training_leaves_train_report(self, tmp_path, monkeypatch):
         from cryptoforecast import training
 

@@ -59,6 +59,13 @@ def dh_patterns(rng, steps, batch, hidden):
     return {"dense": dense, "last_only": last_only}
 
 
+def assert_tape_matches(kind, tape, tape_ref):
+    """Every tape array bit for bit; the workspace keeps the sigmoid gates ``s`` gate-major, (T, G-1, B, H)."""
+    for name in TAPE_FIELDS[kind]:
+        want = getattr(tape_ref, name)
+        assert_same_bits(getattr(tape, name), cells._gate_major(want, GATES[kind] - 1) if name == "s" else want)
+
+
 def check_forward(rng, kind, steps, batch, inp, hidden):
     """Both ``store_tape`` values against the reference; returns what backward needs."""
     params = make_params(rng, kind, inp, hidden)
@@ -72,8 +79,7 @@ def check_forward(rng, kind, steps, batch, inp, hidden):
     assert no_tape is None
     assert_same_bits(h_seq, h_ref)
     assert_same_bits(h_notape, h_ref)
-    for name in TAPE_FIELDS[kind]:
-        assert_same_bits(getattr(tape, name), getattr(tape_ref, name))
+    assert_tape_matches(kind, tape, tape_ref)
     return params, tape, tape_ref
 
 
@@ -205,6 +211,17 @@ def work_class(kind):
 
 
 @pytest.mark.parametrize("kind", ["lstm", "gru"])
+@pytest.mark.parametrize("store_tape", [True, False])
+def test_forward_steps_work_on_contiguous_gate_planes(kind, store_tape):
+    """The sigmoid gates are kept gate-major, so every array a forward step reads or writes is C-contiguous."""
+    steps, batch, hidden = 5, 3, 4
+    work = work_class(kind)(steps, batch, 2, hidden, store_tape)
+    assert work.s.shape == (steps if store_tape else 1, GATES[kind] - 1, batch, hidden)
+    step_views = [view for *_, views in work.blocks for step in views for view in step]
+    assert step_views and all(view.flags.c_contiguous for view in step_views)
+
+
+@pytest.mark.parametrize("kind", ["lstm", "gru"])
 @pytest.mark.parametrize(
     "steps,batch,inp,hidden",
     [
@@ -241,8 +258,7 @@ def test_reversed_walk_matches_reference_on_reversed_input(rng, kind, steps, bat
     # a tape in walk order over the view itself: the reference's tape arrays, gradients and dx
     _, tape = forward(params, x[::-1])
     assert np.shares_memory(tape.x, x)
-    for name in TAPE_FIELDS[kind]:
-        assert_same_bits(getattr(tape, name), getattr(tape_ref, name))
+    assert_tape_matches(kind, tape, tape_ref)
     for dh_seq in dh_patterns(rng, steps, batch, hidden).values():
         grads, dx = backward(params, tape, dh_seq)
         grads_ref, dx_ref = ref_backward(params, tape_ref, dh_seq)

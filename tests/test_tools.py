@@ -101,6 +101,23 @@ def test_bench_ab_gain_needs_nine_in_ten_wins_and_more_than_the_parent_iqr():
     assert s["parent"] == {"q1": 2.0, "median": 2.0, "q3": 2.0} and s["gain"]
 
 
+def test_bench_ab_worse_mirrors_gain():
+    pairs = [(100.0 + k, 110.0 + k) for k in range(10)]  # change 10 higher in every pair
+    s = bench_ab.summarize(pairs, "lower")
+    assert (s["wins"], s["losses"], s["gain"], s["worse"]) == (0, 10, False, True)
+    s = bench_ab.summarize(pairs, "higher")
+    assert (s["gain"], s["worse"]) == (True, False)
+    eight_losses = [(100.0, 120.0)] * 8 + [(100.0, 80.0)] * 2
+    assert not bench_ab.summarize(eight_losses, "lower")["worse"]
+    nine_losses_one_tie = [(100.0, 120.0)] * 9 + [(100.0, 100.0)]
+    assert bench_ab.summarize(nine_losses_one_tie, "lower")["worse"]
+    wide_parent = [(50.0 + 10 * k, 51.0 + 10 * k) for k in range(10)]  # 1 worse, IQR 45
+    s = bench_ab.summarize(wide_parent, "lower")
+    assert s["losses"] == 10 and not s["worse"]
+    s = bench_ab.summarize([(100.0, 120.0)] * 8 + [None, None], "lower")
+    assert (s["losses"], s["worse"]) == (8, False)
+
+
 def test_bench_ab_counts_a_pair_with_a_failed_run_as_not_won(tmp_path, monkeypatch, capsys):
     # the change wins all 8 pairs that report; 2 pairs lose a run, so 8 of 10 pairs are won
     spec = {"run_seconds": 1, "end_to_end": [{"name": "run_wall_cal", "better": "lower"}]}
@@ -120,7 +137,7 @@ def test_bench_ab_counts_a_pair_with_a_failed_run_as_not_won(tmp_path, monkeypat
     monkeypatch.setattr(bench_ab, "run_once", run_once)
     assert bench_ab.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "w", "--seed", "1"]) == 1
     out = capsys.readouterr().out
-    assert "change better in 8/10 pairs (worse in 0, 2 failed); gain: no" in out
+    assert "change better in 8/10 pairs (worse in 0, 2 failed); gain: no; worse: no" in out
     assert "2 pair(s) with a failed run" in out
     s = bench_ab.summarize([(100.0, 80.0)] * 8 + [None, None], "lower")
     assert (s["pairs"], s["wins"], s["failed_pairs"], s["gain"]) == (10, 8, 2, False)

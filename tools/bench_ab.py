@@ -11,11 +11,13 @@ runs first alternates from pair to pair, so drift of the machine hits both
 sides alike.  Run length is ``run_seconds`` from CHANGE's
 ``BENCHMARK.json``, the same for both sides.  For every gated end-to-end
 metric of that file the tool prints each pair, then both sides' medians and
-quartiles, the parent's interquartile range, the change's wins and whether
-the change is a gain: it wins at least nine in ten of the pairs that ran
-(ties count for neither side, and a pair with a failed run counts as not
-won) and its median is better than the parent's by more than the parent's
-interquartile range.  Exit status is 0 when every run reported a result, 1
+quartiles, the parent's interquartile range, the change's wins and losses,
+whether the change is a gain: it wins at least nine in ten of the pairs
+that ran (ties count for neither side, and a pair with a failed run counts
+as not won) and its median is better than the parent's by more than the
+parent's interquartile range, and whether it is worse, by the mirror rule:
+it loses at least nine in ten pairs and its median is worse by more than
+that range.  Exit status is 0 when every run reported a result, 1
 otherwise.
 """
 
@@ -40,7 +42,7 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 def summarize(pairs: list[tuple[float, float] | None], better: str) -> dict:
     """Statistics of (parent, change) value pairs of one metric; ``better`` is "lower" or "higher".
 
-    A None pair had a failed run: it counts towards the pairs, never as a win.
+    A None pair had a failed run: it counts towards the pairs, never as a win or a loss.
     """
     sign = -1.0 if better == "lower" else 1.0
     ran = [pair for pair in pairs if pair is not None]
@@ -62,6 +64,7 @@ def summarize(pairs: list[tuple[float, float] | None], better: str) -> dict:
         "wins": wins,
         "losses": losses,
         "gain": 10 * wins >= 9 * len(pairs) and sign * (c_med - p_med) > iqr,
+        "worse": 10 * losses >= 9 * len(pairs) and sign * (c_med - p_med) < -iqr,
     }
 
 
@@ -127,7 +130,8 @@ def main(argv=None) -> int:
             f"{name} ({better} is better): parent median {p['median']:.4g} (q1 {p['q1']:.4g}, q3 {p['q3']:.4g},"
             f" IQR {s['parent_iqr']:.4g}); change median {c['median']:.4g} (q1 {c['q1']:.4g}, q3 {c['q3']:.4g});"
             f" {s['delta_pct']:+.1f}%; change better in {s['wins']}/{s['pairs']} pairs"
-            f" (worse in {s['losses']}, {s['failed_pairs']} failed); gain: {'yes' if s['gain'] else 'no'}"
+            f" (worse in {s['losses']}, {s['failed_pairs']} failed); gain: {'yes' if s['gain'] else 'no'};"
+            f" worse: {'yes' if s['worse'] else 'no'}"
         )
     if failed:
         print(f"{failed} pair(s) with a failed run")
