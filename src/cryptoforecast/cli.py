@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import experiment
-from .errors import AT_LEAST_ONE, FINITE_POSITIVE, NON_NEGATIVE, ForecastError, check
+from .errors import AT_LEAST_ONE, FINITE_POSITIVE, NON_NEGATIVE, CheckpointError, ForecastError, check
 from .metrics import evaluate
 from .network import DEFAULT_EPSILON, EPSILON_RULE, ArchSpec, CELL_KINDS, grad_check_worst, init_params, load_checkpoint
 
@@ -120,6 +120,8 @@ def cmd_evaluate(args) -> int:
     asset = _find_asset(config, args.asset)
     prepared = experiment.prepare_asset(config, asset)
     model = load_checkpoint(args.checkpoint)
+    if model.arch.input_dim != 1:  # a price window holds one value per step
+        raise CheckpointError(f"checkpoint model takes {model.arch.input_dim} inputs per step; a price window holds 1")
     report = evaluate(model, prepared.test_windows, prepared.scaler, prepared.test_dates)
     payload = experiment.eval_report_dict(report, asset.symbol, model.arch.cell_kind, prepared.scaler)
     return _print_report(payload, args.out, lambda: experiment.write_eval_artifacts(config.out_dir, payload, report))

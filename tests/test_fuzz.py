@@ -5,14 +5,20 @@ another exception.  Examples are derandomized and bounded, so every run
 checks the same inputs.
 """
 
+import contextlib
+import io
 import json
+import tempfile
 from datetime import date, timedelta
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cryptoforecast import CheckpointError, ConfigError, ExperimentConfig, ForecastError, experiment, validate_config
+from cryptoforecast import (
+    CheckpointError, ConfigError, ExperimentConfig, ForecastError, cli, experiment, validate_config,
+)
 from cryptoforecast.experiment import AssetSpec, PreparedAsset
 from cryptoforecast.network import ArchSpec, ModelParams, init_params, model_from_dict, model_to_dict
 
@@ -158,3 +164,85 @@ def test_csv_text_prepares_or_raises_forecast_error(csv_path, data, lookback):
         return
     assert isinstance(prepared, PreparedAsset)
     assert len(prepared.train_windows) >= 1 and len(prepared.test_windows) >= 1
+
+
+@pytest.fixture(scope="module")
+def cli_tree(tmp_path_factory):
+    """Files the drawn command lines name: a valid tiny config and one whose lookback outruns its 60 days,
+    checkpoints of each kind and one taking two inputs per step, a regular file, a binary file, a
+    directory, and an output directory whose run directories and checkpoint paths are taken."""
+    root = tmp_path_factory.mktemp("cli")
+    days = (date(2022, 1, 1) + timedelta(days=k) for k in range(60))
+    prices = "".join(f"{d},{50 + k + k % 3 / 2}\n" for k, d in enumerate(days))  # no test price is the train minimum
+    (root / "prices.csv").write_text("Date,Close\n" + prices)
+    for name, lookback in (("exp.cfg", 3), ("short.cfg", 50)):
+        (root / name).write_text(
+            f"lookback = {lookback}\nhidden_units = 2\nepochs = 1\narchitectures = gru\nout_dir = {root / 'out'}\n"
+            "[asset.TST]\ncsv = prices.csv\n"
+        )
+    for name, arch in (
+        ("lstm.json", ArchSpec("lstm", layers=1, hidden_units=2)),
+        ("bilstm.json", ArchSpec("bilstm", layers=1, hidden_units=2)),
+        ("gru.json", ArchSpec("gru", layers=2, hidden_units=2)),
+        ("two_inputs.json", ArchSpec("lstm", layers=1, hidden_units=2, input_dim=2)),
+    ):
+        (root / name).write_text(json.dumps(model_to_dict(init_params(arch, seed=1))))
+    (root / "plain.txt").write_text("x\n")
+    (root / "binary.bin").write_bytes(b"\xff\xfe")
+    (root / "adir").mkdir()
+    (root / "taken" / "TST_lstm" / "checkpoint.json").mkdir(parents=True)
+    (root / "taken" / "TST_gru").write_text("x\n")
+    return root
+
+
+OTHER_PATHS = st.sampled_from(["missing.cfg", "short.cfg", "adir", "plain.txt", "binary.bin", "prices.csv"])
+
+
+@st.composite
+def cli_argvs(draw):
+    """argv of one command.  A path is written ``@NAME``, a file of ``cli_tree``; ``@new`` is a missing
+    directory.  ``--out`` is a missing directory (or one two levels below), an existing one, a regular
+    file, a path below a regular file, or a directory whose run directories are taken."""
+    command = draw(st.sampled_from(["prepare", "train", "evaluate", "run", "gradcheck"]))
+    argv = [command]
+    if command == "gradcheck":  # at most one tiny trial per kind
+        for flag, values in (("--trials", [1, 1, 1, 0, -1]), ("--max-hidden", [2, 2, 1]), ("--max-window", [3, 3, 2])):
+            argv += [flag, str(draw(st.sampled_from(values)))]
+        for flag, values in (
+            ("--seed", st.integers(-1, 2**70)),
+            ("--epsilon", st.sampled_from(["1e-5", "1e-3", "0", "-1", "nan", "inf"])),
+            ("--threshold", st.sampled_from(["1e-4", "1e-30", "0", "nan", "inf"])),
+            ("--cell", st.sampled_from(["lstm", "gru", "bilstm"])),
+        ):
+            if draw(st.booleans()):
+                argv += [flag, str(draw(values))]
+        return argv
+    argv += ["--config", "@" + draw(st.just("exp.cfg") | OTHER_PATHS)]
+    if draw(st.booleans()):
+        argv += ["--seed", str(draw(st.integers(-(2**70), 2**70)))]
+    if draw(st.booleans()):
+        argv += ["--out", draw(st.sampled_from(["@new", "@new/a/b", "@adir", "@plain.txt", "@plain.txt/a", "@taken"]))]
+    if command in ("train", "evaluate"):
+        argv += ["--asset", draw(st.just("TST") | st.sampled_from(["XXX", ""]))]
+    if command == "train":
+        argv += ["--arch", draw(st.sampled_from(["lstm", "gru", "bilstm"]))]
+    if command == "evaluate":
+        names = st.sampled_from(["lstm.json", "bilstm.json", "gru.json", "two_inputs.json"]) | OTHER_PATHS
+        argv += ["--checkpoint", "@" + draw(names)]
+    return argv
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(cli_argvs())
+@example(["evaluate", "--config", "@exp.cfg", "--asset", "TST", "--checkpoint", "@two_inputs.json"])
+def test_cli_argv_succeeds_or_exits_two_with_forecast_error(cli_tree, argv):
+    """Whatever the paths and flag values, ``cli.main`` returns 0, or 2 after printing a ``ForecastError``;
+    ``gradcheck`` may return 1 for gradients over its threshold and ``run`` for a recorded failed run."""
+    new = Path(tempfile.mkdtemp(dir=cli_tree)) / "new"
+    argv = [str(new) + a[4:] if a.startswith("@new") else str(cli_tree / a[1:]) if a[:1] == "@" else a for a in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code == 0 or (code == 2 and err.getvalue().startswith("error: ")) or (
+        code == 1 and argv[0] in ("gradcheck", "run")
+    ), (code, err.getvalue())

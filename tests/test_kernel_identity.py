@@ -149,9 +149,10 @@ def test_single_sequence_matches_reference_past_a_block(rng, kind):
 @pytest.mark.parametrize("kind", ["lstm", "gru"])
 @pytest.mark.parametrize("inp", [1, 100, 200])  # layer 1, layer 2, Bi-LSTM layer 2
 def test_forward_matches_reference_at_scoring_shapes(rng, kind, inp):
-    """metrics.predict_batch chunks of 256 windows and a 110-window tail chunk."""
+    """metrics.predict_batch chunks of 128 windows and a 110-window tail chunk, and the 256-window chunks
+    it ran before: the product at each batch must round as the reference's does."""
     assert projection_block_len(kind, 110, 100) == 1
-    for batch in (256, 110):
+    for batch in (256, 128, 110):
         check_forward(rng, kind, 60, batch, inp, 100)
 
 

@@ -1,7 +1,7 @@
 """Peak memory of tape-free forward passes at scoring shapes, of training and of checkpoint writes.
 
 ``metrics.predict_batch`` runs the forward kernels without a tape on
-chunks of 256 windows.  The input projection ``x @ W.T + b`` is streamed
+chunks of 128 windows.  The input projection ``x @ W.T + b`` is streamed
 through a block buffer inside the time loop, so no call may allocate as
 much as the whole ``(T, B, G*H)`` projection at once.  The model streams
 too: each layer below the top writes all its directions into one
@@ -60,7 +60,7 @@ def test_tape_free_forward_peak_below_one_projection(rng, kind):
 def scoring_peak(kind, rng):
     """tracemalloc peak of scoring the 366 test windows of a fixture at paper shapes, and one layer buffer's bytes."""
     model = init_params(ArchSpec(kind, layers=2, hidden_units=100), seed=3)
-    windows = rng.uniform(size=(366, 60))  # a 256-window chunk, then 110
+    windows = rng.uniform(size=(366, 60))  # two 128-window chunks, then 110
 
     tracemalloc.start()
     try:
@@ -70,24 +70,26 @@ def scoring_peak(kind, rng):
         tracemalloc.stop()
 
     assert preds.shape == (366,)
-    return peak, 8 * 60 * 256 * model.arch.dense_input_size
+    return peak, 8 * 60 * 128 * model.arch.dense_input_size
 
 
 def assert_one_layer_buffer(peak, layer_bytes):
     # a second sequence-sized array (a reversed input copy, a direction's own output, a top-layer
-    # sequence) would add a full or half layer buffer; the cells' per-step buffers are ~3.3 MB
+    # sequence) would add a full or half layer buffer; the cells' per-step buffers are 2.0-3.1 MB
     limit = 1.5 * layer_bytes
     assert peak < limit, f"peak {peak / 1e6:.1f} MB >= {limit / 1e6:.1f} MB"
 
 
 def test_bilstm_scoring_peak_holds_no_direction_outputs_across_layers(rng):
-    # 24.6 MB layer buffer, limit 36.9 MB; was 77.6 MB with concatenated and reversed sequences
+    # 12.3 MB layer buffer, limit 18.4 MB, peak 15.4 MB (parsing its checkpoint takes 17.5 MB); was 29.7 MB
+    # in 256-window chunks and 77.6 MB with concatenated and reversed sequences
     assert_one_layer_buffer(*scoring_peak("bilstm", rng))
 
 
 @pytest.mark.parametrize("kind", ["lstm", "gru"])
 def test_scoring_peak_holds_one_layer_buffer(kind, rng):
-    # 12.3 MB layer buffer, limit 18.4 MB; was 28.5 MB (LSTM) and 27.6 MB (GRU) with a top-layer sequence
+    # 6.1 MB layer buffer, limit 9.2 MB, peaks 8.8 MB (LSTM) and 8.1 MB (GRU); in 256-window chunks
+    # 16.8 and 15.6 MB, and 28.5 and 27.6 MB with a top-layer sequence
     assert_one_layer_buffer(*scoring_peak(kind, rng))
 
 

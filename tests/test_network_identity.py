@@ -86,12 +86,14 @@ def test_one_direction_layer_passes_its_output_up_uncopied(kind, rng):
     assert tape.layer_tapes[1][0].x is tape.layer_tapes[0][0].h
 
 
+@pytest.mark.parametrize("hidden,lookback", [(100, 60), (8, 20)], ids=["paper", "quick"])
 @pytest.mark.parametrize("kind", ["lstm", "gru", "bilstm"])
-def test_scoring_matches_reference_at_paper_shapes(kind, rng):
-    # the 366 test windows of a fixture: a 256-window chunk, then 110
-    model = init_params(ArchSpec(kind, layers=2, hidden_units=100), seed=4)
-    windows = rng.uniform(size=(366, 60))
-    assert _EVAL_CHUNK == 256
+def test_scoring_matches_reference_at_paper_shapes(kind, hidden, lookback, rng):
+    # the 366 test windows of a fixture, scored in two 128-window chunks and a tail of 110, give the
+    # reference's predictions over one 256-window chunk and the same tail, bit for bit
+    model = init_params(ArchSpec(kind, layers=2, hidden_units=hidden), seed=4)
+    windows = rng.uniform(size=(366, lookback))
+    assert _EVAL_CHUNK == 128
     expected = np.concatenate([ref.forward_batch(model, windows[s : s + 256], store_tape=False)[0] for s in (0, 256)])
     assert_same_bits(predict_batch(model, windows), expected)
 

@@ -77,50 +77,77 @@ bench_ab = load_tool("bench_ab")
 
 def test_bench_ab_summary_of_a_clear_gain():
     pairs = [(100.0 + k, 90.0 + k) for k in range(10)]  # change 10 lower in every pair
-    s = bench_ab.summarize(pairs, "lower")
+    s = bench_ab.summarize(pairs, "lower", 0.1)
     assert s["parent"] == {"q1": 102.25, "median": 104.5, "q3": 106.75}
     assert s["change"] == {"q1": 92.25, "median": 94.5, "q3": 96.75}
     assert s["parent_iqr"] == 4.5
     assert s["delta"] == -10.0
     assert (s["wins"], s["losses"], s["pairs"]) == (10, 0, 10)
     assert s["gain"]
-    assert not bench_ab.summarize(pairs, "higher")["gain"]
+    assert not bench_ab.summarize(pairs, "higher", 0.1)["gain"]
 
 
 def test_bench_ab_gain_needs_nine_in_ten_wins_and_more_than_the_parent_iqr():
     eight_wins = [(100.0, 80.0)] * 8 + [(100.0, 120.0)] * 2
-    assert bench_ab.summarize(eight_wins, "lower")["wins"] == 8
-    assert not bench_ab.summarize(eight_wins, "lower")["gain"]
+    assert bench_ab.summarize(eight_wins, "lower", 0.1)["wins"] == 8
+    assert not bench_ab.summarize(eight_wins, "lower", 0.1)["gain"]
     nine_wins_one_tie = [(100.0, 80.0)] * 9 + [(100.0, 100.0)]
-    s = bench_ab.summarize(nine_wins_one_tie, "lower")
+    s = bench_ab.summarize(nine_wins_one_tie, "lower", 0.1)
     assert (s["wins"], s["losses"], s["gain"]) == (9, 0, True)
     wide_parent = [(50.0 + 10 * k, 49.0 + 10 * k) for k in range(10)]  # 1 better, IQR 45
-    s = bench_ab.summarize(wide_parent, "lower")
+    s = bench_ab.summarize(wide_parent, "lower", 0.1)
     assert s["wins"] == 10 and s["parent_iqr"] == 45.0 and not s["gain"]
-    s = bench_ab.summarize([(2.0, 3.0)], "higher")
+    s = bench_ab.summarize([(2.0, 3.0)], "higher", 0.1)
     assert s["parent"] == {"q1": 2.0, "median": 2.0, "q3": 2.0} and s["gain"]
 
 
 def test_bench_ab_worse_mirrors_gain():
     pairs = [(100.0 + k, 110.0 + k) for k in range(10)]  # change 10 higher in every pair
-    s = bench_ab.summarize(pairs, "lower")
+    s = bench_ab.summarize(pairs, "lower", 0.1)
     assert (s["wins"], s["losses"], s["gain"], s["worse"]) == (0, 10, False, True)
-    s = bench_ab.summarize(pairs, "higher")
+    s = bench_ab.summarize(pairs, "higher", 0.1)
     assert (s["gain"], s["worse"]) == (True, False)
     eight_losses = [(100.0, 120.0)] * 8 + [(100.0, 80.0)] * 2
-    assert not bench_ab.summarize(eight_losses, "lower")["worse"]
+    assert not bench_ab.summarize(eight_losses, "lower", 0.1)["worse"]
     nine_losses_one_tie = [(100.0, 120.0)] * 9 + [(100.0, 100.0)]
-    assert bench_ab.summarize(nine_losses_one_tie, "lower")["worse"]
+    assert bench_ab.summarize(nine_losses_one_tie, "lower", 0.1)["worse"]
     wide_parent = [(50.0 + 10 * k, 51.0 + 10 * k) for k in range(10)]  # 1 worse, IQR 45
-    s = bench_ab.summarize(wide_parent, "lower")
+    s = bench_ab.summarize(wide_parent, "lower", 0.1)
     assert s["losses"] == 10 and not s["worse"]
-    s = bench_ab.summarize([(100.0, 120.0)] * 8 + [None, None], "lower")
+    s = bench_ab.summarize([(100.0, 120.0)] * 8 + [None, None], "lower", 0.1)
     assert (s["losses"], s["worse"]) == (8, False)
+
+
+def test_bench_ab_beyond_bound_reads_the_medians_against_the_metric_bound():
+    # parent median 100 (IQR 2): a change median of 111 is beyond a 10% bound, not a 15% one
+    pairs = [(99.0 + k % 3, 111.0) for k in range(10)]
+    assert bench_ab.summarize(pairs, "lower", 0.1)["beyond_bound"]
+    assert not bench_ab.summarize(pairs, "lower", 0.15)["beyond_bound"]
+    assert not bench_ab.summarize(pairs, "higher", 0.1)["beyond_bound"]
+    assert bench_ab.summarize([(100.0 - k % 3, 89.0) for k in range(10)], "higher", 0.1)["beyond_bound"]
+    # worse in one pair only, but the medians set the flag, as the no-regression rule reads them
+    one_loss = [(100.0, 100.0)] * 9 + [(100.0, 200.0)]
+    s = bench_ab.summarize(one_loss, "lower", 0.1)
+    assert (s["losses"], s["worse"], s["beyond_bound"]) == (1, False, False)
+
+
+def test_bench_ab_unresolved_when_the_parent_spreads_wider_than_the_bound():
+    # parent runs 80-120: IQR 20 of a median 100, wider than a 10% bound, narrower than 25%
+    wide = [(p, 100.0) for p in (80.0, 90.0, 90.0, 90.0, 100.0, 100.0, 110.0, 110.0, 110.0, 120.0)]
+    s = bench_ab.summarize(wide, "lower", 0.1)
+    assert s["parent_iqr"] == 20.0 and s["unresolved"] and not s["beyond_bound"]
+    assert not bench_ab.summarize(wide, "lower", 0.25)["unresolved"]
+    # unless every change run beats every parent run, for either direction of better
+    all_below = [(p, 79.0 - k) for k, (p, _) in enumerate(wide)]
+    assert not bench_ab.summarize(all_below, "lower", 0.1)["unresolved"]
+    assert bench_ab.summarize(all_below, "higher", 0.1)["unresolved"]
+    one_overlaps = all_below[:9] + [(120.0, 80.5)]
+    assert bench_ab.summarize(one_overlaps, "lower", 0.1)["unresolved"]
 
 
 def test_bench_ab_counts_a_pair_with_a_failed_run_as_not_won(tmp_path, monkeypatch, capsys):
     # the change wins all 8 pairs that report; 2 pairs lose a run, so 8 of 10 pairs are won
-    spec = {"run_seconds": 1, "end_to_end": [{"name": "run_wall_cal", "better": "lower"}]}
+    spec = {"run_seconds": 1, "end_to_end": [{"name": "run_wall_cal", "better": "lower", "bound": 0.15}]}
     for side in ("parent", "change"):
         (tmp_path / side).mkdir()
         (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(spec))
@@ -137,9 +164,10 @@ def test_bench_ab_counts_a_pair_with_a_failed_run_as_not_won(tmp_path, monkeypat
     monkeypatch.setattr(bench_ab, "run_once", run_once)
     assert bench_ab.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "w", "--seed", "1"]) == 1
     out = capsys.readouterr().out
-    assert "change better in 8/10 pairs (worse in 0, 2 failed); gain: no; worse: no" in out
+    assert "change better in 8/10 pairs (worse in 0, 2 failed); gain: no; worse: no;" in out
+    assert "; beyond bound: no; unresolved: no" in out
     assert "2 pair(s) with a failed run" in out
-    s = bench_ab.summarize([(100.0, 80.0)] * 8 + [None, None], "lower")
+    s = bench_ab.summarize([(100.0, 80.0)] * 8 + [None, None], "lower", 0.1)
     assert (s["pairs"], s["wins"], s["failed_pairs"], s["gain"]) == (10, 8, 2, False)
     assert s["parent"]["median"] == 100.0
 

@@ -17,8 +17,13 @@ that ran (ties count for neither side, and a pair with a failed run counts
 as not won) and its median is better than the parent's by more than the
 parent's interquartile range, and whether it is worse, by the mirror rule:
 it loses at least nine in ten pairs and its median is worse by more than
-that range.  Exit status is 0 when every run reported a result, 1
-otherwise.
+that range.  Two more flags read the metric's ``bound`` in that file, as the
+no-regression rule does: ``beyond bound`` when the change's median is worse
+than the parent's by more than that share of the parent's median, and
+``unresolved`` when the parent's interquartile range is wider than that
+share of its median, so the runs spread too widely to tell a change of that
+size, unless every run of the change beats every run of the parent.  Exit
+status is 0 when every run reported a result, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -39,8 +44,9 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(pairs: list[tuple[float, float] | None], better: str) -> dict:
-    """Statistics of (parent, change) value pairs of one metric; ``better`` is "lower" or "higher".
+def summarize(pairs: list[tuple[float, float] | None], better: str, bound: float) -> dict:
+    """Statistics of (parent, change) value pairs of one metric; ``better`` is "lower" or "higher",
+    ``bound`` the share of the parent's median by which the metric may worsen.
 
     A None pair had a failed run: it counts towards the pairs, never as a win or a loss.
     """
@@ -65,6 +71,8 @@ def summarize(pairs: list[tuple[float, float] | None], better: str) -> dict:
         "losses": losses,
         "gain": 10 * wins >= 9 * len(pairs) and sign * (c_med - p_med) > iqr,
         "worse": 10 * losses >= 9 * len(pairs) and sign * (c_med - p_med) < -iqr,
+        "beyond_bound": sign * (c_med - p_med) < -bound * abs(p_med),
+        "unresolved": iqr > bound * abs(p_med) and min(sign * c for c in change) <= max(sign * p for p in parent),
     }
 
 
@@ -97,7 +105,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     args.parent, args.change = args.parent.resolve(), args.change.resolve()
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    gated = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    gated = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
 
     values: dict[str, list[tuple[float, float] | None]] = {name: [] for name in gated}
     failed = 0
@@ -121,17 +129,18 @@ def main(argv=None) -> int:
             line.append(f"{name} {p:.4g} -> {c:.4g}")
         print(f"pair {k + 1} ({sides[0][0]} first): " + ", ".join(line), flush=True)
 
-    for name, better in gated.items():
+    for name, (better, bound) in gated.items():
         if not any(values[name]):
             continue
-        s = summarize(values[name], better)
+        s = summarize(values[name], better, bound)
         p, c = s["parent"], s["change"]
         print(
             f"{name} ({better} is better): parent median {p['median']:.4g} (q1 {p['q1']:.4g}, q3 {p['q3']:.4g},"
             f" IQR {s['parent_iqr']:.4g}); change median {c['median']:.4g} (q1 {c['q1']:.4g}, q3 {c['q3']:.4g});"
             f" {s['delta_pct']:+.1f}%; change better in {s['wins']}/{s['pairs']} pairs"
             f" (worse in {s['losses']}, {s['failed_pairs']} failed); gain: {'yes' if s['gain'] else 'no'};"
-            f" worse: {'yes' if s['worse'] else 'no'}"
+            f" worse: {'yes' if s['worse'] else 'no'}; beyond bound: {'yes' if s['beyond_bound'] else 'no'};"
+            f" unresolved: {'yes' if s['unresolved'] else 'no'}"
         )
     if failed:
         print(f"{failed} pair(s) with a failed run")
