@@ -69,7 +69,7 @@ class PoisonedUpdateError(ForecastError):
     """A non-finite gradient reached the optimizer.
 
     Carries the name of the first parameter array with a non-finite
-    gradient (as in ``ModelParams.array_names()``) and, when raised by the
+    gradient (as in ``ArchSpec.param_layout``) and, when raised by the
     training loop, the 1-based epoch and batch.
     """
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -140,10 +140,6 @@ class ModelParams:
     def flat(self) -> list[np.ndarray]:
         """All parameter arrays, views of :attr:`vector`, in a fixed traversal order."""
         return list(self._arrays)
-
-    def array_names(self) -> list[str]:
-        """Names of the :meth:`flat` arrays, in the same order, e.g. ``layers[0].w`` or ``layers[1].bwd.u``."""
-        return [name for name, *_ in self.arch.param_layout]
 
     def locate(self, index: int) -> tuple[str, tuple[int, ...]]:
         """Array name and element index of element ``index`` of :attr:`vector`."""
@@ -380,7 +376,7 @@ class GradCheckResult:
     """Worst analytic/numeric gradient disagreement and where it occurred."""
 
     rel_error: float
-    array: str  # parameter array name, as in ModelParams.array_names()
+    array: str  # parameter array name, as in ArchSpec.param_layout
     index: tuple[int, ...]  # element index within that array
     analytic: float
     numeric: float
@@ -466,13 +462,7 @@ def _document(model: ModelParams, leaf) -> dict:
     return {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "arch": {
-            "cell_kind": arch.cell_kind,
-            "layers": arch.layers,
-            "hidden_units": arch.hidden_units,
-            "input_dim": arch.input_dim,
-            "output_dim": arch.output_dim,
-        },
+        "arch": asdict(arch),
         "seed": model.seed,
         "layers": layers,
         "dense": {"w": leaf(model.dense_w), "b": float(model.dense_b[0])},

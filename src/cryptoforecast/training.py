@@ -23,14 +23,10 @@ from .preprocess import SequenceBatch
 
 log = logging.getLogger(__name__)
 
-_BETA = (float, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
 TRAIN_RULES = {  # the rule (errors.check) of each TrainConfig field
     "batch_size": AT_LEAST_ONE,
     "epochs": AT_LEAST_ONE,
     "learning_rate": FINITE_POSITIVE,
-    "adam_beta1": _BETA,
-    "adam_beta2": _BETA,
-    "adam_epsilon": FINITE_POSITIVE,
     "shuffle_seed": NON_NEGATIVE,
     "validation_fraction": (float, lambda v: 0.0 <= v < 0.5, "in [0, 0.5)"),
 }
@@ -41,11 +37,12 @@ class TrainConfig:
     batch_size: int = 32
     epochs: int = 100
     learning_rate: float = 0.001
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     shuffle_seed: int = 0
     validation_fraction: float = 0.1
+    # Adam's decay rates and epsilon, the same for every run: Kingma & Ba's defaults (arXiv:1412.6980)
+    adam_beta1 = 0.9
+    adam_beta2 = 0.999
+    adam_epsilon = 1e-8
 
     def __post_init__(self):
         for name, rule in TRAIN_RULES.items():
@@ -85,24 +82,14 @@ class TrainReport:
         ]
 
 
-def adam_step(
-    params: ModelParams,
-    grads: ModelParams,
-    state: OptimizerState,
-    config: TrainConfig,
-    *,
-    out: tuple[ModelParams, OptimizerState] | None = None,
-) -> tuple[ModelParams, OptimizerState]:
-    """One bias-corrected Adam update.  Returns the updated params and state.
+def adam_step(params: ModelParams, grads: ModelParams, state: OptimizerState, config: TrainConfig) -> None:
+    """One bias-corrected Adam update of ``params.vector``, ``state.m``, ``state.v`` and ``state.step``, in place.
 
-    Pure by default: the update is applied to copies.  With
-    ``out=(params, state)`` it is applied to those objects' vectors in
-    place and they are returned.  A non-finite gradient raises
-    :class:`PoisonedUpdateError`, naming its parameter array, before any
-    update.  The vectors are updated a block at a time, so temporaries stay
-    within :data:`cells._HOIST_BYTES` and in cache at any model size; each
-    element sees the textbook operations in textbook order, so the result
-    does not depend on the blocking or on updating in place.
+    A non-finite gradient raises :class:`PoisonedUpdateError`, naming its
+    parameter array, before any update.  The vectors are updated a block at
+    a time, so temporaries stay within :data:`cells._HOIST_BYTES` and in
+    cache at any model size; each element sees the textbook operations in
+    textbook order, so the result does not depend on the blocking.
     """
     if grads.arch != params.arch:
         raise ValueError("gradient structure does not match parameters")
@@ -110,12 +97,9 @@ def adam_step(
     finite = np.isfinite(g)
     if not finite.all():
         raise PoisonedUpdateError(params.locate(int(np.argmin(finite)))[0])
-    if out is None:
-        out = params.copy(), OptimizerState(m=state.m.copy(), v=state.v.copy(), step=state.step)
-    new_params, new_state = out
-    p, m, v = new_params.vector, new_state.m, new_state.v
+    p, m, v = params.vector, state.m, state.v
 
-    t = new_state.step = state.step + 1
+    t = state.step = state.step + 1
     b1, b2 = config.adam_beta1, config.adam_beta2
     corr1 = 1.0 - b1**t
     corr2 = 1.0 - b2**t
@@ -141,7 +125,6 @@ def adam_step(
         denom += eps
         update /= denom
         p[rows] -= update
-    return new_params, new_state
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite values are reported below, not warned about
@@ -193,7 +176,7 @@ def train(
                 d_preds = (2.0 / idx.shape[0]) * resid
                 grads = backward_batch(model, tape, d_preds)
                 try:
-                    model, state = adam_step(model, grads, state, config, out=(model, state))
+                    adam_step(model, grads, state, config)
                 except PoisonedUpdateError as exc:
                     raise PoisonedUpdateError(exc.array, epoch, batch) from None
 

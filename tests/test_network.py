@@ -284,7 +284,7 @@ class TestGradCheck:
     def test_array_names_follow_flat_order(self):
         for kind in ("lstm", "bilstm"):
             model = init_params(ArchSpec(kind, hidden_units=2), seed=3)
-            names = model.array_names()
+            names = [name for name, *_ in model.arch.param_layout]
             assert len(names) == len(model.flat())
             assert names[-2:] == ["dense_w", "dense_b"]
         assert names[:4] == ["layers[0].fwd.w", "layers[0].fwd.u", "layers[0].fwd.b", "layers[0].bwd.w"]

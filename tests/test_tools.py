@@ -297,24 +297,31 @@ def test_gate_set_configs_are_valid_and_cover_the_gate_shapes():
     from cryptoforecast.experiment import validate_config
 
     configs = {name: validate_config(text) for name, text in gate_set.gate_configs().items()}
-    assert set(configs) == {"all_quick", "all_paper", "all_quick3", "all_quick_b7", "all_paper_full"}
+    assert set(configs) == {"all_quick", "all_paper", "all_quick3", "all_quick_b7", "all_quick_h53",
+                            "all_paper_full", "all_quick_h53_full"}
     for config in configs.values():
         assert config.architectures == ("lstm", "gru", "bilstm") and config.epochs == 2
         assert [a.symbol for a in config.assets] == ["BTC", "ETH", "LTC"]
     shapes = {name: (c.lookback, c.hidden_units, c.layers, c.batch_size) for name, c in configs.items()}
     assert shapes == {"all_quick": (20, 8, 2, 8), "all_paper": (60, 100, 2, 32), "all_quick3": (20, 8, 3, 8),
-                      "all_quick_b7": (20, 8, 2, 7), "all_paper_full": (60, 100, 2, 32)}
-    assert all(str(a.csv_path).startswith("full/") for a in configs["all_paper_full"].assets)
+                      "all_quick_b7": (20, 8, 2, 7), "all_quick_h53": (20, 53, 2, 8),
+                      "all_paper_full": (60, 100, 2, 32), "all_quick_h53_full": (20, 53, 2, 8)}
+    for name in ("all_paper_full", "all_quick_h53_full"):
+        assert all(str(a.csv_path).startswith("full/") for a in configs[name].assets)
 
 
 def test_gate_set_covers_every_report_path_of_the_cli():
     """Each command that prints or writes a report runs with ``--out`` and, for the reports, without it."""
     steps = dict(gate_set.gate_steps(Path("checkout"), Path("inputs")))
-    assert len(steps) == 18 and steps["prepare"][-2:] == ("--out", "prepare")
+    assert len(steps) == 22 and steps["prepare"][-2:] == ("--out", "prepare")
     assert "--out" not in steps["prepare_no_out"] and steps["prepare_no_out"][:3] == steps["prepare"][:3]
     assert steps["train"] == ("train", "--config", str(Path("inputs", "all_quick.cfg")), "--asset", "BTC",
                               "--arch", "gru", "--out", "train")
     assert steps["evaluate_BTC_bilstm_no_out"] == steps["evaluate_BTC_bilstm"][:-2]
+    for arch in ("lstm", "gru", "bilstm"):  # the odd-width checkpoints, scored on the whole BTC fixture
+        assert steps[f"evaluate_h53_BTC_{arch}"] == (
+            "evaluate", "--config", str(Path("inputs", "all_quick_h53_full.cfg")), "--asset", "BTC",
+            "--checkpoint", f"all_quick_h53/BTC_{arch}/checkpoint.json", "--out", f"evaluate_h53/BTC_{arch}")
     assert all(argv[-2] == "--out" for name, argv in steps.items() if not name.endswith("_no_out"))
 
 

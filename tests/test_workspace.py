@@ -20,6 +20,7 @@ from cryptoforecast.network import ArchSpec, ModelParams, ModelTape, backward_ba
 from cryptoforecast.preprocess import SequenceBatch
 from cryptoforecast.training import OptimizerState, TrainConfig, adam_step, train
 
+import reference_adam
 import reference_training
 
 
@@ -37,13 +38,13 @@ def random_windows(rng, n, steps):
 
 
 def train_and_record_state(model, windows, config, monkeypatch):
-    """``train``'s result plus the optimizer state its last Adam step returned."""
+    """``train``'s result plus the optimizer state its last Adam step updated."""
     states = []
     real_step = training.adam_step
 
     def record(*args, **kwargs):
         result = real_step(*args, **kwargs)
-        states.append(result[1])
+        states.append(args[2])
         return result
 
     monkeypatch.setattr(training, "adam_step", record)
@@ -102,24 +103,24 @@ def test_train_leaves_the_callers_model_alone(kind, rng):
 
 @pytest.mark.parametrize("kind", ["lstm", "gru", "bilstm"])
 def test_adam_step_in_place_equals_pure(kind, rng):
+    """``adam_step`` returns nothing and leaves the frozen pure step's bits in the ``params`` and ``state`` passed."""
     model = init_params(ArchSpec(kind, layers=2, hidden_units=8), seed=1)
     config = TrainConfig(learning_rate=0.01)
-    pure_model, pure_state = model, OptimizerState.zeros(model)
+    ref_p = model.flat()
+    ref_m, ref_v = [np.zeros_like(a) for a in ref_p], [np.zeros_like(a) for a in ref_p]
     own_model, own_state = model.copy(), OptimizerState.zeros(model)
-    for _ in range(4):
+    vectors = own_model.vector, own_state.m, own_state.v
+    for step in range(4):
         g = rng.normal(size=model.vector.size) * 10.0 ** rng.integers(-6, 3, size=model.vector.size)
         g[rng.random(g.size) < 0.05] = 0.0
-        grads = ModelParams(model.arch, g, model.seed)
-        before = pure_model.vector.copy(), pure_state.m.copy(), pure_state.v.copy(), pure_state.step
-        pure_model, pure_state = adam_step(pure_model, grads, pure_state, config)
-        result = adam_step(own_model, grads, own_state, config, out=(own_model, own_state))
-        assert result[0] is own_model and result[1] is own_state
-        assert_same_bits(own_model.vector, pure_model.vector)
-        assert_same_bits(own_state.m, pure_state.m)
-        assert_same_bits(own_state.v, pure_state.v)
-        assert own_state.step == pure_state.step
-        assert not np.shares_memory(pure_model.vector, before[0]) and not np.shares_memory(pure_state.m, before[1])
-    assert_same_bits(g, grads.vector)  # the gradient is read, never written
+        grads = ModelParams(model.arch, g.copy(), model.seed)
+        ref_p, ref_m, ref_v = reference_adam.adam_step(ref_p, grads.flat(), ref_m, ref_v, step, config)
+        assert adam_step(own_model, grads, own_state, config) is None
+        assert all(a is b for a, b in zip(vectors, (own_model.vector, own_state.m, own_state.v)))
+        for actual, expected in zip(vectors, (ref_p, ref_m, ref_v)):
+            assert_same_bits(actual, np.concatenate([a.ravel() for a in expected]))
+        assert own_state.step == step + 1
+        assert_same_bits(grads.vector, g)  # the gradient is read, never written
 
 
 @pytest.mark.parametrize("kind", ["lstm", "gru", "bilstm"])

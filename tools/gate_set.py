@@ -12,13 +12,18 @@ not exist yet:
 * ``inputs/``: the gate configs and the fixtures they read, the first
   385 data rows of each (``inputs/full/``: whole fixtures);
 * ``quick/``: ``configs/quick.cfg``;
-* ``all_quick/``, ``all_paper/``, ``all_quick3/``, ``all_quick_b7/``: every
-  architecture on the three 385-row fixtures, 2 epochs, at quick shapes
-  (lookback 20, 2x8, batch 8), paper shapes (lookback 60, 2x100, batch
-  32), quick shapes with 3 layers, and quick shapes with batch 7 (a short
-  last batch of 1);
+* ``all_quick/``, ``all_paper/``, ``all_quick3/``, ``all_quick_b7/``,
+  ``all_quick_h53/``: every architecture on the three 385-row fixtures,
+  2 epochs, at quick shapes (lookback 20, 2x8, batch 8), paper shapes
+  (lookback 60, 2x100, batch 32), quick shapes with 3 layers, quick shapes
+  with batch 7 (a short last batch of 1), and quick shapes 53 units wide
+  (a width where a product's rounding can depend on its row count, which
+  widths 8 and 100 do not show);
 * ``evaluate/<ASSET>_<arch>/``: ``evaluate`` of each of the nine
   ``all_paper`` checkpoints on the whole fixture of its asset;
+* ``evaluate_h53/BTC_<arch>/``: ``evaluate`` of the three BTC
+  ``all_quick_h53`` checkpoints on the whole BTC fixture (366 windows,
+  scored in chunks of 128, 128 and 110);
 * ``prepare/``: ``prepare`` of the 385-row paper-shape config with
   ``--out``;
 * ``train/BTC_gru/``: ``train --asset BTC --arch gru`` of the 385-row
@@ -54,9 +59,10 @@ SHAPES = {
     "all_paper": PAPER,
     "all_quick3": {**QUICK, "layers": 3},
     "all_quick_b7": {**QUICK, "batch_size": 7},
+    "all_quick_h53": {**QUICK, "hidden_units": 53},
 }
 FULL = "full"  # inputs/ subdirectory of the whole fixtures
-EVALUATE = "all_paper_full"  # the paper shapes on the whole fixtures
+EVALUATED = {"all_paper": ("evaluate", ASSETS), "all_quick_h53": ("evaluate_h53", ASSETS[:1])}  # out dir, assets
 
 
 def config_text(shape: dict, csv_dir: str = ".") -> str:
@@ -71,7 +77,7 @@ def config_text(shape: dict, csv_dir: str = ".") -> str:
 def gate_configs() -> dict[str, str]:
     """Every config the gate set writes to ``inputs/``, by name."""
     configs = {name: config_text(shape) for name, shape in SHAPES.items()}
-    configs[EVALUATE] = config_text(PAPER, FULL)
+    configs.update({f"{name}_full": config_text(SHAPES[name], FULL) for name in EVALUATED})
     return configs
 
 
@@ -89,19 +95,21 @@ def gate_steps(checkout: Path, inputs: Path) -> list[tuple[str, tuple]]:
     """Every ``(name, cli argv)`` step of the gate set but ``gradcheck``, run from OUT in this order."""
     paper, quick = str(inputs / "all_paper.cfg"), str(inputs / "all_quick.cfg")
 
-    def evaluate(symbol: str, arch: str, *out: str) -> tuple:
-        return ("evaluate", "--config", str(inputs / f"{EVALUATE}.cfg"), "--asset", symbol,
-                "--checkpoint", f"all_paper/{symbol}_{arch}/checkpoint.json", *out)
+    def evaluate(shape: str, symbol: str, arch: str, *out: str) -> tuple:
+        """``evaluate`` of the ``shape`` run's checkpoint of (``symbol``, ``arch``) on the whole fixture."""
+        return ("evaluate", "--config", str(inputs / f"{shape}_full.cfg"), "--asset", symbol,
+                "--checkpoint", f"{shape}/{symbol}_{arch}/checkpoint.json", *out)
 
     steps = [("quick", ("run", "--config", str(checkout / "configs" / "quick.cfg"), "--out", "quick"))]
     steps += [(name, ("run", "--config", str(inputs / f"{name}.cfg"), "--out", name)) for name in SHAPES]
     steps += [
-        (f"evaluate_{symbol}_{arch}", evaluate(symbol, arch, "--out", f"evaluate/{symbol}_{arch}"))
-        for symbol, _ in ASSETS
+        (f"{out_dir}_{symbol}_{arch}", evaluate(shape, symbol, arch, "--out", f"{out_dir}/{symbol}_{arch}"))
+        for shape, (out_dir, assets) in EVALUATED.items()
+        for symbol, _ in assets
         for arch in ARCHS
     ]
     return steps + [
-        ("evaluate_BTC_bilstm_no_out", evaluate("BTC", "bilstm")),
+        ("evaluate_BTC_bilstm_no_out", evaluate("all_paper", "BTC", "bilstm")),
         ("prepare", ("prepare", "--config", paper, "--out", "prepare")),
         ("prepare_no_out", ("prepare", "--config", paper)),
         ("train", ("train", "--config", quick, "--asset", "BTC", "--arch", "gru", "--out", "train")),
