@@ -161,22 +161,6 @@ def _projection_block_len(steps: int, batch: int, width: int) -> int:
     return steps if batch == 1 else _block_len(steps, batch * width)
 
 
-def _sigmoid_into(neg_a: np.ndarray, out: np.ndarray) -> None:
-    """``out = 1.0 / (1.0 + exp(neg_a))``: :func:`sigmoid` of ``a`` given ``neg_a``, the negated pre-activation.
-
-    The forward kernels hand the sigmoid gates ``-a`` with no step spent
-    on negating ``a``: once per call they negate the sigmoid rows of ``w``,
-    ``b`` and ``u`` into copies of the same memory layout, and each step
-    sums ``h @ (-U.T) + (x @ (-W.T) + (-b))``.  Negation is exact and
-    round-to-nearest is symmetric, so that sum has the bits of
-    ``-(h @ U.T + (x @ W.T + b))``, and the operations after it are those
-    of :func:`sigmoid`.
-    """
-    np.exp(neg_a, out=out)
-    out += 1.0
-    np.divide(1.0, out, out=out)
-
-
 def _fresh(name: str, shape: tuple[int, ...]) -> np.ndarray:
     """The workspaces' default allocator: a new array for every buffer."""
     return np.empty(shape)
@@ -327,24 +311,35 @@ def lstm_forward(params: CellParams, x: np.ndarray, store_tape: bool = True, *, 
     steps, batch, inp = x.shape
     work = workspace or LstmWork(steps, batch, inp, params.hidden_size, store_tape)
     _check_forward_work(work, x, store_tape)
-    # the sigmoid rows i|f|o of w, b and u run negated, so a holds -a there (see _sigmoid_into)
+    # The sigmoid rows i|f|o of w, b and u run negated, in copies of the
+    # same memory layout, so each step's sum h @ (-U.T) + (x @ (-W.T) + (-b))
+    # holds -a there and the sigmoid is exp, += 1 and 1 / ... with no step
+    # spent on negating.  Negation is exact and round-to-nearest is
+    # symmetric, so that sum has the bits of -(h @ U.T + (x @ W.T + b)).
     sign, ut = work.sign, work.ut
     wt, b = (params.w * sign[:, None]).T, params.b * sign
     np.multiply(params.u.T, sign, out=ut)
     a, a_gm, ig = work.a, work.a_gm, work.ig
+    # The time loops call numpy at its cheapest entry points, with the same
+    # ufuncs, operands and order: ufuncs bound to locals with positional
+    # outputs, products through ndarray.dot and copies by slice assignment,
+    # which skip the Python-level dispatchers of np.dot and np.copyto.
+    add, multiply, divide, exp, tanh = np.add, np.multiply, np.divide, np.exp, np.tanh
     for rows_x, xp_m, views in work.blocks:
         np.matmul(np.ascontiguousarray(x[rows_x]).reshape(-1, inp), wt, out=xp_m)
         xp_m += b
         for h_prev, xp_t, sg_t, s_t, g_t, c_prev, c_t, tc_t, i_t, f_t, o_t, h_t in views:
-            np.dot(h_prev, ut, out=a)
-            a += xp_t
-            np.copyto(sg_t, a_gm)
-            _sigmoid_into(s_t, s_t)
-            np.tanh(g_t, out=g_t)
-            np.multiply(f_t, c_prev, out=c_t)
-            np.multiply(i_t, g_t, out=ig)
-            c_t += ig
-            np.multiply(o_t, np.tanh(c_t, out=tc_t), out=h_t)
+            h_prev.dot(ut, a)
+            add(a, xp_t, a)
+            sg_t[...] = a_gm
+            exp(s_t, s_t)
+            add(s_t, 1.0, s_t)
+            divide(1.0, s_t, s_t)
+            tanh(g_t, g_t)
+            multiply(f_t, c_prev, c_t)
+            multiply(i_t, g_t, ig)
+            add(c_t, ig, c_t)
+            multiply(o_t, tanh(c_t, tc_t), h_t)
     work.x = x
     return work.h, work if store_tape else None
 
@@ -367,27 +362,28 @@ def lstm_backward(params: CellParams, tape: LstmWork, dh_seq: np.ndarray):
     gates = tape.gates
     da_i, da_f, da_o, da_g = gates
     da_s = gates[:3]
+    add, subtract, multiply = np.add, np.subtract, np.multiply  # see lstm_forward
     for (ifo_b, ifo, den, tc_b, otc, g_b, og), views in tape.back_blocks:
-        np.copyto(ifo, ifo_b)
-        np.subtract(1.0, ifo, out=den)
-        np.multiply(tc_b, tc_b, out=otc)
-        np.subtract(1.0, otc, out=otc)
-        np.multiply(g_b, g_b, out=og)
-        np.subtract(1.0, og, out=og)
+        ifo[...] = ifo_b
+        subtract(1.0, ifo, den)
+        multiply(tc_b, tc_b, otc)
+        subtract(1.0, otc, otc)
+        multiply(g_b, g_b, og)
+        subtract(1.0, og, og)
         for dh_t, o_t, otc_t, g_t, c_prev, tc_t, i_t, num_t, den_t, da_gm, da_t, f_t in views:
-            np.add(dh_t, dh_carry, out=dh)
-            np.multiply(dh, o_t, out=dc)
-            dc *= otc_t
-            dc += dc_carry
-            np.multiply(dc, g_t, out=da_i)
-            np.multiply(dc, c_prev, out=da_f)
-            np.multiply(dh, tc_t, out=da_o)
-            np.multiply(dc, i_t, out=da_g)
-            gates *= num_t
-            da_s *= den_t
-            np.copyto(da_gm, gates)
-            np.dot(da_t, u, out=dh_carry)
-            np.multiply(dc, f_t, out=dc_carry)
+            add(dh_t, dh_carry, dh)
+            multiply(dh, o_t, dc)
+            multiply(dc, otc_t, dc)
+            add(dc, dc_carry, dc)
+            multiply(dc, g_t, da_i)
+            multiply(dc, c_prev, da_f)
+            multiply(dh, tc_t, da_o)
+            multiply(dc, i_t, da_g)
+            multiply(gates, num_t, gates)
+            multiply(da_s, den_t, da_s)
+            da_gm[...] = gates
+            da_t.dot(u, dh_carry)
+            multiply(dc, f_t, dc_carry)
 
     flat, grad = tape.flat, tape.grad
     np.matmul(flat.T, np.ascontiguousarray(tape.x).reshape(flat.shape[0], -1), out=grad.w)
@@ -495,13 +491,14 @@ def gru_forward(params: CellParams, x: np.ndarray, store_tape: bool = True, *, w
     _check_forward_work(work, x, store_tape)
     # One input product per gate group, like the recurrent products: a
     # single product over all 3H columns rounds differently.  The sigmoid
-    # group u|r runs negated, so a_ur holds -a (see _sigmoid_into).
+    # group u|r runs negated, so a_ur holds -a (see lstm_forward).
     w_ur_t, b_ur = np.negative(params.w[: 2 * hsize]).T, np.negative(params.b[: 2 * hsize])
     w_c_t, b_c = params.w[2 * hsize :].T, params.b[2 * hsize :]
     u_ur_t, u_c_t = work.u_ur_t, work.u_c_t
     np.negative(params.u[: 2 * hsize].T, out=u_ur_t)
     np.copyto(u_c_t, params.u[2 * hsize :].T)
     a_ur, a_ur_gm, a_c, keep = work.a_ur, work.a_ur_gm, work.a_c, work.keep
+    add, subtract, multiply, divide, exp, tanh = np.add, np.subtract, np.multiply, np.divide, np.exp, np.tanh
     for rows_x, xp_ur_m, xp_c_m, views in work.blocks:
         x_m = np.ascontiguousarray(x[rows_x]).reshape(-1, inp)
         np.matmul(x_m, w_ur_t, out=xp_ur_m)
@@ -509,17 +506,19 @@ def gru_forward(params: CellParams, x: np.ndarray, store_tape: bool = True, *, w
         np.matmul(x_m, w_c_t, out=xp_c_m)
         xp_c_m += b_c
         for h_prev, xp_ur_t, s_t, r_t, rh_t, xp_c_t, n_t, u_t, h_t in views:
-            np.dot(h_prev, u_ur_t, out=a_ur)
-            a_ur += xp_ur_t
-            np.copyto(s_t, a_ur_gm)
-            _sigmoid_into(s_t, s_t)
-            np.dot(np.multiply(r_t, h_prev, out=rh_t), u_c_t, out=a_c)
-            a_c += xp_c_t
-            np.tanh(a_c, out=n_t)
-            np.subtract(1.0, u_t, out=keep)
-            keep *= h_prev
-            np.multiply(u_t, n_t, out=h_t)
-            h_t += keep
+            h_prev.dot(u_ur_t, a_ur)
+            add(a_ur, xp_ur_t, a_ur)
+            s_t[...] = a_ur_gm
+            exp(s_t, s_t)
+            add(s_t, 1.0, s_t)
+            divide(1.0, s_t, s_t)
+            multiply(r_t, h_prev, rh_t).dot(u_c_t, a_c)
+            add(a_c, xp_c_t, a_c)
+            tanh(a_c, n_t)
+            subtract(1.0, u_t, keep)
+            multiply(keep, h_prev, keep)
+            multiply(u_t, n_t, h_t)
+            add(h_t, keep, h_t)
     work.x = x
     return work.h, work if store_tape else None
 
@@ -535,26 +534,27 @@ def gru_backward(params: CellParams, tape: GruWork, dh_seq: np.ndarray):
     dh_carry.fill(0.0)
     gates = tape.gates
     da_u, da_r = gates
+    add, subtract, multiply = np.add, np.subtract, np.multiply  # see lstm_forward
     for (ur_b, num, den, n_b, onn, differences), views in tape.back_blocks:
-        np.copyto(num, ur_b)
-        np.subtract(1.0, num, out=den)
-        np.multiply(n_b, n_b, out=onn)
-        np.subtract(1.0, onn, out=onn)
+        num[...] = ur_b
+        subtract(1.0, num, den)
+        multiply(n_b, n_b, onn)
+        subtract(1.0, onn, onn)
         for a, b, out in differences:
-            np.subtract(a, b, out=out)
+            subtract(a, b, out)
         for dh_t, u_t, da_c, onn_t, nmh_t, h_prev, num_t, den_t, da_gm, da_ur, omu_t, r_t in views:
-            np.add(dh_t, dh_carry, out=dh)
-            np.multiply(dh, u_t, out=da_c)
-            da_c *= onn_t
-            np.dot(da_c, u_c, out=drh)
-            np.multiply(dh, nmh_t, out=da_u)
-            np.multiply(drh, h_prev, out=da_r)
-            gates *= num_t
-            gates *= den_t
-            np.copyto(da_gm, gates)
-            np.multiply(dh, omu_t, out=dh_carry)
-            dh_carry += np.multiply(drh, r_t, out=tmp)
-            dh_carry += np.dot(da_ur, u_ur, out=tmp)
+            add(dh_t, dh_carry, dh)
+            multiply(dh, u_t, da_c)
+            multiply(da_c, onn_t, da_c)
+            da_c.dot(u_c, drh)
+            multiply(dh, nmh_t, da_u)
+            multiply(drh, h_prev, da_r)
+            multiply(gates, num_t, gates)
+            multiply(gates, den_t, gates)
+            da_gm[...] = gates
+            multiply(dh, omu_t, dh_carry)
+            add(dh_carry, multiply(drh, r_t, tmp), dh_carry)
+            add(dh_carry, da_ur.dot(u_ur, tmp), dh_carry)
 
     flat_ur, flat_c, grad = tape.flat_ur, tape.flat_c, tape.grad
     flat_x = np.ascontiguousarray(tape.x).reshape(flat_ur.shape[0], -1)

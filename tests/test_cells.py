@@ -202,3 +202,33 @@ def test_kernels_never_write_into_params(kind, gates, rng):
     forward(params, x[::-1])
     backward(params, tape, rng.normal(size=(steps, batch, hidden)))
     assert [array.tobytes() for array in params.arrays()] == before
+
+
+@pytest.mark.parametrize("kind, gates", [("lstm", 4), ("gru", 3)])
+def test_kernel_steps_skip_the_dispatched_numpy_calls(kind, gates, rng, monkeypatch):
+    # np.dot and np.copyto pass numpy's Python-level __array_function__ dispatcher on every call,
+    # so the time loops take ndarray.dot and slice assignment: no step adds a call to either
+    forward, backward = getattr(cells, f"{kind}_forward"), getattr(cells, f"{kind}_backward")
+    hidden, dim, batch = 8, 1, 8
+    params = CellParams(
+        w=rng.normal(size=(gates * hidden, dim)),
+        u=rng.normal(size=(gates * hidden, hidden)),
+        b=rng.normal(size=gates * hidden),
+    )
+    counts = {}
+    for name in ("dot", "copyto"):
+        def counting(*args, _call=getattr(np, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, counting)
+
+    def calls(steps):
+        x = rng.normal(size=(steps, batch, dim))
+        counts.update(dot=0, copyto=0)
+        _, tape = forward(params, x)
+        forward(params, x, store_tape=False)
+        backward(params, tape, rng.normal(size=(steps, batch, hidden)))
+        return dict(counts)
+
+    assert calls(2) == calls(20)

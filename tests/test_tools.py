@@ -98,7 +98,9 @@ def test_bench_ab_gain_needs_nine_in_ten_wins_and_more_than_the_parent_iqr():
     s = bench_ab.summarize(wide_parent, "lower", 0.1)
     assert s["wins"] == 10 and s["parent_iqr"] == 45.0 and not s["gain"]
     s = bench_ab.summarize([(2.0, 3.0)], "higher", 0.1)
-    assert s["parent"] == {"q1": 2.0, "median": 2.0, "q3": 2.0} and s["gain"]
+    assert s["parent"] == {"q1": 2.0, "median": 2.0, "q3": 2.0} and not s["gain"]
+    s = bench_ab.summarize([(100.0, 80.0)] * 9, "lower", 0.1)  # won every pair, but fewer than ten
+    assert (s["wins"], s["pairs"], s["gain"]) == (9, 9, False)
 
 
 def test_bench_ab_worse_mirrors_gain():
@@ -116,6 +118,8 @@ def test_bench_ab_worse_mirrors_gain():
     assert s["losses"] == 10 and not s["worse"]
     s = bench_ab.summarize([(100.0, 120.0)] * 8 + [None, None], "lower", 0.1)
     assert (s["losses"], s["worse"]) == (8, False)
+    s = bench_ab.summarize([(100.0, 120.0)] * 9, "lower", 0.1)  # lost every pair, but fewer than ten
+    assert (s["losses"], s["pairs"], s["worse"]) == (9, 9, False)
 
 
 def test_bench_ab_beyond_bound_reads_the_medians_against_the_metric_bound():
@@ -170,6 +174,13 @@ def test_bench_ab_counts_a_pair_with_a_failed_run_as_not_won(tmp_path, monkeypat
     s = bench_ab.summarize([(100.0, 80.0)] * 8 + [None, None], "lower", 0.1)
     assert (s["pairs"], s["wins"], s["failed_pairs"], s["gain"]) == (10, 8, 2, False)
     assert s["parent"]["median"] == 100.0
+    # below ten pairs no verdict is printed, however one-sided the pairs
+    calls.clear()
+    assert bench_ab.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "w", "--seed", "1",
+                          "--pairs", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "change better in 3/3 pairs (worse in 0, 0 failed); too few pairs (3 < 10); beyond bound: no;" in out
+    assert "gain:" not in out and "worse:" not in out
 
 
 bench = load_tool("bench")

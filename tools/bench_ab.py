@@ -17,8 +17,10 @@ that ran (ties count for neither side, and a pair with a failed run counts
 as not won) and its median is better than the parent's by more than the
 parent's interquartile range, and whether it is worse, by the mirror rule:
 it loses at least nine in ten pairs and its median is worse by more than
-that range.  Two more flags read the metric's ``bound`` in that file, as the
-no-regression rule does: ``beyond bound`` when the change's median is worse
+that range.  Both verdicts need at least ten pairs; below that the tool
+prints ``too few pairs (N < 10)`` in their place.  Two more flags read the
+metric's ``bound`` in that file, as the no-regression rule does:
+``beyond bound`` when the change's median is worse
 than the parent's by more than that share of the parent's median, and
 ``unresolved`` when the parent's interquartile range is wider than that
 share of its median, so the runs spread too widely to tell a change of that
@@ -35,6 +37,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+MIN_PAIRS = 10  # the nine-in-ten rule reads no fewer pairs than this
+
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     """(q1, median, q3), inclusive method; a single value is all three."""
@@ -49,6 +53,7 @@ def summarize(pairs: list[tuple[float, float] | None], better: str, bound: float
     ``bound`` the share of the parent's median by which the metric may worsen.
 
     A None pair had a failed run: it counts towards the pairs, never as a win or a loss.
+    ``gain`` and ``worse`` are False below :data:`MIN_PAIRS` pairs.
     """
     sign = -1.0 if better == "lower" else 1.0
     ran = [pair for pair in pairs if pair is not None]
@@ -59,6 +64,7 @@ def summarize(pairs: list[tuple[float, float] | None], better: str, bound: float
     wins = sum(sign * (c - p) > 0 for p, c in ran)
     losses = sum(sign * (c - p) < 0 for p, c in ran)
     iqr = p_q3 - p_q1
+    enough = len(pairs) >= MIN_PAIRS
     return {
         "pairs": len(pairs),
         "failed_pairs": len(pairs) - len(ran),
@@ -69,8 +75,8 @@ def summarize(pairs: list[tuple[float, float] | None], better: str, bound: float
         "delta_pct": 100.0 * (c_med - p_med) / p_med if p_med else float("nan"),
         "wins": wins,
         "losses": losses,
-        "gain": 10 * wins >= 9 * len(pairs) and sign * (c_med - p_med) > iqr,
-        "worse": 10 * losses >= 9 * len(pairs) and sign * (c_med - p_med) < -iqr,
+        "gain": enough and 10 * wins >= 9 * len(pairs) and sign * (c_med - p_med) > iqr,
+        "worse": enough and 10 * losses >= 9 * len(pairs) and sign * (c_med - p_med) < -iqr,
         "beyond_bound": sign * (c_med - p_med) < -bound * abs(p_med),
         "unresolved": iqr > bound * abs(p_med) and min(sign * c for c in change) <= max(sign * p for p in parent),
     }
@@ -134,12 +140,16 @@ def main(argv=None) -> int:
             continue
         s = summarize(values[name], better, bound)
         p, c = s["parent"], s["change"]
+        if s["pairs"] < MIN_PAIRS:
+            verdict = f"too few pairs ({s['pairs']} < {MIN_PAIRS})"
+        else:
+            verdict = f"gain: {'yes' if s['gain'] else 'no'}; worse: {'yes' if s['worse'] else 'no'}"
         print(
             f"{name} ({better} is better): parent median {p['median']:.4g} (q1 {p['q1']:.4g}, q3 {p['q3']:.4g},"
             f" IQR {s['parent_iqr']:.4g}); change median {c['median']:.4g} (q1 {c['q1']:.4g}, q3 {c['q3']:.4g});"
             f" {s['delta_pct']:+.1f}%; change better in {s['wins']}/{s['pairs']} pairs"
-            f" (worse in {s['losses']}, {s['failed_pairs']} failed); gain: {'yes' if s['gain'] else 'no'};"
-            f" worse: {'yes' if s['worse'] else 'no'}; beyond bound: {'yes' if s['beyond_bound'] else 'no'};"
+            f" (worse in {s['losses']}, {s['failed_pairs']} failed); {verdict};"
+            f" beyond bound: {'yes' if s['beyond_bound'] else 'no'};"
             f" unresolved: {'yes' if s['unresolved'] else 'no'}"
         )
     if failed:
