@@ -122,7 +122,7 @@ def cmd_evaluate(args) -> int:
     model = load_checkpoint(args.checkpoint)
     if model.arch.input_dim != 1:  # a price window holds one value per step
         raise CheckpointError(f"checkpoint model takes {model.arch.input_dim} inputs per step; a price window holds 1")
-    report = evaluate(model, prepared.test_windows, prepared.scaler, prepared.test_dates)
+    report = evaluate(model, prepared.test_windows, prepared.scaler, prepared.test.dates)
     payload = experiment.eval_report_dict(report, asset.symbol, model.arch.cell_kind, prepared.scaler)
     return _print_report(payload, args.out, lambda: experiment.write_eval_artifacts(config.out_dir, payload, report))
 

@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, ForecastError, OutputError, cannot, check, quoted
-from .ingest import DEFAULT_PRICE_COLUMN, TRAIN_FRACTION_RULE, SplitSpec
+from .ingest import DEFAULT_PRICE_COLUMN, TRAIN_FRACTION_RULE, PriceSeries, SplitSpec
 from .ingest import chronological_split, impute_locf, parse_ohlcv
 from .metrics import EvalReport, evaluate
 from .network import ARCH_RULES, ArchSpec, CELL_KINDS, ModelParams, init_params, save_checkpoint
@@ -232,7 +232,7 @@ def load_config(path, seed: int | None = None, out_dir=None) -> ExperimentConfig
             raise ConfigError([(0, message) for message in exc.args]) from None
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([(0, cannot("read", "config", path, exc))]) from exc
     config = validate_config(text)
@@ -248,15 +248,11 @@ def load_config(path, seed: int | None = None, out_dir=None) -> ExperimentConfig
 
 @dataclass
 class PreparedAsset:
-    """Everything derived from one asset's CSV before any training."""
+    """Everything derived from one asset's CSV before any training: the imputed series split in two, and its windows."""
 
-    symbol: str
-    dates: tuple
     imputed_count: int
-    train_series: np.ndarray
-    test_series: np.ndarray
-    train_dates: tuple
-    test_dates: tuple
+    train: PriceSeries
+    test: PriceSeries
     scaler: ScalerParams
     train_windows: SequenceBatch
     test_windows: SequenceBatch
@@ -271,7 +267,7 @@ def prepare_asset(config: ExperimentConfig, asset: AssetSpec) -> PreparedAsset:
     predictable and every test date receives a prediction.
     """
     try:
-        text = asset.csv_path.read_text(encoding="utf-8")
+        text = asset.csv_path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([(0, cannot("read", f"{asset.symbol} dataset", asset.csv_path, exc))]) from exc
     series = parse_ohlcv(text, price_column=config.price_column, symbol=asset.symbol)
@@ -281,18 +277,7 @@ def prepare_asset(config: ExperimentConfig, asset: AssetSpec) -> PreparedAsset:
     train_windows = make_windows(transform(scaler, train_part.values), config.lookback)
     combined = np.concatenate([train_part.values[-config.lookback :], test_part.values])
     test_windows = make_windows(transform(scaler, combined), config.lookback)
-    return PreparedAsset(
-        symbol=asset.symbol,
-        dates=imputed.dates,
-        imputed_count=series.missing_count,
-        train_series=train_part.values,
-        test_series=test_part.values,
-        train_dates=train_part.dates,
-        test_dates=test_part.dates,
-        scaler=scaler,
-        train_windows=train_windows,
-        test_windows=test_windows,
-    )
+    return PreparedAsset(series.missing_count, train_part, test_part, scaler, train_windows, test_windows)
 
 
 def _span(dates: tuple) -> dict:
@@ -307,11 +292,11 @@ def prepare_report(config: ExperimentConfig) -> dict:
         prepared = prepare_asset(config, asset)
         out.append(
             {
-                "symbol": prepared.symbol,
-                **_span(prepared.dates),
+                "symbol": asset.symbol,
+                **_span(prepared.train.dates + prepared.test.dates),
                 "missing_imputed": prepared.imputed_count,
-                "train": {**_span(prepared.train_dates), "windows": len(prepared.train_windows)},
-                "test": {**_span(prepared.test_dates), "windows": len(prepared.test_windows)},
+                "train": {**_span(prepared.train.dates), "windows": len(prepared.train_windows)},
+                "test": {**_span(prepared.test.dates), "windows": len(prepared.test_windows)},
             }
         )
     return {"assets": out}
@@ -380,7 +365,7 @@ def run_single(
     )
     if run_dir is not None:
         write_run_artifacts(config, result, run_dir)
-    eval_report = evaluate(model, prepared.test_windows, prepared.scaler, prepared.test_dates)
+    eval_report = evaluate(model, prepared.test_windows, prepared.scaler, prepared.test.dates)
     result.eval_report = eval_report
     log.info(
         "finished %s/%s: normalized rmse=%.6g price mape=%.4g%% (%.1fs)",

@@ -480,10 +480,10 @@ def model_from_dict(data: dict) -> ModelParams:
     Raises :class:`CheckpointError` unless the document describes the
     whole declared model: one entry per layer, every gate array with the
     element count its shape needs, a full dense head, all values finite,
-    and an integer or null seed.
-    Every array's length is checked before the model is allocated, so a
-    document that declares an architecture larger than it holds allocates
-    nothing of the declared size.
+    and an integer or null seed.  Arrays are checked in vector order, so
+    the first fault in that order is named, and the model's vector is
+    allocated only after all have passed: a document that declares an
+    architecture larger than it holds allocates nothing of that size.
     """
     if type(data) is not dict or data.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"not a {CHECKPOINT_FORMAT} document")
@@ -500,7 +500,7 @@ def model_from_dict(data: dict) -> ModelParams:
     if type(entries) is not list or len(entries) != arch.layers:
         found = len(entries) if type(entries) is list else "no list of"
         raise CheckpointError(f"checkpoint declares {arch.layers} layers but holds {found} layer entries")
-    parts = []  # (document value, span, where) of every array, in vector order
+    arrays = []  # every array, checked, in vector order
     for li, key, name, span in _gate_arrays(arch):
         cell, at = entries[li], f"layers[{li}]"
         if key is not None:
@@ -509,19 +509,13 @@ def model_from_dict(data: dict) -> ModelParams:
             cell, at = cell[key], f"{at}.{key}"
         if type(cell) is not dict:
             raise CheckpointError(f"checkpoint {at}: expected an object of gate arrays")
-        parts.append((cell.get(name), span, f"{at}.{name}"))
+        arrays.append(_checked_array(cell.get(name), span, f"{at}.{name}"))
     dense = data.get("dense")
     if type(dense) is not dict:
         raise CheckpointError("checkpoint dense: expected an object with 'w' and 'b'")
     (_, _, w_span), (_, _, b_span) = arch.param_layout[-2:]
-    parts += [(dense.get("w"), w_span, "dense.w"), ([dense.get("b")], b_span, "dense.b")]
-    for value, span, where in parts:  # lengths first: a document short of the declared model allocates none of it
-        if type(value) is not list or len(value) != span.stop - span.start:
-            _checked_array(value, span, where)  # raises
-    model = ModelParams.zeros(arch, seed)
-    for value, span, where in parts:
-        model.vector[span] = _checked_array(value, span, where)
-    return model
+    arrays += [_checked_array(dense.get("w"), w_span, "dense.w"), _checked_array([dense.get("b")], b_span, "dense.b")]
+    return ModelParams(arch, np.concatenate(arrays), seed)
 
 
 def _write_json(node, write) -> None:

@@ -72,6 +72,16 @@ class TestLstmStepClosedForms:
         with pytest.raises(ValueError):
             lstm_step(params, np.array([1.0]), CellState(h=np.zeros(2), c=np.zeros(2)))
 
+    @pytest.mark.parametrize("params, state, message", [
+        (CellParams(w=np.zeros((3, 1)), u=np.zeros((4, 1)), b=np.zeros(4)), CellState(np.zeros(1), np.zeros(1)),
+         "fused gate rows inconsistent with hidden size"),
+        (scalar_lstm_params(0.1), CellState(np.zeros(1)), "LSTM state requires a cell vector"),
+        (scalar_lstm_params(0.1), CellState(np.zeros(1), np.zeros(2)), "hidden and cell vectors must have equal shape"),
+    ], ids=["gate_rows", "no_cell", "cell_shape"])
+    def test_inconsistent_params_or_state_rejected(self, params, state, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            lstm_step(params, np.array([1.0]), state)
+
 
 class TestGruStepClosedForms:
     def test_zero_everything_is_fixed_point(self):

@@ -383,23 +383,23 @@ class TestPrepareAsset:
     def test_test_windows_cover_every_test_date(self, tmp_path):
         config = tiny_config(tmp_path)
         prepared = prepare_asset(config, config.assets[0])
-        assert len(prepared.test_windows) == len(prepared.test_dates)
+        assert len(prepared.test_windows) == len(prepared.test.dates)
         # first test window is the tail of the training segment
         expected_first = (
-            prepared.train_series[-config.lookback :] - prepared.scaler.min_value
+            prepared.train.values[-config.lookback :] - prepared.scaler.min_value
         ) / prepared.scaler.span
         np.testing.assert_allclose(prepared.test_windows.inputs[0], expected_first, atol=1e-15)
         # its target is the first test value
         first_target = (
-            prepared.test_series[0] - prepared.scaler.min_value
+            prepared.test.values[0] - prepared.scaler.min_value
         ) / prepared.scaler.span
         assert prepared.test_windows.targets[0] == first_target
 
     def test_scaler_fitted_on_training_segment_only(self, tmp_path):
         config = tiny_config(tmp_path)
         prepared = prepare_asset(config, config.assets[0])
-        assert prepared.scaler.min_value == prepared.train_series.min()
-        assert prepared.scaler.max_value == prepared.train_series.max()
+        assert prepared.scaler.min_value == prepared.train.values.min()
+        assert prepared.scaler.max_value == prepared.train.values.max()
 
 
 class TestRunExperiment:
@@ -695,6 +695,27 @@ class TestCli:
         config_path.write_text(f"lookback = 10\n[asset.TST]\ncsv = {csv_path}\n")
         assert main(["prepare", "--config", str(config_path)]) == 2
         assert f"cannot read TST dataset {csv_path}: 'utf-8' codec can't decode" in capsys.readouterr().err
+
+    def test_prepare_reads_a_dataset_saved_with_a_byte_order_mark(self, tmp_path, capsys):
+        csv_path = tiny_csv(tmp_path)
+        bom_path = csv_path.with_name("bom.csv")
+        bom_path.write_bytes(b"\xef\xbb\xbf" + csv_path.read_bytes())
+        config_path = tmp_path / "exp.cfg"
+        reports = []
+        for path in (csv_path, bom_path):
+            config_path.write_text(f"lookback = 10\n[asset.TST]\ncsv = {path}\n")
+            # the BOM file exited 2: CSV header lacks a 'Date' column: ['\ufeffDate', ...]
+            assert main(["prepare", "--config", str(config_path)]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[1] == reports[0]
+
+    def test_load_config_reads_a_config_saved_with_a_byte_order_mark(self, tmp_path):
+        text = f"lookback = 10\n[asset.TST]\ncsv = {tiny_csv(tmp_path)}\n"
+        plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_text(text)
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        # the BOM config failed with line 1: unknown key '\ufefflookback'
+        assert experiment.load_config(bom) == experiment.load_config(plain)
 
     def test_prepare_quotes_a_runaway_date_cell_short(self, tmp_path, capsys):
         csv_path = tiny_csv(tmp_path, n=28)

@@ -216,6 +216,15 @@ class TestPriceSeriesInvariants:
         with pytest.raises(DataError):
             PriceSeries("X", (date(2020, 1, 2), date(2020, 1, 1)), np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("values, error, message", [
+        ([1.0], ValueError, "dates and values must have equal length"),
+        ([1.0, np.inf], DataError, "present prices must be finite"),
+        ([1.0, -2.0], DataError, "present prices must be strictly positive"),
+    ], ids=["length", "infinite", "negative"])
+    def test_built_directly_with_bad_values_rejected(self, values, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            PriceSeries("X", (date(2020, 1, 1), date(2020, 1, 2)), np.array(values))
+
     def test_parser_output_is_monotone(self, rng):
         days = rng.permutation(200)[:60]
         rows = [((date(2019, 1, 1) + timedelta(days=int(d))).isoformat(), 1.0 + d) for d in days]

@@ -14,7 +14,9 @@ Training holds one tape, whose cells run one after another: they share
 their output-gradient buffer and their backward scratch, and the input
 gradients of a layer's directions are summed into direction 0's own.
 A checkpoint is written one gate array at a time, so saving holds the
-encoding of one array, never the text of the whole model.
+encoding of one array, never the text of the whole model.  Reading a
+parsed checkpoint holds its checked arrays and their concatenation, two
+model vectors, so parsing the file stays what sets a load's peak.
 """
 
 import json
@@ -26,7 +28,7 @@ import pytest
 from cryptoforecast import cells
 from cryptoforecast.cells import CellParams
 from cryptoforecast.metrics import predict_batch
-from cryptoforecast.network import ArchSpec, forward_batch, init_params, save_checkpoint
+from cryptoforecast.network import ArchSpec, forward_batch, init_params, model_from_dict, save_checkpoint
 from cryptoforecast.preprocess import SequenceBatch
 from cryptoforecast.training import TrainConfig, train
 
@@ -111,6 +113,18 @@ def test_save_peak_holds_one_gate_array_encoding(tmp_path):
     limit = 10 * text_bytes
     peak = traced_peak(lambda: save_checkpoint(model, tmp_path / "checkpoint.json"))
     assert peak < limit, f"peak {peak / 1e6:.1f} MB >= {limit / 1e6:.1f} MB"
+
+
+def test_reading_a_parsed_checkpoint_peaks_below_parsing_its_file(tmp_path):
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(init_params(ArchSpec("bilstm", layers=2, hidden_units=100), seed=3), path)
+    text = path.read_text()
+    # the file's text (6.9 MB) and the document of float lists parsed from it (10.5 MB): 17.45 MB
+    parse = traced_peak(lambda: json.loads(path.read_text()))
+    # the document held while reading keeps every checked array (2.6 MB) until their concatenation
+    # (2.6 MB): 15.69 MB; the reader that filled a zeroed vector array by array peaked at 13.29 MB
+    read = traced_peak(lambda: model_from_dict(json.loads(text)))
+    assert read < parse, f"reading peaked at {read / 1e6:.2f} MB, parsing at {parse / 1e6:.2f} MB"
 
 
 def assert_training_peak(rng, n):

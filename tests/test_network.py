@@ -129,6 +129,15 @@ class TestForward:
         with pytest.raises(ValueError, match="empty batch"):
             forward_batch(model, np.empty((0, 5)), store_tape=store_tape)
 
+    @pytest.mark.parametrize("shape, message", [
+        ((2, 5, 1, 1), r"windows must be 1-D, 2-D, or 3-D, got shape \(2, 5, 1, 1\)"),
+        ((2, 5, 3), r"expected 1 input feature\(s\), got 3"),
+    ], ids=["4-D", "features"])
+    def test_misshaped_windows_rejected(self, shape, message):
+        model = init_params(ArchSpec("lstm", hidden_units=2), seed=0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            forward_batch(model, np.zeros(shape))
+
     def test_deterministic_bit_for_bit(self, rng):
         model = init_params(ArchSpec("bilstm", hidden_units=5), seed=4)
         window = rng.uniform(size=12)
@@ -228,6 +237,13 @@ class TestBackward:
             backward_batch(other, tape, [1.0])
         with pytest.raises(ValueError, match="tape produced by forward"):  # no gradient vector to write
             backward_batch(lstm, ModelTape(x=tape.x, layer_tapes=tape.layer_tapes, final=tape.final), [1.0])
+
+    @pytest.mark.parametrize("d_predictions", [[1.0, 2.0], [[1.0]], []])
+    def test_misshaped_upstream_gradient_rejected(self, rng, d_predictions):
+        model = init_params(ArchSpec("lstm", hidden_units=4), seed=1)
+        _, tape = forward_batch(model, rng.uniform(size=6))
+        with pytest.raises(ValueError, match=r"^d_predictions must have shape \(1,\), got \("):
+            backward_batch(model, tape, d_predictions)
 
     def test_deterministic_bit_for_bit(self, rng):
         model = init_params(ArchSpec("gru", hidden_units=5), seed=9)

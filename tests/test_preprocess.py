@@ -9,6 +9,7 @@ from cryptoforecast import (
     DegenerateScaleError,
     InsufficientDataError,
     ScalerParams,
+    SequenceBatch,
     fit_scaler,
     inverse_transform,
     make_windows,
@@ -114,6 +115,16 @@ class TestMakeWindows:
         # True made one-value windows; 2.0 failed inside numpy
         with pytest.raises(TypeError, match=f"^lookback must be an integer, got {kind}$"):
             make_windows([1.0, 2.0, 3.0, 4.0], lookback)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: make_windows(np.ones((4, 2)), 1), "values must be 1-D"),
+        (lambda: SequenceBatch(np.ones(3), np.ones(3), np.arange(3)), r"inputs must be 2-D \(windows x lookback\)"),
+        (lambda: SequenceBatch(np.ones((3, 2)), np.ones(2), np.arange(3)),
+         "inputs, targets and origin_indices must align"),
+    ], ids=["values_2d", "inputs_1d", "misaligned"])
+    def test_misshaped_arrays_rejected(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
 
     @settings(max_examples=100)
     @given(n=st.integers(min_value=2, max_value=400), w=st.integers(min_value=1, max_value=80))

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -342,3 +343,43 @@ def test_gate_set_rejects_bad_arguments(tmp_path, capsys):
     assert "has no src/cryptoforecast" in capsys.readouterr().err
     assert gate_set.main([str(TOOLS.parent), str(tmp_path)]) == 2  # the output tree exists
     assert "already exists" in capsys.readouterr().err
+
+
+unreached = load_tool("unreached")
+
+SMALL_SOURCE = '''"""A module docstring."""
+import math
+
+
+def sign(x):
+    """A function docstring."""
+    if x >= 0:
+        result = 1
+    else:
+        result = -1
+    return result
+
+
+VALUE = sign(math.pi)
+'''
+
+
+def test_unreached_lists_the_else_branch_that_never_ran(tmp_path):
+    path = tmp_path / "small.py"
+    path.write_text(SMALL_SOURCE)
+    # the definition, the import and both docstrings are not listed
+    assert unreached.statements(SMALL_SOURCE) == [7, 8, 10, 11, 14]
+    hits = set()
+    outer = sys.gettrace()  # the tool's own tracer, when the suite runs under it
+    sys.settrace(unreached.line_tracer(str(tmp_path), hits))
+    try:
+        exec(compile(SMALL_SOURCE, str(path), "exec"), {})
+    finally:
+        sys.settrace(outer)
+    assert unreached.unreached(path, hits) == [(10, "result = -1")]
+
+
+def test_unreached_rejects_bad_arguments(tmp_path, capsys):
+    assert unreached.main([]) == 2
+    assert unreached.main([str(tmp_path)]) == 2  # no src/cryptoforecast
+    assert "has no src/cryptoforecast" in capsys.readouterr().err
