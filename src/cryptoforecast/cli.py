@@ -30,6 +30,17 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--out", default=None, help="override the output directory")
 
 
+_GRADCHECK_FLAGS = (  # (flag, rule its value must meet or None, add_argument keywords), in help order
+    ("--seed", NON_NEGATIVE, dict(type=int, default=0, help="seed of the drawn models and inputs")),
+    ("--cell", None, dict(choices=CELL_KINDS, default=None, help="restrict to one cell kind")),
+    ("--trials", AT_LEAST_ONE, dict(type=int, default=20, help="seeded trials per cell kind")),
+    ("--max-hidden", (int, lambda v: v >= 2, ">= 2"), dict(type=int, default=8)),
+    ("--max-window", (int, lambda v: v >= 3, ">= 3"), dict(type=int, default=10)),
+    ("--epsilon", EPSILON_RULE, dict(type=float, default=DEFAULT_EPSILON)),
+    ("--threshold", FINITE_POSITIVE, dict(type=float, default=1e-4)),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cryptoforecast",
@@ -39,40 +50,30 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prepare", help="ingest + split report")
+    p.set_defaults(handler=cmd_prepare)
     _add_common(p)
 
     p = sub.add_parser("train", help="train one (asset, architecture) run")
+    p.set_defaults(handler=cmd_train)
     _add_common(p)
     p.add_argument("--asset", required=True, help="asset symbol from the config")
     p.add_argument("--arch", required=True, choices=CELL_KINDS, help="cell kind")
 
     p = sub.add_parser("evaluate", help="evaluate a checkpoint on an asset's test set")
+    p.set_defaults(handler=cmd_evaluate)
     _add_common(p)
     p.add_argument("--asset", required=True, help="asset symbol from the config")
     p.add_argument("--checkpoint", required=True, help="path of a checkpoint that train or run wrote")
 
     p = sub.add_parser("run", help="full experiment over every asset and architecture")
+    p.set_defaults(handler=cmd_run)
     _add_common(p)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p.add_argument("--seed", type=int, default=0, help="seed of the drawn models and inputs")
-    p.add_argument("--cell", choices=CELL_KINDS, default=None, help="restrict to one cell kind")
-    p.add_argument("--trials", type=int, default=20, help="seeded trials per cell kind")
-    p.add_argument("--max-hidden", type=int, default=8)
-    p.add_argument("--max-window", type=int, default=10)
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
-    p.add_argument("--threshold", type=float, default=1e-4)
+    p.set_defaults(handler=cmd_gradcheck)
+    for flag, _, options in _GRADCHECK_FLAGS:
+        p.add_argument(flag, **options)
     return parser
-
-
-_GRADCHECK_FLAGS = (
-    ("seed", NON_NEGATIVE),
-    ("trials", AT_LEAST_ONE),
-    ("max_hidden", (int, lambda v: v >= 2, ">= 2")),
-    ("max_window", (int, lambda v: v >= 3, ">= 3")),
-    ("epsilon", EPSILON_RULE),
-    ("threshold", FINITE_POSITIVE),
-)
 
 
 def _find_asset(config: experiment.ExperimentConfig, symbol: str) -> experiment.AssetSpec:
@@ -139,11 +140,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    for dest, rule in _GRADCHECK_FLAGS:
-        try:
-            check(f"--{dest.replace('_', '-')}", getattr(args, dest), rule)
-        except ValueError as exc:
-            raise ForecastError(str(exc)) from None
+    try:
+        for flag, rule, _ in _GRADCHECK_FLAGS:
+            if rule is not None:
+                check(flag, getattr(args, flag[2:].replace("-", "_")), rule)
+    except ValueError as exc:
+        raise ForecastError(str(exc)) from None
     kinds = (args.cell,) if args.cell else CELL_KINDS
     rng = np.random.default_rng(args.seed)
     failed = False
@@ -172,15 +174,6 @@ def cmd_gradcheck(args) -> int:
     return 1 if failed else 0
 
 
-_COMMANDS = {
-    "prepare": cmd_prepare,
-    "train": cmd_train,
-    "evaluate": cmd_evaluate,
-    "run": cmd_run,
-    "gradcheck": cmd_gradcheck,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
@@ -188,7 +181,7 @@ def main(argv=None) -> int:
         format="%(asctime)s %(levelname)s %(name)s: %(message)s",
     )
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except ForecastError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

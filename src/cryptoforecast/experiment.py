@@ -33,6 +33,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, ForecastError, OutputError, cannot, check, quoted
+from .errors import DataError, DegenerateScaleError, InsufficientDataError, SchemaError
 from .ingest import DEFAULT_PRICE_COLUMN, TRAIN_FRACTION_RULE, PriceSeries, SplitSpec
 from .ingest import chronological_split, impute_locf, parse_ohlcv
 from .metrics import EvalReport, evaluate
@@ -47,42 +48,6 @@ log = logging.getLogger(__name__)
 class AssetSpec:
     symbol: str
     csv_path: Path
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    assets: tuple[AssetSpec, ...]
-    architectures: tuple[str, ...] = CELL_KINDS
-    price_column: str = DEFAULT_PRICE_COLUMN
-    lookback: int = 60
-    train_fraction: float = SplitSpec.train_fraction
-    hidden_units: int = ArchSpec.hidden_units
-    layers: int = ArchSpec.layers
-    batch_size: int = TrainConfig.batch_size
-    epochs: int = TrainConfig.epochs
-    learning_rate: float = TrainConfig.learning_rate
-    validation_fraction: float = TrainConfig.validation_fraction
-    master_seed: int = 1234
-    out_dir: Path = Path("runs")
-
-    def arch_for(self, cell_kind: str) -> ArchSpec:
-        return ArchSpec(cell_kind=cell_kind, layers=self.layers, hidden_units=self.hidden_units)
-
-    def train_config_for(self, asset: str, cell_kind: str) -> TrainConfig:
-        return TrainConfig(
-            batch_size=self.batch_size,
-            epochs=self.epochs,
-            learning_rate=self.learning_rate,
-            shuffle_seed=derive_seed(self.master_seed, asset, cell_kind, "shuffle"),
-            validation_fraction=self.validation_fraction,
-        )
-
-
-def derive_seed(master_seed: int, *parts: str) -> int:
-    """Stable 64-bit seed from the master seed and labeling strings."""
-    text = "|".join([str(int(master_seed)), *parts])
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
 
 
 def _number(kind: type):
@@ -120,32 +85,63 @@ def _architectures(key: str, raw: str) -> tuple[str, ...]:
 
 
 class _Key(NamedTuple):
-    """One top-level config key; its default is that of its ExperimentConfig field."""
+    """How one top-level config key is read; it is declared on the ExperimentConfig field it sets."""
 
-    key: str
     # (key, raw value) -> value, or a ValueError whose args are the value's diagnostics
     parse: Callable[[str, str], object]
     rule: tuple | None = None  # the parsed value's rule (errors.check), the one its owner checks
-    field: str | None = None  # the ExperimentConfig field; None: named like the key
     echo: bool = True  # part of every run's config echo in train_report.json
+    key: str | None = None  # the config key; None: named like its field
+    field: str | None = None  # the ExperimentConfig field, filled in by _KEYS
 
 
-_KEYS = {
-    row.key: row._replace(field=row.field or row.key)
-    for row in (
-        _Key("price_column", _text),
-        _Key("lookback", _number(int), LOOKBACK_RULE),
-        _Key("train_fraction", _number(float), TRAIN_FRACTION_RULE),
-        _Key("architectures", _architectures, echo=False),
-        _Key("hidden_units", _number(int), ARCH_RULES["hidden_units"]),
-        _Key("layers", _number(int), ARCH_RULES["layers"]),
-        _Key("batch_size", _number(int), TRAIN_RULES["batch_size"]),
-        _Key("epochs", _number(int), TRAIN_RULES["epochs"]),
-        _Key("learning_rate", _number(float), TRAIN_RULES["learning_rate"]),
-        _Key("validation_fraction", _number(float), TRAIN_RULES["validation_fraction"]),
-        _Key("seed", _number(int), field="master_seed"),
-        _Key("out_dir", _path, echo=False),
+def _config_key(default, parse, rule=None, *, echo=True, key=None):
+    """An ExperimentConfig field with ``default`` that the config key ``key`` (None: the field's name) sets."""
+    return dataclasses.field(default=default, metadata={"key": _Key(parse, rule, echo, key)})
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    assets: tuple[AssetSpec, ...]
+    architectures: tuple[str, ...] = _config_key(CELL_KINDS, _architectures, echo=False)
+    price_column: str = _config_key(DEFAULT_PRICE_COLUMN, _text)
+    lookback: int = _config_key(60, _number(int), LOOKBACK_RULE)
+    train_fraction: float = _config_key(SplitSpec.train_fraction, _number(float), TRAIN_FRACTION_RULE)
+    hidden_units: int = _config_key(ArchSpec.hidden_units, _number(int), ARCH_RULES["hidden_units"])
+    layers: int = _config_key(ArchSpec.layers, _number(int), ARCH_RULES["layers"])
+    batch_size: int = _config_key(TrainConfig.batch_size, _number(int), TRAIN_RULES["batch_size"])
+    epochs: int = _config_key(TrainConfig.epochs, _number(int), TRAIN_RULES["epochs"])
+    learning_rate: float = _config_key(TrainConfig.learning_rate, _number(float), TRAIN_RULES["learning_rate"])
+    validation_fraction: float = _config_key(
+        TrainConfig.validation_fraction, _number(float), TRAIN_RULES["validation_fraction"]
     )
+    master_seed: int = _config_key(1234, _number(int), key="seed")
+    out_dir: Path = _config_key(Path("runs"), _path, echo=False)
+
+    def arch_for(self, cell_kind: str) -> ArchSpec:
+        return ArchSpec(cell_kind=cell_kind, layers=self.layers, hidden_units=self.hidden_units)
+
+    def train_config_for(self, asset: str, cell_kind: str) -> TrainConfig:
+        return TrainConfig(
+            batch_size=self.batch_size,
+            epochs=self.epochs,
+            learning_rate=self.learning_rate,
+            shuffle_seed=derive_seed(self.master_seed, asset, cell_kind, "shuffle"),
+            validation_fraction=self.validation_fraction,
+        )
+
+
+def derive_seed(master_seed: int, *parts: str) -> int:
+    """Stable 64-bit seed from the master seed and labeling strings."""
+    text = "|".join([str(int(master_seed)), *parts])
+    digest = hashlib.sha256(text.encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big")
+
+
+_KEYS = {  # each top-level config key's row, from the field that declares it
+    row.key or f.name: row._replace(field=f.name)
+    for f in dataclasses.fields(ExperimentConfig)
+    if (row := f.metadata.get("key"))
 }
 
 
@@ -270,13 +266,16 @@ def prepare_asset(config: ExperimentConfig, asset: AssetSpec) -> PreparedAsset:
         text = asset.csv_path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([(0, cannot("read", f"{asset.symbol} dataset", asset.csv_path, exc))]) from exc
-    series = parse_ohlcv(text, price_column=config.price_column, symbol=asset.symbol)
-    imputed = impute_locf(series)
-    train_part, test_part = chronological_split(imputed, SplitSpec(config.train_fraction))
-    scaler = fit_scaler(train_part.values)
-    train_windows = make_windows(transform(scaler, train_part.values), config.lookback)
-    combined = np.concatenate([train_part.values[-config.lookback :], test_part.values])
-    test_windows = make_windows(transform(scaler, combined), config.lookback)
+    try:
+        series = parse_ohlcv(text, price_column=config.price_column, symbol=asset.symbol)
+        imputed = impute_locf(series)
+        train_part, test_part = chronological_split(imputed, SplitSpec(config.train_fraction))
+        scaler = fit_scaler(train_part.values)
+        train_windows = make_windows(transform(scaler, train_part.values), config.lookback)
+        combined = np.concatenate([train_part.values[-config.lookback :], test_part.values])
+        test_windows = make_windows(transform(scaler, combined), config.lookback)
+    except (SchemaError, DataError, InsufficientDataError, DegenerateScaleError) as exc:  # name the dataset
+        raise type(exc)(f"{asset.symbol} dataset: {exc}") from exc
     return PreparedAsset(series.missing_count, train_part, test_part, scaler, train_windows, test_windows)
 
 

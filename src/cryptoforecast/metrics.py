@@ -62,7 +62,8 @@ def mae(actual, predicted) -> float:
 
 def rmse(actual, predicted) -> float:
     """Square root of the mean squared difference."""
-    return math.sqrt(mse_loss(predicted, actual))
+    a, p = _validated(actual, predicted)
+    return math.sqrt(mse_loss(p, a))
 
 
 def mape(actual, predicted) -> float:

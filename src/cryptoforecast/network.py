@@ -542,7 +542,7 @@ def save_checkpoint(model: ModelParams, path) -> None:
 
 def load_checkpoint(path) -> ModelParams:
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(cannot("read", "checkpoint", path, exc)) from None
     return model_from_dict(data)

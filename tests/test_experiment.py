@@ -727,6 +727,25 @@ class TestCli:
         # the record runs from line 6 to the last line, 29, and is named by the line it starts on
         assert "line 6: date '2022-01-05," in err and len(err) <= 200  # was the rest of the file, 1166 characters
 
+    @pytest.mark.parametrize("fault", ["bad_date", "no_price_column", "too_short", "starts_with_a_gap", "constant"])
+    def test_a_data_error_names_its_dataset(self, tmp_path, capsys, fault):
+        good = tiny_csv(tmp_path)
+        header, first, *rest = good.read_text().splitlines()
+        rows, message = {  # one fault for each error type that preparing an asset raises
+            "bad_date": ([header, "2019-13-01" + first[10:], *rest], "line 2: date '2019-13-01' is not YYYY-MM-DD"),
+            "no_price_column": ([header.replace(",Close,", ",Shut,"), first, *rest], "CSV header lacks price column"),
+            "too_short": ([header, first, *rest[:10]], "need more than 10 values to build windows"),
+            "starts_with_a_gap": ([header, "2022-01-01,1,1,1,null,1,1000", *rest], "first observation (2022-01-01)"),
+            "constant": ([header] + [f"{row[:10]},5,5,5,5,5,1000" for row in [first, *rest]], "max (5.0) must exceed"),
+        }[fault]
+        bad = tmp_path / "eth.csv"
+        bad.write_text("\n".join(rows) + "\n")
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(f"lookback = 10\n[asset.BTC]\ncsv = {good}\n[asset.ETH]\ncsv = {bad}\n")
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
+        # the message named neither the asset nor its file
+        assert capsys.readouterr().err.startswith(f"error: ETH dataset: {message}")
+
     @pytest.mark.parametrize("problem", ["no_asset_section", "missing_config", "dataset_not_utf8"])
     def test_file_level_config_errors_name_no_line(self, tmp_path, capsys, problem):
         """A problem with a whole file has no line to name: stderr shows the message alone."""

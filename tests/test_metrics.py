@@ -58,7 +58,7 @@ class TestHandOracles:
         with pytest.raises(ValueError):
             rmse([], [])
 
-    @pytest.mark.parametrize("metric", [mae, mape])
+    @pytest.mark.parametrize("metric", [mae, mape, rmse])  # rmse returned nan and inf here
     @pytest.mark.parametrize("actual, predicted", [([1.0, math.nan], [1.0, 2.0]), ([1.0, 2.0], [math.inf, 2.0])])
     def test_non_finite_input_rejected(self, metric, actual, predicted):
         with pytest.raises(ValueError, match="^metric inputs must be finite$"):

@@ -413,6 +413,14 @@ class TestCheckpoint:
         save_checkpoint(loaded, tmp_path / "resaved.json")
         assert (tmp_path / "resaved.json").read_bytes() == golden.read_bytes()
 
+    @pytest.mark.parametrize("kind", ["lstm", "gru", "bilstm"])
+    def test_golden_v1_file_saved_with_a_byte_order_mark_loads(self, tmp_path, kind):
+        golden = Path(__file__).parent / "data" / f"checkpoint_v1_{kind}.json"
+        bom = tmp_path / "bom.json"
+        bom.write_bytes(b"\xef\xbb\xbf" + golden.read_bytes())
+        # the BOM copy failed: cannot read checkpoint ...: Unexpected UTF-8 BOM
+        assert load_checkpoint(bom).vector.tobytes() == load_checkpoint(golden).vector.tobytes()
+
     def test_save_is_deterministic(self, tmp_path):
         model = init_params(ArchSpec("gru", hidden_units=3), seed=2)
         save_checkpoint(model, tmp_path / "a.json")

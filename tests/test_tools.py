@@ -1,5 +1,6 @@
 """Repository tools under tools/."""
 
+import argparse
 import importlib.util
 import json
 import sys
@@ -335,6 +336,13 @@ def test_gate_set_covers_every_report_path_of_the_cli():
             "evaluate", "--config", str(Path("inputs", "all_quick_h53_full.cfg")), "--asset", "BTC",
             "--checkpoint", f"all_quick_h53/BTC_{arch}/checkpoint.json", "--out", f"evaluate_h53/BTC_{arch}")
     assert all(argv[-2] == "--out" for name, argv in steps.items() if not name.endswith("_no_out"))
+
+
+def test_gate_set_pins_the_help_of_the_program_and_of_every_command():
+    from cryptoforecast.cli import build_parser
+
+    commands = next(a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert dict(gate_set.help_steps()) == {"help": ("--help",), **{f"help_{c}": (c, "--help") for c in commands}}
 
 
 def test_gate_set_rejects_bad_arguments(tmp_path, capsys):

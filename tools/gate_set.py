@@ -32,6 +32,8 @@ not exist yet:
   that ``prepare`` of that config and ``evaluate`` of the ``all_paper``
   BTC Bi-LSTM checkpoint print without ``--out`` (steps
   ``prepare_no_out`` and ``evaluate_BTC_bilstm_no_out``);
+* ``stdout/help*.txt``: the ``--help`` page of the program (``help``)
+  and of each command (``help_<command>``), at ``COLUMNS=80``;
 * ``gradcheck/``: ``gradcheck --trials 5`` stdout and exit code.
 
 Two checkouts' trees are then compared in one call::
@@ -62,6 +64,7 @@ SHAPES = {
     "all_quick_h53": {**QUICK, "hidden_units": 53},
 }
 FULL = "full"  # inputs/ subdirectory of the whole fixtures
+COMMANDS = ("prepare", "train", "evaluate", "run", "gradcheck")
 EVALUATED = {"all_paper": ("evaluate", ASSETS), "all_quick_h53": ("evaluate_h53", ASSETS[:1])}  # out dir, assets
 
 
@@ -116,6 +119,11 @@ def gate_steps(checkout: Path, inputs: Path) -> list[tuple[str, tuple]]:
     ]
 
 
+def help_steps() -> list[tuple[str, tuple]]:
+    """The ``(name, cli argv)`` steps that print the program's ``--help`` page and each command's."""
+    return [("help", ("--help",))] + [(f"help_{command}", (command, "--help")) for command in COMMANDS]
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
@@ -130,6 +138,7 @@ def main(argv=None) -> int:
         return 2
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
     env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+    env["COLUMNS"] = "80"  # the width argparse wraps the help pages to
 
     def cli(*argv: str) -> subprocess.CompletedProcess:
         command = [sys.executable, "-m", "cryptoforecast.cli", *argv]
@@ -145,7 +154,7 @@ def main(argv=None) -> int:
     write_inputs(checkout, inputs)
     (out / "stdout").mkdir()
     failed = 0
-    for name, argv in gate_steps(checkout, inputs):
+    for name, argv in gate_steps(checkout, inputs) + help_steps():
         result = cli(*argv)
         (out / "stdout" / f"{name}.txt").write_text(result.stdout)
         print(f"{name}: exit {result.returncode}", flush=True)
