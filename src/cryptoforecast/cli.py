@@ -24,9 +24,10 @@ from .network import DEFAULT_EPSILON, EPSILON_RULE, ArchSpec, CELL_KINDS, grad_c
 log = logging.getLogger(__name__)
 
 
-def _add_common(parser: argparse.ArgumentParser):
+def _add_common(parser: argparse.ArgumentParser, seed: bool = False):
     parser.add_argument("--config", required=True, help="experiment config path")
-    parser.add_argument("--seed", type=int, default=None, help="override the master seed")
+    if seed:  # only train and run draw seeds
+        parser.add_argument("--seed", type=int, default=None, help="override the master seed")
     parser.add_argument("--out", default=None, help="override the output directory")
 
 
@@ -55,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train one (asset, architecture) run")
     p.set_defaults(handler=cmd_train)
-    _add_common(p)
+    _add_common(p, seed=True)
     p.add_argument("--asset", required=True, help="asset symbol from the config")
     p.add_argument("--arch", required=True, choices=CELL_KINDS, help="cell kind")
 
@@ -67,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="full experiment over every asset and architecture")
     p.set_defaults(handler=cmd_run)
-    _add_common(p)
+    _add_common(p, seed=True)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     p.set_defaults(handler=cmd_gradcheck)
@@ -95,7 +96,7 @@ def _print_report(payload: dict, out: str | None, write) -> int:
 
 def _load_config(args) -> experiment.ExperimentConfig:
     """The command's config; with ``--out``, whose report goes there, its directory is made first."""
-    config = experiment.load_config(args.config, seed=args.seed, out_dir=args.out)
+    config = experiment.load_config(args.config, out_dir=args.out)
     if args.out is not None:
         experiment.make_out_dir(config.out_dir)
     return config
@@ -182,7 +183,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.handler(args)
-    except ForecastError as exc:
+    except (ForecastError, MemoryError) as exc:  # MemoryError: a model too big to allocate
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

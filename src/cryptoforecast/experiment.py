@@ -121,15 +121,6 @@ class ExperimentConfig:
     def arch_for(self, cell_kind: str) -> ArchSpec:
         return ArchSpec(cell_kind=cell_kind, layers=self.layers, hidden_units=self.hidden_units)
 
-    def train_config_for(self, asset: str, cell_kind: str) -> TrainConfig:
-        return TrainConfig(
-            batch_size=self.batch_size,
-            epochs=self.epochs,
-            learning_rate=self.learning_rate,
-            shuffle_seed=derive_seed(self.master_seed, asset, cell_kind, "shuffle"),
-            validation_fraction=self.validation_fraction,
-        )
-
 
 def derive_seed(master_seed: int, *parts: str) -> int:
     """Stable 64-bit seed from the master seed and labeling strings."""
@@ -267,7 +258,7 @@ def prepare_asset(config: ExperimentConfig, asset: AssetSpec) -> PreparedAsset:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([(0, cannot("read", f"{asset.symbol} dataset", asset.csv_path, exc))]) from exc
     try:
-        series = parse_ohlcv(text, price_column=config.price_column, symbol=asset.symbol)
+        series = parse_ohlcv(text, price_column=config.price_column)
         imputed = impute_locf(series)
         train_part, test_part = chronological_split(imputed, SplitSpec(config.train_fraction))
         scaler = fit_scaler(train_part.values)
@@ -322,20 +313,18 @@ def run_single(
     prepared: PreparedAsset | None = None,
     run_dir: Path | None = None,
 ) -> RunResult:
-    """Train and evaluate one (asset, architecture) pair.
+    """Train and evaluate one (asset, architecture) pair, built from the config echo its train report holds.
 
     With ``run_dir``, the run's artifacts are written there: the checkpoint
     and train report as soon as training ends, so an evaluation that fails
     still leaves the trained model on disk, then the eval report and
-    predictions.  When training fails, the train report alone is written,
-    with the epochs completed and the error.
+    predictions.  When building or training the model fails, the train
+    report alone is written, with the epochs completed and the error.
     """
     if prepared is None:
         prepared = prepare_asset(config, asset)
-    arch = config.arch_for(cell_kind)
-    init_seed = derive_seed(config.master_seed, asset.symbol, cell_kind, "init")
-    model = init_params(arch, seed=init_seed)
-    tconfig = config.train_config_for(asset.symbol, cell_kind)
+    echo = _config_echo(config, asset.symbol, cell_kind)
+    tconfig = TrainConfig(**{f.name: echo[f.name] for f in dataclasses.fields(TrainConfig)})
     log.info(
         "training %s/%s: %d windows, %d epochs, batch %d",
         asset.symbol,
@@ -345,13 +334,14 @@ def run_single(
         tconfig.batch_size,
     )
     try:
+        model = init_params(config.arch_for(cell_kind), seed=echo["init_seed"])
         model, train_report = train(model, prepared.train_windows, tconfig)
-    except ForecastError as exc:
+    except (ForecastError, MemoryError) as exc:
         if run_dir is not None:
             partial = getattr(exc, "report", None)
             epochs = partial.epochs_log() if partial else []
             try:
-                _write_train_report(run_dir, config, asset.symbol, cell_kind, epochs=epochs, error=str(exc))
+                write_json(run_dir / "train_report.json", {"config": echo, "epochs": epochs, "error": str(exc)})
             except OutputError as write_error:  # the training error stays the one raised
                 log.error("%s", write_error)
         raise
@@ -363,7 +353,7 @@ def run_single(
         eval_report=None,
     )
     if run_dir is not None:
-        write_run_artifacts(config, result, run_dir)
+        write_run_artifacts(echo, result, run_dir)
     eval_report = evaluate(model, prepared.test_windows, prepared.scaler, prepared.test.dates)
     result.eval_report = eval_report
     log.info(
@@ -437,16 +427,11 @@ def run_dir_name(asset: str, cell_kind: str) -> str:
     return f"{asset}_{cell_kind}"
 
 
-def _write_train_report(run_dir: Path, config: ExperimentConfig, asset: str, cell_kind: str, **entries) -> None:
-    """Write ``train_report.json``: the run's config echo and ``entries``."""
-    write_json(run_dir / "train_report.json", {"config": _config_echo(config, asset, cell_kind), **entries})
-
-
-def write_run_artifacts(config: ExperimentConfig, result: RunResult, run_dir: Path) -> None:
-    """Persist one trained run: checkpoint and train report."""
+def write_run_artifacts(echo: dict, result: RunResult, run_dir: Path) -> None:
+    """Persist one trained run: checkpoint, and train report with the config echo the run was built from."""
     _write_file(make_out_dir(run_dir) / "checkpoint.json", lambda p: save_checkpoint(result.model, p))
-    epochs = result.train_report.epochs_log()
-    _write_train_report(run_dir, config, result.asset, result.cell_kind, checkpoint="checkpoint.json", epochs=epochs)
+    report = {"config": echo, "checkpoint": "checkpoint.json", "epochs": result.train_report.epochs_log()}
+    write_json(run_dir / "train_report.json", report)
 
 
 def eval_report_dict(report: EvalReport, asset: str, cell_kind: str, scaler: ScalerParams) -> dict:
@@ -489,7 +474,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             try:
                 result = run_single(config, asset, cell_kind, prepared[asset.symbol], run_dir)
                 results.append(result)
-            except ForecastError as exc:
+            except (ForecastError, MemoryError) as exc:  # a model too big to allocate fails its run alone
                 log.error("run %s/%s failed: %s", asset.symbol, cell_kind, exc)
                 failures.append((asset.symbol, cell_kind, str(exc)))
 

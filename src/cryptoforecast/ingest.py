@@ -31,7 +31,6 @@ class PriceSeries:
     strictly positive, and dates must be strictly increasing.
     """
 
-    symbol: str
     dates: tuple[date, ...]
     values: np.ndarray
 
@@ -90,7 +89,7 @@ def _parse_price_cell(cell: str, lineno: int):
     return value
 
 
-def parse_ohlcv(csv_text: str, price_column: str = DEFAULT_PRICE_COLUMN, symbol: str = "") -> PriceSeries:
+def parse_ohlcv(csv_text: str, price_column: str = DEFAULT_PRICE_COLUMN) -> PriceSeries:
     """Parse one daily OHLCV export into a univariate :class:`PriceSeries`.
 
     Only ``Date`` and ``price_column`` are read; other columns are ignored.
@@ -129,7 +128,7 @@ def parse_ohlcv(csv_text: str, price_column: str = DEFAULT_PRICE_COLUMN, symbol:
     rows.sort(key=lambda item: item[0])
     dates = tuple(day for day, _ in rows)
     values = np.array([value for _, value in rows], dtype=np.float64)
-    return PriceSeries(symbol=symbol, dates=dates, values=values)
+    return PriceSeries(dates=dates, values=values)
 
 
 def impute_locf(series: PriceSeries) -> PriceSeries:
@@ -149,7 +148,7 @@ def impute_locf(series: PriceSeries) -> PriceSeries:
         )
     last_present = np.where(~missing, np.arange(len(values)), 0)
     np.maximum.accumulate(last_present, out=last_present)
-    return PriceSeries(symbol=series.symbol, dates=series.dates, values=values[last_present])
+    return PriceSeries(dates=series.dates, values=values[last_present])
 
 
 def chronological_split(series: PriceSeries, spec: SplitSpec = SplitSpec()) -> tuple[PriceSeries, PriceSeries]:
@@ -157,7 +156,8 @@ def chronological_split(series: PriceSeries, spec: SplitSpec = SplitSpec()) -> t
 
     The train segment takes the first ``floor(n * train_fraction)`` entries,
     test takes the remainder, so concatenating the two reconstructs the
-    input exactly.
+    input exactly.  Test data is never empty: for 0 < f < 1, n * f rounds
+    below n in binary64, so the floor is at most n - 1.
     """
     if np.isnan(series.values).any():
         raise ValueError("series must be fully imputed before splitting")
@@ -165,8 +165,6 @@ def chronological_split(series: PriceSeries, spec: SplitSpec = SplitSpec()) -> t
     n_train = math.floor(n * spec.train_fraction)
     if n_train == 0:
         raise InsufficientDataError(f"split of {n} points at {spec.train_fraction} leaves no training data")
-    if n_train >= n:
-        raise InsufficientDataError(f"split of {n} points at {spec.train_fraction} leaves no test data")
-    train = PriceSeries(series.symbol, series.dates[:n_train], series.values[:n_train])
-    test = PriceSeries(series.symbol, series.dates[n_train:], series.values[n_train:])
+    train = PriceSeries(series.dates[:n_train], series.values[:n_train])
+    test = PriceSeries(series.dates[n_train:], series.values[n_train:])
     return train, test

@@ -99,11 +99,10 @@ class EvalReport:
     normalized: MetricSet
     price: MetricSet
     pairs: list[tuple[date, float, float]]
-    n: int
 
     def to_dict(self) -> dict:
         return {
-            "n": self.n,
+            "n": len(self.pairs),
             "normalized": self.normalized.to_dict(),
             "price": self.price.to_dict(),
             "pairs": [
@@ -163,5 +162,4 @@ def evaluate(model: ModelParams, test_windows: SequenceBatch, scaler: ScalerPara
         normalized=_finite_metrics("normalized", actual_norm, preds_norm),
         price=_finite_metrics("price", actual_price, preds_price),
         pairs=[(d, float(a), float(p)) for d, a, p in zip(dates, actual_price, preds_price)],
-        n=n,
     )

@@ -16,6 +16,7 @@ from cryptoforecast import ConfigError, ForecastError, SplitSpec, TrainConfig, c
 from cryptoforecast import make_windows, validate_config
 from cryptoforecast.cli import main
 from cryptoforecast.network import ArchSpec, init_params, model_to_dict
+from cryptoforecast.training import train
 from cryptoforecast.experiment import (
     AssetSpec,
     ExperimentConfig,
@@ -746,6 +747,42 @@ class TestCli:
         # the message named neither the asset nor its file
         assert capsys.readouterr().err.startswith(f"error: ETH dataset: {message}")
 
+    @pytest.mark.parametrize("command", ["train", "run"])
+    def test_a_model_too_big_to_allocate_is_a_failed_run_not_a_traceback(self, tmp_path, capsys, command):
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(
+            f"lookback = 10\nhidden_units = 10000000\narchitectures = lstm\n[asset.TST]\ncsv = {tiny_csv(tmp_path)}\n"
+        )
+        argv = [command, "--config", str(config_path), "--out", str(tmp_path / "out")]
+        # 8.5 PiB of parameters, beyond any address space: the allocation fails at once
+        code = main(argv + ["--asset", "TST", "--arch", "lstm"] if command == "train" else argv)
+        err = capsys.readouterr().err  # was a MemoryError traceback, exit 1
+        report = json.loads((tmp_path / "out" / "TST_lstm" / "train_report.json").read_text())
+        assert report["epochs"] == [] and report["error"].startswith("Unable to allocate")
+        if command == "train":
+            assert code == 2 and err == f"error: {report['error']}\n"
+        else:
+            comparison = json.loads((tmp_path / "out" / "comparison.json").read_text())
+            failure = {"asset": "TST", "cell_kind": "lstm", "error": report["error"]}
+            assert comparison == {"rows": [], "failures": [failure]}
+            assert code == 1 and err.endswith(f"FAILED TST/lstm: {report['error']}\n")
+
+    @pytest.mark.parametrize("command, extra", [
+        ("prepare", []),
+        ("train", ["--asset", "TST", "--arch", "lstm"]),
+        ("evaluate", ["--asset", "TST", "--checkpoint", "checkpoint.json"]),
+        ("run", []),
+    ])
+    def test_only_the_commands_that_draw_seeds_take_a_seed(self, capsys, command, extra):
+        argv = [command, "--config", "exp.cfg", "--seed", "1", *extra]
+        if command in ("train", "run"):
+            assert cli.build_parser().parse_args(argv).seed == 1
+        else:  # no code on their paths reads the master seed
+            with pytest.raises(SystemExit) as exited:
+                cli.build_parser().parse_args(argv)
+            assert exited.value.code == 2
+            assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("problem", ["no_asset_section", "missing_config", "dataset_not_utf8"])
     def test_file_level_config_errors_name_no_line(self, tmp_path, capsys, problem):
         """A problem with a whole file has no line to name: stderr shows the message alone."""
@@ -1050,6 +1087,29 @@ class TestSingleRunReproduction:
             solo = (tmp_path / "solo" / "TST_gru" / name).read_bytes()
             assert full == solo, name
 
+    def test_a_run_rebuilt_from_its_train_report_alone_writes_the_same_checkpoint(self, tmp_path):
+        """The ``config`` block of ``train_report.json`` is everything the run was built from."""
+        csv_path = tmp_path / "btc385.csv"
+        csv_path.write_text("".join(BTC_FIXTURE.read_text().splitlines(keepends=True)[:386]))
+        config_path = tmp_path / "quick.cfg"
+        config_path.write_text(
+            "lookback = 20\nhidden_units = 8\nlayers = 2\nbatch_size = 8\nepochs = 2\n"
+            f"architectures = lstm, gru, bilstm\n[asset.BTC]\ncsv = {csv_path}\n"
+        )
+        assert main(["run", "--config", str(config_path), "--seed", "5", "--out", str(tmp_path / "out")]) == 0
+        for kind in ("lstm", "gru", "bilstm"):
+            run_dir = tmp_path / "out" / f"BTC_{kind}"
+            echo = json.loads((run_dir / "train_report.json").read_text())["config"]
+            asset = AssetSpec(echo["asset"], csv_path)
+            data = {key: echo[key] for key in ("lookback", "train_fraction", "price_column")}
+            prepared = prepare_asset(ExperimentConfig(assets=(asset,), **data), asset)
+            arch = ArchSpec(echo["cell_kind"], layers=echo["layers"], hidden_units=echo["hidden_units"])
+            names = ("batch_size", "epochs", "learning_rate", "shuffle_seed", "validation_fraction")
+            tconfig = TrainConfig(**{name: echo[name] for name in names})
+            model, _ = train(init_params(arch, echo["init_seed"]), prepared.train_windows, tconfig)
+            network.save_checkpoint(model, tmp_path / f"{kind}.json")
+            assert (tmp_path / f"{kind}.json").read_bytes() == (run_dir / "checkpoint.json").read_bytes(), kind
+
 
 class TestShippedConfigs:
     def test_paper_config_parses_with_protocol_defaults(self):
@@ -1096,7 +1156,7 @@ class TestRunSingleOnRealFixture:
             out_dir=Path("unused"),
         )
         result = run_single(config, config.assets[0], "lstm")
-        assert result.eval_report.n == 366
+        assert len(result.eval_report.pairs) == 366
         assert result.eval_report.pairs[0][0] == date(2023, 1, 1)
         assert result.eval_report.pairs[-1][0] == date(2024, 1, 1)
 

@@ -218,7 +218,7 @@ def cli_argvs(draw):
                 argv += [flag, str(draw(values))]
         return argv
     argv += ["--config", "@" + draw(st.just("exp.cfg") | OTHER_PATHS)]
-    if draw(st.booleans()):
+    if command in ("train", "run") and draw(st.booleans()):
         argv += ["--seed", str(draw(st.integers(-(2**70), 2**70)))]
     if draw(st.booleans()):
         argv += ["--out", draw(st.sampled_from(["@new", "@new/a/b", "@adir", "@plain.txt", "@plain.txt/a", "@taken"]))]

@@ -1,5 +1,6 @@
 """Parsing, imputation, and splitting of daily OHLCV history."""
 
+import math
 from datetime import date, timedelta
 
 import numpy as np
@@ -20,9 +21,9 @@ from cryptoforecast.ingest import PriceSeries
 from conftest import make_csv
 
 
-def daily_series(values, start=date(2020, 1, 1), symbol="TST"):
+def daily_series(values, start=date(2020, 1, 1)):
     dates = tuple(start + timedelta(days=k) for k in range(len(values)))
-    return PriceSeries(symbol=symbol, dates=dates, values=np.array(values, dtype=float))
+    return PriceSeries(dates=dates, values=np.array(values, dtype=float))
 
 
 class TestParseOhlcv:
@@ -195,6 +196,13 @@ class TestChronologicalSplit:
         with pytest.raises(InsufficientDataError):
             chronological_split(daily_series([1.0]), SplitSpec(0.8))
 
+    def test_every_split_below_one_leaves_test_data(self):
+        # the largest fraction below 1: n * f still rounds below n, so the floor leaves the last point to test
+        spec, whole = SplitSpec(math.nextafter(1.0, 0.0)), daily_series(np.linspace(1.0, 2.0, 5000))
+        for n in range(2, 5001):
+            train, test = chronological_split(PriceSeries(whole.dates[:n], whole.values[:n]), spec)
+            assert len(test) > 0 and len(train) + len(test) == n, n
+
     def test_unimputed_series_rejected(self):
         with pytest.raises(ValueError, match="imputed"):
             chronological_split(daily_series([1.0, np.nan, 3.0] * 4), SplitSpec(0.8))
@@ -214,7 +222,7 @@ class TestChronologicalSplit:
 class TestPriceSeriesInvariants:
     def test_out_of_order_dates_rejected(self):
         with pytest.raises(DataError):
-            PriceSeries("X", (date(2020, 1, 2), date(2020, 1, 1)), np.array([1.0, 2.0]))
+            PriceSeries((date(2020, 1, 2), date(2020, 1, 1)), np.array([1.0, 2.0]))
 
     @pytest.mark.parametrize("values, error, message", [
         ([1.0], ValueError, "dates and values must have equal length"),
@@ -223,7 +231,7 @@ class TestPriceSeriesInvariants:
     ], ids=["length", "infinite", "negative"])
     def test_built_directly_with_bad_values_rejected(self, values, error, message):
         with pytest.raises(error, match=f"^{message}$"):
-            PriceSeries("X", (date(2020, 1, 1), date(2020, 1, 2)), np.array(values))
+            PriceSeries((date(2020, 1, 1), date(2020, 1, 2)), np.array(values))
 
     def test_parser_output_is_monotone(self, rng):
         days = rng.permutation(200)[:60]

@@ -17,6 +17,7 @@ from cryptoforecast import cells
 from cryptoforecast.cells import CellParams
 
 import reference_kernels as ref
+from same_bits import assert_same_bits
 
 GATES = {"lstm": 4, "gru": 3}
 TAPE_FIELDS = {"lstm": ("x", "s", "g", "c", "tc", "h"), "gru": ("x", "s", "n", "rh", "h")}
@@ -43,13 +44,6 @@ def make_params(rng, kind, inp, hidden):
         u=rng.normal(scale=0.6, size=(rows, hidden)),
         b=rng.normal(scale=0.3, size=rows),
     )
-
-
-def assert_same_bits(actual, expected):
-    assert actual.shape == expected.shape and actual.dtype == expected.dtype
-    assert np.array_equal(actual, expected)
-    # array_equal treats -0.0 and 0.0 as equal; the raw bits must match too
-    assert np.array_equal(np.ascontiguousarray(actual).view(np.uint64), np.ascontiguousarray(expected).view(np.uint64))
 
 
 def dh_patterns(rng, steps, batch, hidden):
@@ -270,7 +264,6 @@ def test_reversed_walk_matches_reference_on_reversed_input(rng, kind, steps, bat
 
 
 @pytest.mark.parametrize("kind", ["lstm", "gru"])
-@pytest.mark.parametrize("option", [pytest.param({"out": np.empty((3, 2, 4))}, id="option1")])
-def test_a_tape_is_not_walked_reversed_or_written_elsewhere(kind, option):
+def test_a_tape_is_not_written_elsewhere(kind):
     with pytest.raises(ValueError, match="tape-free"):
-        work_class(kind)(3, 2, 1, 4, True, **option)
+        work_class(kind)(3, 2, 1, 4, True, out=np.empty((3, 2, 4)))

@@ -169,7 +169,7 @@ class TestEvaluate:
         p_price = [p * 50.0 + 40.0 for p in preds]
         a_price = [a * 50.0 + 40.0 for a in actuals]
         assert abs(report.price.rmse - rmse_by_hand(a_price, p_price)) <= 1e-9
-        assert report.n == 5
+        assert len(report.pairs) == 5
         for (d, a, p), a_ref, p_ref in zip(report.pairs, a_price, p_price):
             assert abs(a - a_ref) <= 1e-9
             assert abs(p - p_ref) <= 1e-9
@@ -184,7 +184,7 @@ class TestEvaluate:
             assert abs(scale.rmse**2 - scale.mse) <= 1e-12 * max(scale.mse, 1.0)
             assert scale.mae <= scale.rmse + 1e-15
             assert scale.mse >= 0.0
-        assert len(report.pairs) == report.n == len(windows)
+        assert len(report.pairs) == report.to_dict()["n"] == len(windows)
 
     def test_empty_windows_rejected(self):
         model = init_params(ArchSpec("lstm", hidden_units=2), seed=0)
@@ -208,7 +208,7 @@ class TestEvaluate:
         report = evaluate(model, windows, ScalerParams(1.0, 2.0), eval_dates(len(windows)))
         lines = report.pairs_csv().strip().split("\n")
         assert lines[0] == "date,actual,predicted"
-        assert len(lines) == report.n + 1
+        assert len(lines) == len(report.pairs) + 1
         day, actual, predicted = lines[1].split(",")
         assert day == "2023-01-01"
         # repr round-trips exactly

@@ -21,15 +21,9 @@ from cryptoforecast.metrics import _EVAL_CHUNK, predict_batch
 from cryptoforecast.network import ArchSpec, backward_batch, forward_batch, init_params
 
 import reference_network as ref
+from same_bits import assert_same_bits
 
 TAPE_FIELDS = {"lstm": ("x", "s", "g", "c", "tc", "h"), "gru": ("x", "s", "n", "rh", "h")}
-
-
-def assert_same_bits(actual, expected):
-    assert actual.shape == expected.shape and actual.dtype == expected.dtype
-    assert np.array_equal(actual, expected)
-    # array_equal treats -0.0 and 0.0 as equal; the raw bits must match too
-    assert np.array_equal(np.ascontiguousarray(actual).view(np.uint64), np.ascontiguousarray(expected).view(np.uint64))
 
 
 def check_against_reference(model, windows, d_preds, store_tape):

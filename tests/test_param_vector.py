@@ -22,17 +22,11 @@ from cryptoforecast.network import (
 from cryptoforecast.training import OptimizerState, TrainConfig, adam_step
 
 import reference_adam
+from same_bits import assert_same_bits
 
 KINDS = ("lstm", "gru", "bilstm")
 SHAPES = {"quick": dict(hidden_units=8), "paper": dict(hidden_units=100)}
 ADAM_BLOCK = cells._HOIST_BYTES // 8  # floats per block of the vector update
-
-
-def assert_same_bits(actual, expected):
-    assert actual.shape == expected.shape and actual.dtype == expected.dtype
-    assert np.array_equal(actual, expected)
-    # array_equal treats -0.0 and 0.0 as equal; the raw bits must match too
-    assert np.array_equal(actual.view(np.uint64), expected.view(np.uint64))
 
 
 def random_grads(rng, model):

@@ -61,7 +61,40 @@ def test_json_difference_path_on_stderr(tmp_path, capsys):
         "differs run/checkpoint.json",
         "2 difference(s): 2 file(s) compared",
     ]
-    assert captured.err.splitlines() == ["run/checkpoint.json: first difference at layers[1].u_c[37]"]
+    assert captured.err.splitlines() == [
+        *("--- A/notes.txt", "+++ B/notes.txt", "@@ -1 +1 @@", "-a", "+b"),  # a text file's unified diff
+        "run/checkpoint.json: first difference at layers[1].u_c[37]",
+    ]
+
+
+def test_text_difference_shown_as_a_unified_diff_on_stderr(tmp_path, capsys):
+    page = "usage: cryptoforecast prepare [-h] --config CONFIG [--seed SEED] [--out OUT]\n\noptions:\n"
+    page += "  --config CONFIG  experiment config path\n  --seed SEED      override the master seed\n"
+    page += "  --out OUT        override the output directory\n"
+    lines = "".join(f"{k}\n" for k in range(100))
+    a = {"help_prepare.txt": page.encode(), "long.txt": lines.encode(), "blob.bin": b"\xff\x00"}
+    without_seed = page.replace(" [--seed SEED]", "").replace("  --seed SEED      override the master seed\n", "")
+    b = {"help_prepare.txt": without_seed.encode(), "long.txt": lines.replace("\n", "x\n").encode()}
+    b["blob.bin"] = b"\xff\x01"
+    write_tree(tmp_path / "a", a)
+    write_tree(tmp_path / "b", b)
+    assert compare_artifacts.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    help_diff = [
+        "--- A/help_prepare.txt",
+        "+++ B/help_prepare.txt",
+        "@@ -1,6 +1,5 @@",
+        "-usage: cryptoforecast prepare [-h] --config CONFIG [--seed SEED] [--out OUT]",
+        "+usage: cryptoforecast prepare [-h] --config CONFIG [--out OUT]",
+        " ",
+        " options:",
+        "   --config CONFIG  experiment config path",
+        "-  --seed SEED      override the master seed",
+        "   --out OUT        override the output directory",
+    ]
+    # blob.bin is not UTF-8: named on stdout only; long.txt's diff is cut to 40 lines
+    assert err[:10] == help_diff
+    assert err[10:13] == ["--- A/long.txt", "+++ B/long.txt", "@@ -1,100 +1,100 @@"] and len(err) == 10 + 40
 
 
 def test_first_json_difference_cases():

@@ -22,13 +22,7 @@ from cryptoforecast.training import OptimizerState, TrainConfig, adam_step, trai
 
 import reference_adam
 import reference_training
-
-
-def assert_same_bits(actual, expected):
-    actual, expected = np.asarray(actual), np.asarray(expected)
-    assert actual.shape == expected.shape and actual.dtype == expected.dtype
-    # array_equal treats -0.0 and 0.0 as equal; the raw bits must match too
-    assert np.array_equal(np.ascontiguousarray(actual).view(np.uint64), np.ascontiguousarray(expected).view(np.uint64))
+from same_bits import assert_same_bits
 
 
 def random_windows(rng, n, steps):

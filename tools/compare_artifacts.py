@@ -10,14 +10,18 @@ prints one line per difference: ``differs <path>`` for files present in
 both trees with different bytes, ``only in A <path>`` / ``only in B
 <path>`` for files present on one side only.  Paths are relative to the
 tree roots.  For a differing ``.json`` file, the path of its first
-differing value (for example ``layers[1].u_c[37]``) goes to stderr.  Exit
-status is 0 when the trees are byte-identical, 1 when anything differs, and
-2 when an argument is not a directory.
+differing value (for example ``layers[1].u_c[37]``) goes to stderr; for
+any other differing file that decodes as UTF-8 (a help page, say), the
+first 40 lines of a unified diff go there.  Exit status is 0 when the trees
+are byte-identical, 1 when anything differs, and 2 when an argument is not
+a directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import difflib
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -74,6 +78,16 @@ def json_difference(path_a: Path, path_b: Path) -> str | None:
     return first_json_difference(doc_a, doc_b)
 
 
+def text_difference(path_a: Path, path_b: Path, name: str, limit: int = 40) -> list[str]:
+    """At most ``limit`` lines of a unified diff of two text files; none if either is not UTF-8."""
+    try:
+        text_a, text_b = path_a.read_text(encoding="utf-8"), path_b.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        return []
+    diff = difflib.unified_diff(text_a.splitlines(), text_b.splitlines(), f"A/{name}", f"B/{name}", lineterm="")
+    return list(itertools.islice(diff, limit))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Byte-compare two run output trees.")
     parser.add_argument("a", type=Path, help="first output directory")
@@ -87,10 +101,14 @@ def main(argv=None) -> int:
     for line in lines:
         print(line)
         name = line.removeprefix("differs ")
-        if name != line and name.endswith(".json"):
-            where = json_difference(args.a / name, args.b / name)
-            if where is not None:
-                print(f"{name}: first difference at {where}", file=sys.stderr)
+        if name == line:
+            continue
+        where = json_difference(args.a / name, args.b / name) if name.endswith(".json") else None
+        if where is not None:
+            print(f"{name}: first difference at {where}", file=sys.stderr)
+        else:
+            for diff_line in text_difference(args.a / name, args.b / name, name):
+                print(diff_line, file=sys.stderr)
     n_files = len(tree_files(args.a) | tree_files(args.b))
     print(f"{'identical' if not lines else f'{len(lines)} difference(s)'}: {n_files} file(s) compared")
     return 1 if lines else 0
