@@ -8,6 +8,14 @@ and price scale.  Experiments are driven by a small config format and the
 ``cryptoforecast`` command line tool.
 """
 
+import os
+
+# One BLAS thread unless the environment sets another count: two round some
+# training products differently, so the bits would follow the core count.
+# It acts only where numpy is not loaded yet, hence before any import below.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .errors import (
     CheckpointError,
     ConfigError,

@@ -19,7 +19,10 @@ import numpy as np
 from . import experiment
 from .errors import AT_LEAST_ONE, FINITE_POSITIVE, NON_NEGATIVE, CheckpointError, ForecastError, check
 from .metrics import evaluate
-from .network import DEFAULT_EPSILON, EPSILON_RULE, ArchSpec, CELL_KINDS, grad_check_worst, init_params, load_checkpoint
+from .network import (
+    DEFAULT_EPSILON, EPSILON_RULE, ArchSpec, CELL_KINDS, grad_check_worst, init_params, load_checkpoint,
+    recheck_epsilon,
+)
 
 log = logging.getLogger(__name__)
 
@@ -170,6 +173,7 @@ def cmd_gradcheck(args) -> int:
             print(
                 f"  FAIL {kind} trial {trial}: {result.location()} analytic {result.analytic:.3e}"
                 f" numeric {result.numeric:.3e} relative error {result.rel_error:.3e}"
+                f" (numeric {result.recheck:.3e} at epsilon {recheck_epsilon(args.epsilon):.3g})"
             )
         failed = failed or bool(failures)
     return 1 if failed else 0

@@ -303,7 +303,7 @@ class RunResult:
     cell_kind: str
     model: ModelParams
     train_report: TrainReport
-    eval_report: EvalReport | None  # None until the trained model is evaluated
+    eval_report: EvalReport
 
 
 def run_single(
@@ -345,17 +345,9 @@ def run_single(
             except OutputError as write_error:  # the training error stays the one raised
                 log.error("%s", write_error)
         raise
-    result = RunResult(
-        asset=asset.symbol,
-        cell_kind=cell_kind,
-        model=model,
-        train_report=train_report,
-        eval_report=None,
-    )
     if run_dir is not None:
-        write_run_artifacts(echo, result, run_dir)
+        write_run_artifacts(echo, model, train_report, run_dir)
     eval_report = evaluate(model, prepared.test_windows, prepared.scaler, prepared.test.dates)
-    result.eval_report = eval_report
     log.info(
         "finished %s/%s: normalized rmse=%.6g price mape=%.4g%% (%.1fs)",
         asset.symbol,
@@ -367,7 +359,7 @@ def run_single(
     if run_dir is not None:
         payload = eval_report_dict(eval_report, asset.symbol, cell_kind, prepared.scaler)
         write_eval_artifacts(run_dir, payload, eval_report)
-    return result
+    return RunResult(asset.symbol, cell_kind, model, train_report, eval_report)
 
 
 def _config_echo(config: ExperimentConfig, asset: str, cell_kind: str) -> dict:
@@ -427,10 +419,10 @@ def run_dir_name(asset: str, cell_kind: str) -> str:
     return f"{asset}_{cell_kind}"
 
 
-def write_run_artifacts(echo: dict, result: RunResult, run_dir: Path) -> None:
+def write_run_artifacts(echo: dict, model: ModelParams, train_report: TrainReport, run_dir: Path) -> None:
     """Persist one trained run: checkpoint, and train report with the config echo the run was built from."""
-    _write_file(make_out_dir(run_dir) / "checkpoint.json", lambda p: save_checkpoint(result.model, p))
-    report = {"config": echo, "checkpoint": "checkpoint.json", "epochs": result.train_report.epochs_log()}
+    _write_file(make_out_dir(run_dir) / "checkpoint.json", lambda p: save_checkpoint(model, p))
+    report = {"config": echo, "checkpoint": "checkpoint.json", "epochs": train_report.epochs_log()}
     write_json(run_dir / "train_report.json", report)
 
 

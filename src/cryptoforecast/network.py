@@ -380,9 +380,15 @@ class GradCheckResult:
     index: tuple[int, ...]  # element index within that array
     analytic: float
     numeric: float
+    recheck: float  # that element's numeric derivative at recheck_epsilon(epsilon)
 
     def location(self) -> str:
         return f"{self.array}[{', '.join(map(str, self.index))}]"
+
+
+def recheck_epsilon(epsilon: float) -> float:
+    """The second step a failing check is retried at: 10x ``epsilon``, or a tenth where 10x leaves the rule."""
+    return 10 * epsilon if EPSILON_RULE[1](10 * epsilon) else epsilon / 10
 
 
 def grad_check_worst(model: ModelParams, window, target: float, epsilon: float = DEFAULT_EPSILON) -> GradCheckResult:
@@ -391,7 +397,9 @@ def grad_check_worst(model: ModelParams, window, target: float, epsilon: float =
     Checks the gradient of the squared-error loss ``(prediction - target)**2``
     of exactly one ``window`` parameter-by-parameter against
     central finite differences, with relative error
-    ``|a - n| / max(|a|, |n|, 1e-8)``.
+    ``|a - n| / max(|a|, |n|, 1e-8)``.  The worst element's difference is
+    also taken at :func:`recheck_epsilon` (``recheck``): a gap that moves
+    with the step is finite-difference noise, one that stays is a bug.
     """
     check("epsilon", epsilon, EPSILON_RULE)
     target = float(target)
@@ -402,25 +410,22 @@ def grad_check_worst(model: ModelParams, window, target: float, epsilon: float =
         raise ValueError(f"grad_check_worst takes exactly one window, got {preds.shape[0]}")
     analytic = backward_batch(work, tape, 2.0 * (preds - target))
 
-    def loss() -> float:  # every forward reruns on the one tape; only backward writes its gradients
-        preds, _ = forward_batch(work, window, workspace=tape)
-        return float((preds[0] - target) ** 2)
-
-    worst = None
     flat = work.vector
-    for k in range(flat.shape[0]):
-        saved = flat[k]
-        flat[k] = saved + epsilon
-        loss_plus = loss()
-        flat[k] = saved - epsilon
-        loss_minus = loss()
+
+    def central_difference(k: int, step: float) -> float:  # reruns the one tape; only backward wrote its gradients
+        saved, losses = flat[k], []
+        for value in (saved + step, saved - step):
+            flat[k] = value
+            preds, _ = forward_batch(work, window, workspace=tape)
+            losses.append(float((preds[0] - target) ** 2))
         flat[k] = saved
-        numeric = (loss_plus - loss_minus) / (2.0 * epsilon)
-        a = analytic.vector[k]
-        rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-        if worst is None or rel > worst.rel_error:
-            worst = GradCheckResult(float(rel), *work.locate(k), float(a), float(numeric))
-    return worst
+        return (losses[0] - losses[1]) / (2.0 * step)
+
+    numeric = [central_difference(k, epsilon) for k in range(flat.shape[0])]
+    rel = [abs(a - n) / max(abs(a), abs(n), 1e-8) for a, n in zip(analytic.vector, numeric)]
+    k = max(range(len(rel)), key=rel.__getitem__)  # the first worst
+    recheck = central_difference(k, recheck_epsilon(epsilon))
+    return GradCheckResult(float(rel[k]), *work.locate(k), float(analytic.vector[k]), float(numeric[k]), recheck)
 
 
 def grad_check(model: ModelParams, window, target: float, epsilon: float = DEFAULT_EPSILON) -> float:

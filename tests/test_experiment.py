@@ -1040,6 +1040,21 @@ class TestCli:
         assert lines[1].startswith("  FAIL gru trial 0: dense_b[0] analytic ")
         assert lines[2].startswith("  FAIL gru trial 1: dense_b[0] analytic ")
         assert " numeric " in lines[1] and " relative error " in lines[1]
+        assert lines[1].endswith(" at epsilon 0.0001)") and lines[2].endswith(" at epsilon 0.0001)")
+
+    def test_gradcheck_failure_shows_the_numeric_value_at_a_second_epsilon(self, capsys):
+        # the default seed's one failing element: both steps agree with the analytic value to a few parts in 1e4,
+        # and the relative error passes the threshold only because both sit below its 1e-8 floor
+        assert main(["gradcheck", "--trials", "5"]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "  FAIL bilstm trial 1: layers[1].bwd.u[9, 7] analytic 4.264e-09 numeric 4.269e-09"
+            " relative error 5.012e-04 (numeric 4.265e-09 at epsilon 0.0001)"
+        )
+
+    @pytest.mark.parametrize("epsilon, second", [(1e-5, 1e-4), (1e-4, 1e-3), (1e-7, 1e-6), (2e-4, 2e-5), (1e-3, 1e-4)])
+    def test_gradcheck_second_epsilon_stays_within_the_epsilon_rule(self, epsilon, second):
+        assert network.recheck_epsilon(epsilon) == pytest.approx(second, rel=1e-12)
+        assert network.EPSILON_RULE[1](network.recheck_epsilon(epsilon))
 
     def test_seed_override_changes_runs(self, tmp_path):
         csv_path = tiny_csv(tmp_path)
@@ -1219,3 +1234,31 @@ class TestDivergedModel:
         assert proc.returncode == 2
         assert "RuntimeWarning" not in proc.stderr
         assert proc.stderr.splitlines()[-1] == "error: normalized mse is not finite"
+
+
+def test_cli_bits_do_not_depend_on_the_blas_thread_variables(tmp_path):
+    """Unset thread variables get the package's own one-thread pin, so a run matches one pinned by hand.
+
+    Two OpenBLAS threads round this shape's training products otherwise: on a
+    machine with more than one CPU its checkpoint differs from a pinned one.
+    """
+    lines = (REPO / "fixtures" / "btc_usd.csv").read_text().splitlines(keepends=True)
+    (tmp_path / "btc.csv").write_text("".join(lines[:201]))
+    (tmp_path / "tiny.cfg").write_text(
+        "lookback = 60\nhidden_units = 16\nlayers = 2\nbatch_size = 32\nepochs = 1\narchitectures = lstm\n"
+        "[asset.BTC]\ncsv = btc.csv\n"
+    )
+    thread_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    unset = {k: v for k, v in os.environ.items() if k not in thread_vars}
+    unset["PYTHONPATH"] = os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])
+    trees = {}
+    for label, env in (("unset", unset), ("pinned", {**unset, **dict.fromkeys(thread_vars, "1")})):
+        argv = [sys.executable, "-m", "cryptoforecast.cli", "train", "--config", str(tmp_path / "tiny.cfg")]
+        argv += ["--asset", "BTC", "--arch", "lstm", "--out", str(tmp_path / label)]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        trees[label] = {p.relative_to(tmp_path / label): p.read_bytes() for p in (tmp_path / label).rglob("*.*")}
+    assert sorted(map(str, trees["pinned"])) == [f"BTC_lstm/{name}" for name in
+                                                 ("checkpoint.json", "eval_report.json", "predictions.csv",
+                                                  "train_report.json")]
+    assert trees["unset"] == trees["pinned"]

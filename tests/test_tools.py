@@ -344,16 +344,20 @@ def test_gate_set_configs_are_valid_and_cover_the_gate_shapes():
 
     configs = {name: validate_config(text) for name, text in gate_set.gate_configs().items()}
     assert set(configs) == {"all_quick", "all_paper", "all_quick3", "all_quick_b7", "all_quick_h53",
-                            "all_paper_full", "all_quick_h53_full"}
-    for config in configs.values():
-        assert config.architectures == ("lstm", "gru", "bilstm") and config.epochs == 2
+                            "all_paper_full", "all_quick_h53_full", "unpinned"}
+    for name, config in configs.items():
+        assert config.architectures == ("lstm", "gru", "bilstm") and config.epochs == (1 if name == "unpinned" else 2)
         assert [a.symbol for a in config.assets] == ["BTC", "ETH", "LTC"]
     shapes = {name: (c.lookback, c.hidden_units, c.layers, c.batch_size) for name, c in configs.items()}
     assert shapes == {"all_quick": (20, 8, 2, 8), "all_paper": (60, 100, 2, 32), "all_quick3": (20, 8, 3, 8),
                       "all_quick_b7": (20, 8, 2, 7), "all_quick_h53": (20, 53, 2, 8),
-                      "all_paper_full": (60, 100, 2, 32), "all_quick_h53_full": (20, 53, 2, 8)}
-    for name in ("all_paper_full", "all_quick_h53_full"):
-        assert all(str(a.csv_path).startswith("full/") for a in configs[name].assets)
+                      "all_paper_full": (60, 100, 2, 32), "all_quick_h53_full": (20, 53, 2, 8),
+                      "unpinned": (60, 16, 2, 32)}
+    for name, subdir in (("all_paper_full", "full/"), ("all_quick_h53_full", "full/"), ("unpinned", "rows200/")):
+        assert all(str(a.csv_path).startswith(subdir) for a in configs[name].assets)
+    assert gate_set.unpinned_steps(Path("inputs")) == [("train_unpinned", (
+        "train", "--config", str(Path("inputs", "unpinned.cfg")), "--asset", "BTC", "--arch", "lstm",
+        "--out", "train_unpinned"))]
 
 
 def test_gate_set_covers_every_report_path_of_the_cli():
@@ -384,6 +388,51 @@ def test_gate_set_rejects_bad_arguments(tmp_path, capsys):
     assert "has no src/cryptoforecast" in capsys.readouterr().err
     assert gate_set.main([str(TOOLS.parent), str(tmp_path)]) == 2  # the output tree exists
     assert "already exists" in capsys.readouterr().err
+
+
+protocol = load_tool("protocol")
+
+
+def test_protocol_records_one_run_of_the_checkouts_paper_config(tmp_path, monkeypatch, capsys):
+    from test_acceptance import MAPE_BANDS, NORM_RMSE_BAND
+
+    checkout = tmp_path / "checkout"
+    (checkout / "configs").mkdir(parents=True)
+    (checkout / "fixtures").mkdir()
+    for name in ("src", "tests"):
+        (checkout / name).symlink_to(TOOLS.parent / name)
+    lines = (TOOLS.parent / "fixtures" / "btc_usd.csv").read_text().splitlines(keepends=True)
+    (checkout / "fixtures" / "btc_usd.csv").write_text("".join(lines[:201]))
+    (checkout / "configs" / "paper.cfg").write_text(
+        "lookback = 10\nhidden_units = 4\nlayers = 1\nepochs = 1\narchitectures = lstm, gru\n"
+        "[asset.BTC]\ncsv = ../fixtures/btc_usd.csv\n"
+    )
+    monkeypatch.chdir(tmp_path)
+    assert protocol.main([str(checkout), "--label", "t"]) == 0
+    record = json.loads((tmp_path / "PROTOCOL_t.json").read_text())
+    assert record["label"] == "t" and record["failures"] == [] and record["process"]["exit_code"] == 0
+    assert record["process"]["wall_s"] > 0 and record["process"]["cpu_s"] > 0 and record["process"]["max_rss_mb"] > 0
+    assert record["environment"]["threads"] == dict.fromkeys(gate_set.THREAD_VARS, "1")
+    assert {"numpy", "blas", "nproc"} <= set(record["environment"])
+    assert len(record["comparison_sha256"]) == 64
+    assert [(r["asset"], r["cell_kind"]) for r in record["runs"]] == [("BTC", "lstm"), ("BTC", "gru")]
+    for run in record["runs"]:
+        assert (run["rmse_band"], run["mape_band"]) == (NORM_RMSE_BAND, MAPE_BANDS["BTC"])
+        assert run["inside"] == (run["normalized_rmse"] <= NORM_RMSE_BAND and run["price_mape"] <= MAPE_BANDS["BTC"])
+    assert record["all_inside"] == all(run["inside"] for run in record["runs"])
+    assert capsys.readouterr().out.splitlines()[-1].startswith("wrote PROTOCOL_t.json")
+
+
+def test_protocol_rejects_a_checkout_it_cannot_run(tmp_path, capsys):
+    assert protocol.main([str(tmp_path), "--label", "t"]) == 2
+    assert "has no src/cryptoforecast" in capsys.readouterr().err
+    tests = tmp_path / "tests" / "test_acceptance.py"
+    for path in (tmp_path / "src" / "cryptoforecast", tmp_path / "configs" / "paper.cfg", tests):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.touch()
+    tests.write_text("NORM_RMSE_BAND = 0.025\n")
+    assert protocol.main([str(tmp_path), "--label", "t"]) == 2
+    assert "assigns no MAPE_BANDS" in capsys.readouterr().err
 
 
 unreached = load_tool("unreached")

@@ -6,11 +6,12 @@ Usage::
     python tools/gate_set.py CHECKOUT OUT
 
 Runs CHECKOUT's ``src/`` (``python -m cryptoforecast.cli``, BLAS pinned to
-one thread) on the gate set and writes everything under OUT, which must
-not exist yet:
+one thread but for one step) on the gate set and writes everything under
+OUT, which must not exist yet:
 
 * ``inputs/``: the gate configs and the fixtures they read, the first
-  385 data rows of each (``inputs/full/``: whole fixtures);
+  385 data rows of each (``inputs/full/``: whole fixtures;
+  ``inputs/rows200/``: the first 200 data rows);
 * ``quick/``: ``configs/quick.cfg``;
 * ``all_quick/``, ``all_paper/``, ``all_quick3/``, ``all_quick_b7/``,
   ``all_quick_h53/``: every architecture on the three 385-row fixtures,
@@ -28,6 +29,11 @@ not exist yet:
   ``--out``;
 * ``train/BTC_gru/``: ``train --asset BTC --arch gru`` of the 385-row
   quick-shape config with ``--out``;
+* ``train_unpinned/BTC_lstm/``: ``train --asset BTC --arch lstm``, one
+  epoch on the 200-row fixtures at lookback 60, 2x16, batch 32, run with
+  the thread variables removed from its environment: the package's own
+  pin must give the bits of a pinned run (two BLAS threads round this
+  shape's products otherwise);
 * ``stdout/<step>.txt``: what each step above printed, and the reports
   that ``prepare`` of that config and ``evaluate`` of the ``all_paper``
   BTC Bi-LSTM checkpoint print without ``--out`` (steps
@@ -63,15 +69,18 @@ SHAPES = {
     "all_quick_b7": {**QUICK, "batch_size": 7},
     "all_quick_h53": {**QUICK, "hidden_units": 53},
 }
+UNPINNED = {"lookback": 60, "hidden_units": 16, "layers": 2, "batch_size": 32}  # the smallest shape seen to differ
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")  # set to 1 but for unpinned_steps
 FULL = "full"  # inputs/ subdirectory of the whole fixtures
+CUTS = {FULL: None, "rows200": 200, ".": ROWS}  # inputs/ subdirectory: fixture data rows it keeps (None: all)
 COMMANDS = ("prepare", "train", "evaluate", "run", "gradcheck")
 EVALUATED = {"all_paper": ("evaluate", ASSETS), "all_quick_h53": ("evaluate_h53", ASSETS[:1])}  # out dir, assets
 
 
-def config_text(shape: dict, csv_dir: str = ".") -> str:
-    """An all-architecture, 2-epoch config of ``shape`` over the fixtures in ``csv_dir`` (config-relative)."""
+def config_text(shape: dict, csv_dir: str = ".", epochs: int = 2) -> str:
+    """An all-architecture config of ``shape`` over the fixtures in ``csv_dir`` (config-relative)."""
     lines = [f"{key} = {value}" for key, value in shape.items()]
-    lines += [f"architectures = {', '.join(ARCHS)}", "epochs = 2", "seed = 1234"]
+    lines += [f"architectures = {', '.join(ARCHS)}", f"epochs = {epochs}", "seed = 1234"]
     for symbol, filename in ASSETS:
         lines += ["", f"[asset.{symbol}]", f"csv = {csv_dir}/{filename}"]
     return "\n".join(lines) + "\n"
@@ -81,15 +90,16 @@ def gate_configs() -> dict[str, str]:
     """Every config the gate set writes to ``inputs/``, by name."""
     configs = {name: config_text(shape) for name, shape in SHAPES.items()}
     configs.update({f"{name}_full": config_text(SHAPES[name], FULL) for name in EVALUATED})
+    configs["unpinned"] = config_text(UNPINNED, "rows200", epochs=1)
     return configs
 
 
 def write_inputs(checkout: Path, inputs: Path) -> None:
-    (inputs / FULL).mkdir(parents=True)
-    for _, filename in ASSETS:
-        text = (checkout / "fixtures" / filename).read_text()
-        (inputs / FULL / filename).write_text(text)
-        (inputs / filename).write_text("".join(text.splitlines(keepends=True)[: ROWS + 1]))
+    for subdir, rows in CUTS.items():
+        (inputs / subdir).mkdir(parents=True, exist_ok=True)
+        for _, filename in ASSETS:
+            lines = (checkout / "fixtures" / filename).read_text().splitlines(keepends=True)
+            (inputs / subdir / filename).write_text("".join(lines if rows is None else lines[: rows + 1]))
     for name, text in gate_configs().items():
         (inputs / f"{name}.cfg").write_text(text)
 
@@ -119,6 +129,13 @@ def gate_steps(checkout: Path, inputs: Path) -> list[tuple[str, tuple]]:
     ]
 
 
+def unpinned_steps(inputs: Path) -> list[tuple[str, tuple]]:
+    """The ``(name, cli argv)`` steps run with the BLAS thread variables removed from their environment."""
+    unpinned = str(inputs / "unpinned.cfg")
+    return [("train_unpinned", ("train", "--config", unpinned, "--asset", "BTC", "--arch", "lstm",
+                                "--out", "train_unpinned"))]
+
+
 def help_steps() -> list[tuple[str, tuple]]:
     """The ``(name, cli argv)`` steps that print the program's ``--help`` page and each command's."""
     return [("help", ("--help",))] + [(f"help_{command}", (command, "--help")) for command in COMMANDS]
@@ -136,11 +153,11 @@ def main(argv=None) -> int:
     if out.exists():
         print(f"error: {out} already exists", file=sys.stderr)
         return 2
-    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
-    env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
-    env["COLUMNS"] = "80"  # the width argparse wraps the help pages to
+    unpinned = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    unpinned.update(PYTHONPATH=str(checkout / "src"), COLUMNS="80")  # COLUMNS: the width help pages wrap to
+    env = {**unpinned, **dict.fromkeys(THREAD_VARS, "1")}
 
-    def cli(*argv: str) -> subprocess.CompletedProcess:
+    def cli(*argv: str, env: dict = env) -> subprocess.CompletedProcess:
         command = [sys.executable, "-m", "cryptoforecast.cli", *argv]
         return subprocess.run(command, cwd=out, env=env, capture_output=True, text=True)
 
@@ -154,8 +171,9 @@ def main(argv=None) -> int:
     write_inputs(checkout, inputs)
     (out / "stdout").mkdir()
     failed = 0
-    for name, argv in gate_steps(checkout, inputs) + help_steps():
-        result = cli(*argv)
+    steps = [(step, env) for step in gate_steps(checkout, inputs) + help_steps()]
+    for (name, argv), step_env in steps + [(step, unpinned) for step in unpinned_steps(inputs)]:
+        result = cli(*argv, env=step_env)
         (out / "stdout" / f"{name}.txt").write_text(result.stdout)
         print(f"{name}: exit {result.returncode}", flush=True)
         if result.returncode != 0:
