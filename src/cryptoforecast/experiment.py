@@ -69,6 +69,8 @@ def _text(key: str, raw: str) -> str:
 
 
 def _path(key: str, raw: str) -> Path:
+    if "\0" in raw:  # no file system takes one; os calls raise a bare ValueError
+        raise ValueError(f"{key} must not contain a NUL byte")
     return Path(_text(key, raw))
 
 
@@ -161,6 +163,8 @@ def validate_config(config_text: str) -> ExperimentConfig:
                 diags.append((lineno, f"unknown section [{quoted(name, str)}]; only [asset.<SYMBOL>] is allowed"))
             elif not symbol:
                 diags.append((lineno, "asset section needs a symbol: [asset.<SYMBOL>]"))
+            elif any(c in symbol for c in "/\\\0"):  # the symbol names its run directories
+                diags.append((lineno, f"asset symbol {quoted(symbol)} must not contain '/', '\\' or a NUL byte"))
             elif any(sym == symbol for _, sym, _ in assets):
                 diags.append((lineno, f"duplicate asset symbol {quoted(symbol)}"))
             else:
@@ -333,9 +337,10 @@ def run_single(
         tconfig.epochs,
         tconfig.batch_size,
     )
-    try:
-        model = init_params(config.arch_for(cell_kind), seed=echo["init_seed"])
-        model, train_report = train(model, prepared.train_windows, tconfig)
+    try:  # train's copy is the only parameter vector alive while it trains
+        model, train_report = train(
+            init_params(config.arch_for(cell_kind), seed=echo["init_seed"]), prepared.train_windows, tconfig
+        )
     except (ForecastError, MemoryError) as exc:
         if run_dir is not None:
             partial = getattr(exc, "report", None)
@@ -442,7 +447,7 @@ def write_eval_artifacts(out_dir: Path, payload: dict, report: EvalReport) -> Pa
 @dataclass
 class ExperimentResult:
     out_dir: Path
-    results: list[RunResult]
+    results: list[tuple[str, str, EvalReport]]  # (asset, cell_kind, eval_report)
     failures: list[tuple[str, str, str]]  # (asset, cell_kind, error)
 
 
@@ -451,21 +456,23 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     Data and config problems surface before any training starts.  A
     failing run is recorded as a failure without aborting its siblings; one
-    whose evaluation fails keeps its checkpoint and train report.
+    whose evaluation fails keeps its checkpoint and train report.  Of a
+    finished run only its evaluation is kept, so one trained model at a
+    time is alive.
     """
     out_dir = make_out_dir(Path(config.out_dir))
 
     # fail fast on unreadable/invalid datasets before burning training time
     prepared = {asset.symbol: prepare_asset(config, asset) for asset in config.assets}
 
-    results: list[RunResult] = []
+    results: list[tuple[str, str, EvalReport]] = []
     failures: list[tuple[str, str, str]] = []
     for asset in config.assets:
         for cell_kind in config.architectures:
             run_dir = out_dir / run_dir_name(asset.symbol, cell_kind)
-            try:
-                result = run_single(config, asset, cell_kind, prepared[asset.symbol], run_dir)
-                results.append(result)
+            try:  # no name holds the RunResult, so its model is freed before the next run starts
+                eval_report = run_single(config, asset, cell_kind, prepared[asset.symbol], run_dir).eval_report
+                results.append((asset.symbol, cell_kind, eval_report))
             except (ForecastError, MemoryError) as exc:  # a model too big to allocate fails its run alone
                 log.error("run %s/%s failed: %s", asset.symbol, cell_kind, exc)
                 failures.append((asset.symbol, cell_kind, str(exc)))
@@ -474,25 +481,24 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(out_dir=out_dir, results=results, failures=failures)
 
 
-def comparison_dict(results: list[RunResult], failures) -> dict:
-    """Comparison rows across runs; best per asset by price-scale RMSE."""
-    best: dict[str, RunResult] = {}
-    for result in results:
-        current = best.get(result.asset)
-        if current is None or result.eval_report.price.rmse < current.eval_report.price.rmse:
-            best[result.asset] = result
-    rows = []
-    for result in results:
-        rows.append(
-            {
-                "asset": result.asset,
-                "cell_kind": result.cell_kind,
-                "run_dir": run_dir_name(result.asset, result.cell_kind),
-                "normalized": result.eval_report.normalized.to_dict(),
-                "price": result.eval_report.price.to_dict(),
-                "best": best[result.asset] is result,
-            }
-        )
+def comparison_dict(results: list[tuple[str, str, EvalReport]], failures) -> dict:
+    """Comparison rows across runs' ``(asset, cell_kind, eval_report)``; best per asset by price-scale RMSE."""
+    best: dict[str, EvalReport] = {}
+    for asset, _, report in results:
+        current = best.get(asset)
+        if current is None or report.price.rmse < current.price.rmse:
+            best[asset] = report
+    rows = [
+        {
+            "asset": asset,
+            "cell_kind": cell_kind,
+            "run_dir": run_dir_name(asset, cell_kind),
+            "normalized": report.normalized.to_dict(),
+            "price": report.price.to_dict(),
+            "best": best[asset] is report,
+        }
+        for asset, cell_kind, report in results
+    ]
     return {
         "rows": rows,
         "failures": [{"asset": a, "cell_kind": k, "error": e} for a, k, e in failures],

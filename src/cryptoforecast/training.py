@@ -127,7 +127,6 @@ def adam_step(params: ModelParams, grads: ModelParams, state: OptimizerState, co
         p[rows] -= update
 
 
-@np.errstate(over="ignore", invalid="ignore")  # non-finite values are reported below, not warned about
 def train(
     model: ModelParams, train_batch: SequenceBatch, config: TrainConfig
 ) -> tuple[ModelParams, TrainReport]:
@@ -162,46 +161,48 @@ def train(
     tape = None  # each batch overwrites the previous batch's tape
     report = TrainReport(train_losses=[], val_losses=[], epoch_seconds=[])
     try:
-        for epoch in range(1, config.epochs + 1):
-            started = time.perf_counter()
-            perm = rng.permutation(n_train)
-            batch_losses = []
-            for batch, start in enumerate(range(0, n_train, config.batch_size), start=1):
-                idx = perm[start : start + config.batch_size]
-                xb = inputs[idx]
-                yb = targets[idx]
-                preds, tape = forward_batch(model, xb, workspace=tape)
-                resid = preds - yb
-                batch_losses.append(float(np.mean(resid * resid)))
-                d_preds = (2.0 / idx.shape[0]) * resid
-                grads = backward_batch(model, tape, d_preds)
-                try:
-                    adam_step(model, grads, state, config)
-                except PoisonedUpdateError as exc:
-                    raise PoisonedUpdateError(exc.array, epoch, batch) from None
+        # non-finite values are reported below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            for epoch in range(1, config.epochs + 1):
+                started = time.perf_counter()
+                perm = rng.permutation(n_train)
+                batch_losses = []
+                for batch, start in enumerate(range(0, n_train, config.batch_size), start=1):
+                    idx = perm[start : start + config.batch_size]
+                    xb = inputs[idx]
+                    yb = targets[idx]
+                    preds, tape = forward_batch(model, xb, workspace=tape)
+                    resid = preds - yb
+                    batch_losses.append(float(np.mean(resid * resid)))
+                    d_preds = (2.0 / idx.shape[0]) * resid
+                    grads = backward_batch(model, tape, d_preds)
+                    try:
+                        adam_step(model, grads, state, config)
+                    except PoisonedUpdateError as exc:
+                        raise PoisonedUpdateError(exc.array, epoch, batch) from None
 
-            train_loss = float(np.mean(batch_losses))
-            if n_val > 0:
-                val_preds, _ = forward_batch(model, val_inputs, store_tape=False)
-                val_loss = mse_loss(val_preds, val_targets)
-            else:
-                val_loss = None
-            if not np.isfinite(train_loss):
-                raise DivergenceError(epoch, "train")
-            if val_loss is not None and not np.isfinite(val_loss):
-                raise DivergenceError(epoch, "validation")
+                train_loss = float(np.mean(batch_losses))
+                if n_val > 0:
+                    val_preds, _ = forward_batch(model, val_inputs, store_tape=False)
+                    val_loss = mse_loss(val_preds, val_targets)
+                else:
+                    val_loss = None
+                if not np.isfinite(train_loss):
+                    raise DivergenceError(epoch, "train")
+                if val_loss is not None and not np.isfinite(val_loss):
+                    raise DivergenceError(epoch, "validation")
 
-            report.train_losses.append(train_loss)
-            report.val_losses.append(val_loss)
-            report.epoch_seconds.append(time.perf_counter() - started)
-            log.debug(
-                "epoch %d/%d train_loss=%.6g val_loss=%s (%.2fs)",
-                epoch,
-                config.epochs,
-                train_loss,
-                f"{val_loss:.6g}" if val_loss is not None else "n/a",
-                report.epoch_seconds[-1],
-            )
+                report.train_losses.append(train_loss)
+                report.val_losses.append(val_loss)
+                report.epoch_seconds.append(time.perf_counter() - started)
+                log.debug(
+                    "epoch %d/%d train_loss=%.6g val_loss=%s (%.2fs)",
+                    epoch,
+                    config.epochs,
+                    train_loss,
+                    f"{val_loss:.6g}" if val_loss is not None else "n/a",
+                    report.epoch_seconds[-1],
+                )
     except ForecastError as exc:
         exc.report = report
         raise

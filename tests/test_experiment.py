@@ -461,7 +461,7 @@ class TestRunExperiment:
         monkeypatch.setattr(exp_mod, "train", sabotage)
         outcome = run_experiment(config)
         assert [(a, k) for a, k, _ in outcome.failures] == [("TST", "lstm")]
-        assert [r.cell_kind for r in outcome.results] == ["gru"]
+        assert [kind for _, kind, _ in outcome.results] == ["gru"]
         doc = json.loads((outcome.out_dir / "comparison.json").read_text())
         assert len(doc["failures"]) == 1
         assert len(doc["rows"]) == 1
@@ -475,7 +475,7 @@ class TestRunExperiment:
         assert outcome.failures == [
             ("TST", "lstm", f"cannot make output directory {config.out_dir / 'TST_lstm'}: File exists")
         ]
-        assert [r.cell_kind for r in outcome.results] == ["gru"]
+        assert [kind for _, kind, _ in outcome.results] == ["gru"]
         assert len(json.loads((config.out_dir / "comparison.json").read_text())["failures"]) == 1
 
     @pytest.mark.parametrize("blocked", ["checkpoint.json", "train_report.json", "predictions.csv"])
@@ -486,7 +486,7 @@ class TestRunExperiment:
         outcome = run_experiment(config)
         path = config.out_dir / "TST_lstm" / blocked
         assert outcome.failures == [("TST", "lstm", f"cannot write output file {path}: Is a directory")]
-        assert [r.cell_kind for r in outcome.results] == ["gru"]
+        assert [kind for _, kind, _ in outcome.results] == ["gru"]
         assert len(json.loads((config.out_dir / "comparison.json").read_text())["failures"]) == 1
 
     def test_failed_checkpoint_write_leaves_the_previous_file_and_no_partial_one(self, tmp_path, monkeypatch):
@@ -1009,6 +1009,38 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: cannot write output file {out / blocked}: Is a directory\n"
+
+    @pytest.mark.parametrize("symbol", ["../escaped", "a\\b", "a\0b"])
+    def test_an_asset_symbol_that_is_no_directory_name_is_rejected_at_its_header(self, tmp_path, capsys, symbol):
+        # '../escaped' wrote escaped_gru/ beside the output directory and 'a\0b' was a ValueError
+        # traceback and exit 1; each symbol names its runs' directories under the output directory
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(
+            f"lookback = 10\nhidden_units = 4\nepochs = 1\narchitectures = gru\nout_dir = {tmp_path / 'out'}\n"
+            f"[asset.{symbol}]\ncsv = {tiny_csv(tmp_path)}\n"
+        )
+        assert main(["run", "--config", str(config_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"; line 6: asset symbol {symbol!r} must not contain '/', '\\' or a NUL byte;" in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "tiny.csv"]
+
+    @pytest.mark.parametrize("command, line, out, diagnostic", [
+        ("prepare", "csv = tiny\0.csv", None, "line 6: csv must not contain a NUL byte"),
+        ("run", "out_dir = out\0", None, "line 4: out_dir must not contain a NUL byte"),
+        ("run", "", "out\0", "--out must not contain a NUL byte"),
+    ])
+    def test_a_nul_byte_in_a_path_value_is_a_config_error(self, tmp_path, capsys, command, line, out, diagnostic):
+        # each was a ValueError traceback (embedded null byte) and exit 1
+        csv_line = line if line.startswith("csv") else f"csv = {tiny_csv(tmp_path)}"
+        out_line = line if line.startswith("out_dir") else "# no out_dir"
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(f"lookback = 10\nhidden_units = 4\nepochs = 1\n{out_line}\n[asset.TST]\n{csv_line}\n")
+        argv = [command, "--config", str(config_path)] + (["--out", out] if out is not None else [])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {diagnostic}\n"
 
     def test_load_config_rejects_an_empty_out_dir_override(self, tmp_path):
         # was out_dir=Path('.'): a library caller wrote into the working directory

@@ -17,20 +17,29 @@ A checkpoint is written one gate array at a time, so saving holds the
 encoding of one array, never the text of the whole model.  Reading a
 parsed checkpoint holds its checked arrays and their concatenation, two
 model vectors, so parsing the file stays what sets a load's peak.
+
+A run holds one model at a time: ``train`` holds no reference to the
+initial parameters it copies, and ``run_experiment`` keeps of a finished
+run only its evaluation.
 """
 
+import dataclasses
 import json
 import tracemalloc
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cryptoforecast import cells
+from cryptoforecast import cells, experiment, training
 from cryptoforecast.cells import CellParams
 from cryptoforecast.metrics import predict_batch
 from cryptoforecast.network import ArchSpec, forward_batch, init_params, model_from_dict, save_checkpoint
 from cryptoforecast.preprocess import SequenceBatch
 from cryptoforecast.training import TrainConfig, train
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 GATES = {"lstm": 4, "gru": 3}
 
@@ -165,3 +174,62 @@ def test_training_peak_with_a_short_last_batch(rng):
     # four batches of 32, a last batch of 16 and 16 validation windows: 76.3 MB against the same
     # 77.9 MB limit; tape-owned layer buffers that outlive a short batch's own peaked at 79.8 MB
     assert_training_peak(rng, 160)
+
+
+def fixture_config(tmp_path, symbols, rows, **fields) -> experiment.ExperimentConfig:
+    """A config over the first ``rows`` rows of each named fixture."""
+    assets = []
+    for symbol in symbols:
+        path = tmp_path / f"{symbol}.csv"
+        lines = (FIXTURES / f"{symbol.lower()}_usd.csv").read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[: rows + 1]))
+        assets.append(experiment.AssetSpec(symbol, path))
+    return experiment.ExperimentConfig(assets=tuple(assets), out_dir=tmp_path / "out", **fields)
+
+
+def test_training_holds_no_reference_to_the_initial_parameters(tmp_path, monkeypatch):
+    config = fixture_config(tmp_path, ["BTC"], 100, architectures=("lstm",), lookback=10, hidden_units=4, epochs=1)
+    initial, dead = [], []
+
+    def init_params_kept(*args, **kwargs):
+        model = init_params(*args, **kwargs)
+        initial.append(weakref.ref(model))
+        return model
+
+    def adam_step_checked(*args):
+        dead.append(initial[0]() is None)
+        return adam_step(*args)
+
+    adam_step = training.adam_step
+    monkeypatch.setattr(experiment, "init_params", init_params_kept)
+    monkeypatch.setattr(training, "adam_step", adam_step_checked)
+    experiment.run_single(config, config.assets[0], "lstm")
+    # a name for the initial model in run_single, or the arguments of a decorator's wrapper
+    # around train, kept a second parameter vector alive through the whole of training
+    assert dead and all(dead)
+
+
+def test_a_run_starts_with_no_finished_run_alive(tmp_path, monkeypatch):
+    config = fixture_config(
+        tmp_path, ["BTC", "ETH"], 150, architectures=("bilstm", "lstm"), lookback=20, hidden_units=64, epochs=1
+    )
+    lstm_bytes = init_params(config.arch_for("lstm"), seed=0).vector.nbytes  # 0.40 MB; the Bi-LSTM's is 1.06 MB
+    # imports and allocator caches that a first run fills would count as run memory
+    experiment.run_experiment(dataclasses.replace(config, assets=config.assets[:1], hidden_units=2))
+    starts = []
+
+    def run_single_traced(*args):
+        starts.append(tracemalloc.get_traced_memory()[0])
+        return run_single(*args)
+
+    run_single = experiment.run_single
+    monkeypatch.setattr(experiment, "run_single", run_single_traced)
+    tracemalloc.start()
+    try:
+        experiment.run_experiment(config)
+    finally:
+        tracemalloc.stop()
+    # each later run started 0.03-0.06 MB above the first, its predecessors' evaluations; the
+    # list of finished RunResults and the loop's name for the last one held 1.10-2.58 MB of models
+    growth = [start - starts[0] for start in starts]
+    assert len(starts) == 4 and max(growth) < lstm_bytes / 4, f"runs started {growth} bytes above the first"
